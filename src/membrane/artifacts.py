@@ -62,7 +62,7 @@ class RunManifest:
     versions: dict = field(default_factory=dict)
     stages: dict = field(default_factory=dict)       # stage -> seconds
     assertions: list = field(default_factory=list)   # {name, passed, detail}
-    files: dict = field(default_factory=dict)        # relative name -> sha256
+    files: dict = field(default_factory=dict)        # name of a file this run wrote -> sha256
 
     def __post_init__(self):
         import scipy
@@ -75,13 +75,17 @@ class RunManifest:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         }
-        self._t0 = time.time()
-        self._stage_start = self._t0
+        self._stage_start = time.perf_counter()
 
     def stage(self, name: str) -> None:
-        now = time.time()
+        now = time.perf_counter()
         self.stages[name] = round(now - self._stage_start, 6)
         self._stage_start = now
+
+    def wrote(self, paths: list) -> None:
+        """Book files this run wrote; the manifest lists these and no others."""
+        for p in paths:
+            self.files[Path(p).name] = _sha256(Path(p))
 
     def check(self, name: str, passed: bool, detail: str = "") -> bool:
         self.assertions.append({"name": name, "passed": bool(passed), "detail": detail})
@@ -94,9 +98,6 @@ class RunManifest:
     def finalize(self, outdir: Path) -> Path:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for p in sorted(outdir.iterdir()):
-            if p.is_file() and p.name != "manifest.json":
-                self.files[p.name] = _sha256(p)
         payload = {
             "config": self.config,
             "versions": self.versions,

@@ -31,7 +31,7 @@ RECIPE_CLAIMS = {
     "interpolate": "the simplex extension is continuous, affine per cell, and equals the rescaled field at lattice points",
     "max-scaling": "the law of the rescaled field maximum stabilizes across scales",
     "moment-check": "squared increments of the interpolated field scale with the expected Holder exponent",
-    "spectrum": "bilaplacian eigenvalues grow like j^(4/d) and exceed squared Laplacian eigenvalues (boundary clamping)",
+    "spectrum": "bilaplacian eigenvalues are ascending and positive; with k >= 60, weyl.csv gives the two-term Weyl coefficient A against A_W",
     "pair": "variance of the grid pairing against a test function converges under h-refinement",
     "thomee": "finite-difference biharmonic errors decrease within the h^(1/2) bound curve",
     "infvol-green": "walk representation of the infinite-volume covariance matches the singular Fourier integral",
@@ -90,13 +90,14 @@ def run_b2star(args, cfg) -> int:
     report = verify_b2star(dom, K=K)
     man.stage("verify")
     out = _outdir(args)
-    write_csv(
+    man.wrote(write_csv(
         out,
         "b2star",
         ["n_checked", "n_failures", "passed"],
         [[report.n_checked, len(report.failures), int(report.passed)]],
-    )
+    ))
     dom.export_csv(out / "domain.csv")
+    man.wrote([out / "domain.csv"])
     man.check("b2star_pass", report.passed, f"{report.n_checked} points checked")
     man.finalize(out)
     return EXIT_OK if man.all_passed else EXIT_ASSERTION
@@ -116,12 +117,12 @@ def run_green(args, cfg) -> int:
     if args.columns == "all":
         table = green_full(prec)
         resid = float(np.abs(prec.matrix @ table.values - np.eye(prec.n)).max())
-        write_array(
+        man.wrote(write_array(
             out,
             "green",
             table.values,
             {"ordering": "lexicographic R_h", "domain": spec, "h": h, "max_residual": resid},
-        )
+        ))
         sym = float(np.abs(table.values - table.values.T).max())
         man.check("symmetry", sym <= 1e-10 * max(1.0, np.abs(table.values).max()), f"max asym {sym:.2e}")
         man.check("diagonal_positive", bool(np.all(np.diag(table.values) > 0)))
@@ -129,7 +130,7 @@ def run_green(args, cfg) -> int:
     else:
         pts = [tuple(int(v) for v in c.split(",")) for c in args.columns.split(";")]
         table = green_columns(prec, pts)
-        write_array(
+        man.wrote(write_array(
             out,
             "green_columns",
             table.values,
@@ -140,7 +141,7 @@ def run_green(args, cfg) -> int:
                 "columns": [list(p) for p in pts],
                 "max_residual": table.max_residual,
             },
-        )
+        ))
         man.check("residual", table.max_residual <= 1e-8, f"max residual {table.max_residual:.2e}")
     man.stage("solve")
     man.finalize(out)
@@ -159,12 +160,13 @@ def run_sample(args, cfg) -> int:
     man = RunManifest(config=config)
     dom = classify(shape_from_config(spec), h)
     prec = assemble_precision(dom)
+    prec.solver()
     man.stage("factorize")
     samples = sample(prec, seed=seed, count=count)
     man.stage("sample")
     out = _outdir(args)
     vals = np.stack([s.values for s in samples]) if samples else np.zeros((0, dom.n_rh))
-    write_array(out, "samples", vals, {"ordering": "sample x lexicographic R_h", "seed": seed})
+    man.wrote(write_array(out, "samples", vals, {"ordering": "sample x lexicographic R_h", "seed": seed}))
     man.check("count", len(samples) == count)
     man.finalize(out)
     return EXIT_OK if man.all_passed else EXIT_ASSERTION
@@ -193,7 +195,7 @@ def run_interpolate(args, cfg) -> int:
     vals = fld.evaluate_many(grid)
     man.stage("evaluate")
     out = _outdir(args)
-    write_array(out, "interpolated", vals.reshape((mesh + 1,) * d), {"mesh_axis": mesh + 1})
+    man.wrote(write_array(out, "interpolated", vals.reshape((mesh + 1,) * d), {"mesh_axis": mesh + 1}))
     lat = fld.evaluate(np.zeros(d))
     expect = fld.prefactor * fld.sample.values[dom.rh_index_of((0,) * d)]
     man.check("lattice_point_identity", abs(lat - expect) <= 1e-12 * max(1, abs(expect)))
@@ -218,7 +220,7 @@ def run_max_scaling(args, cfg) -> int:
     for N in Ns:
         for v in rep.maxima[N]:
             rows.append([N, float(v)])
-    write_csv(out, "rescaled_maxima", ["N", "rescaled_max"], rows)
+    man.wrote(write_csv(out, "rescaled_maxima", ["N", "rescaled_max"], rows))
     man.check("ks_distance", rep.ks <= ks_tol, f"KS={rep.ks:.4f} over N={Ns}")
     man.finalize(out)
     return EXIT_OK if man.all_passed else EXIT_ASSERTION
@@ -241,12 +243,12 @@ def run_moment_check(args, cfg) -> int:
     fit = moment_exponent(prec, d, N, n_pairs=pairs, seed=seed)
     man.stage("fit")
     out = _outdir(args)
-    write_csv(
+    man.wrote(write_csv(
         out,
         "moments",
         ["distance", "second_moment"],
         [[float(a), float(b)] for a, b in zip(fit.distances, fit.second_moments)],
-    )
+    ))
     man.check("exponent", lo <= fit.exponent <= hi, f"fitted {fit.exponent:.3f}")
     man.finalize(out)
     return EXIT_OK if man.all_passed else EXIT_ASSERTION
@@ -266,20 +268,20 @@ def run_spectrum(args, cfg) -> int:
     basis = eigendecompose(prec, k)
     man.stage("eigensolve")
     out = _outdir(args)
-    write_csv(
+    man.wrote(write_csv(
         out,
         "spectrum",
         ["j", "lambda"],
         [[j + 1, float(v)] for j, v in enumerate(basis.lambdas)],
-    )
-    write_array(out, "eigenvectors", basis.vectors, {"ordering": "R_h x mode"})
+    ))
+    man.wrote(write_array(out, "eigenvectors", basis.vectors, {"ordering": "R_h x mode"}))
     man.check("ascending", bool(np.all(np.diff(basis.lambdas) >= -1e-9)))
     man.check("positive", bool(basis.lambdas[0] > 0))
     if k >= 60:
         fit = weyl_counting_fit(basis.lambdas, dom.d, dom.shape.volume())
-        write_csv(
+        man.wrote(write_csv(
             out, "weyl", ["leading", "weyl_leading", "ratio"], [[fit.leading, fit.weyl_leading, fit.ratio]]
-        )
+        ))
     man.finalize(out)
     return EXIT_OK if man.all_passed else EXIT_ASSERTION
 
@@ -297,12 +299,12 @@ def run_pair(args, cfg) -> int:
     study = pairing_variance_study(d, hs, f)
     man.stage("study")
     out = _outdir(args)
-    write_csv(
+    man.wrote(write_csv(
         out,
         "pairing_variance",
         ["h", "variance"],
         [[float(h), float(v)] for h, v in zip(study.hs, study.variances)],
-    )
+    ))
     man.check("cauchy_shrink", study.cauchy_ratio < 0.7, f"ratio {study.cauchy_ratio:.3f}")
     for h, gap in study.cross_checks:
         man.check(f"cross_check_h={h:g}", gap <= 1e-8, f"gap {gap:.2e}")
@@ -322,18 +324,18 @@ def run_thomee(args, cfg) -> int:
     study = convergence_study(manufactured_disk(d), hs)
     man.stage("study")
     out = _outdir(args)
-    write_csv(
+    man.wrote(write_csv(
         out,
         "thomee_convergence",
         ["h", "n_rh", "error", "bound"],
         [[r.h, r.n_rh, r.error, r.bound] for r in study.rows],
-    )
-    write_csv(
+    ))
+    man.wrote(write_csv(
         out,
         "thomee_summary",
         ["fitted_order", "fitted_constant", "monotone", "within_bound"],
         [[study.fitted_order, study.fitted_constant, int(study.monotone), int(study.within_bound)]],
-    )
+    ))
     man.check("monotone_decrease", study.monotone)
     man.check("order_at_least_half", study.fitted_order >= 0.5, f"order {study.fitted_order:.3f}")
     man.check("within_bound_curve", study.within_bound)
@@ -380,7 +382,7 @@ def run_infvol(args, cfg) -> int:
                 else ["", "", ""]
             )
             rows.append(row)
-        write_csv(out, "infvol_green", ["x", "fourier", "quad_err", "walk", "walk_se", "tail_bound"], rows)
+        man.wrote(write_csv(out, "infvol_green", ["x", "fourier", "quad_err", "walk", "walk_se", "tail_bound"], rows))
         if four and walk:
             for i, t in enumerate(targets):
                 tol = 3 * walk.standard_errors[i] + four[i].error + walk.tail_bounds[i]
@@ -397,12 +399,12 @@ def run_infvol(args, cfg) -> int:
         man = RunManifest(config=config)
         trend = eta2_trend(radii, d=d)
         man.stage("trend")
-        write_csv(
+        man.wrote(write_csv(
             out,
             "eta2_trend",
             ["r", "green", "ratio"],
             [[int(r), float(g), float(q)] for r, g, q in zip(trend.radii, trend.greens, trend.ratios)],
-        )
+        ))
         man.check("flatness", trend.flatness <= 0.1, f"spread {trend.flatness:.4f}")
         man.check("positive", bool(np.all(trend.ratios > 0)))
         man.finalize(out)
@@ -417,12 +419,12 @@ def run_infvol(args, cfg) -> int:
         limit = inv_laplacian_norm(test)
         vals = [scaling_variance(test, N) for N in Ns]
         man.stage("quadrature")
-        write_csv(
+        man.wrote(write_csv(
             out,
             "scaling_variance",
             ["N", "variance", "error_budget", "limit"],
             [[v.N, v.value, v.error_budget, limit] for v in vals],
-        )
+        ))
         gaps = [abs(v.value - limit) for v in vals]
         man.check("decreasing_gap", all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1)))
         man.check("final_within_5pct", gaps[-1] <= 0.05 * limit, f"gap {gaps[-1]:.4f}")

@@ -61,8 +61,8 @@ def sphere_area(d: int) -> float:
 # ---------------------------------------------------------------------------
 # dyadic shell quadrature over [0, outer]^d \ {0}, integrand even-folded
 
-def _gauss(a: float, b: float, p: int):
-    x, w = np.polynomial.legendre.leggauss(p)
+def _gauss(a: float, b: float, rule: Tuple[np.ndarray, np.ndarray]):
+    x, w = rule
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -70,45 +70,49 @@ def shell_quadrature(
     d: int,
     outer: float,
     levels: int,
-    integrand: Callable[[List[np.ndarray], np.ndarray], np.ndarray],
+    integrand: Callable[[List[np.ndarray], List[np.ndarray]], np.ndarray],
     order: int = 8,
     order_axis0: Optional[int] = None,
-    order_coarse: Optional[int] = None,
-    coarse_levels: int = 0,
-) -> np.ndarray:
+):
     """Sum integrand over dyadic shells of [0, outer]^d.
 
-    integrand(axes_mesh, weights) returns the weighted contribution(s) of one
-    tensor box; results are accumulated (supports vector-valued integrands).
-    order_axis0 overrides the Gauss order along the first axis (for
-    oscillatory factors); order_coarse applies to the first coarse_levels
-    levels on every axis.
+    Level k is [0, a]^d minus [0, a/2]^d, a = outer 2^-k: the 2^d - 1 tensor
+    boxes that take the upper half [a/2, a] on at least one axis, each with
+    `order` Gauss nodes per axis.  order_axis0 overrides the order along the
+    first axis on the first 12 levels (for oscillatory factors).
+
+    integrand(nodes, weights) gets each axis's Gauss nodes and weights as 1-D
+    arrays shaped to broadcast along that axis, (1, .., p, .., 1), so it builds
+    d-dimensional tensors from per-axis tables (sum factorization) instead of a
+    mesh; its results, scalar or array, are summed.
     """
-    total = None
+    rules = {p: np.polynomial.legendre.leggauss(p) for p in (order, order_axis0) if p}
+    total = 0.0
     for k in range(levels):
         a = outer * (0.5**k)
-        p = order_coarse if (order_coarse and k < coarse_levels) else order
-        p0 = order_axis0 if (order_axis0 and k < max(coarse_levels, 12)) else p
-        per_axis = []
+        halves = []
         for ax in range(d):
-            pa = p0 if ax == 0 else p
-            per_axis.append((_gauss(0.0, a / 2, pa), _gauss(a / 2, a, pa)))
+            rule = rules[order_axis0 if (order_axis0 and ax == 0 and k < 12) else order]
+            shape = [1] * d
+            shape[ax] = -1
+            halves.append(
+                [[v.reshape(shape) for v in _gauss(lo, hi, rule)] for lo, hi in ((0.0, a / 2), (a / 2, a))]
+            )
         for combo in range(1, 2**d):
-            NN = []
-            WW = []
-            for ax in range(d):
-                bit = (combo >> ax) & 1
-                NN.append(per_axis[ax][bit][0])
-                WW.append(per_axis[ax][bit][1])
-            mesh = np.meshgrid(*NN, indexing="ij")
-            wt = np.ones_like(mesh[0])
-            for ax, wv in enumerate(WW):
-                shp = [1] * d
-                shp[ax] = len(wv)
-                wt = wt * wv.reshape(shp)
-            contrib = integrand(mesh, wt)
-            total = contrib if total is None else total + contrib
+            box = [halves[ax][(combo >> ax) & 1] for ax in range(d)]
+            total = total + integrand([x for x, _ in box], [w for _, w in box])
     return total
+
+
+def _contract(tensor: np.ndarray, tables: List[np.ndarray]) -> np.ndarray:
+    """sum_i tensor[i_0, .., i_{d-1}] prod_ax tables[ax][i_ax, f_ax], one axis at a time.
+
+    Returns the array over (f_0, .., f_{d-1}).
+    """
+    out = tensor
+    for tab in tables:
+        out = out.reshape(len(tab), -1).T @ tab
+    return out.reshape([tab.shape[1] for tab in tables])
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +163,18 @@ class FourierValue:
 
 
 def _green_integrand(targets: np.ndarray, d: int):
-    targets = np.asarray(targets, dtype=np.int64)
+    """Weighted sums of mu^-2 prod_i cos(x_i theta_i) over one box, all targets at once.
 
-    def integrand(mesh, wt):
-        mu = np.zeros_like(mesh[0])
-        for t in mesh:
-            mu += 2.0 * np.sin(0.5 * t) ** 2
-        mu /= d
-        ker = wt / (mu * mu)
-        out = np.empty(len(targets))
-        for i, x in enumerate(targets):
-            pr = ker
-            for ax in range(d):
-                j = abs(int(x[ax]))
-                if j:
-                    pr = pr * np.cos(j * mesh[ax])
-            out[i] = float(np.sum(pr))
-        return out
+    The kernel tensor w / mu^2 is contracted axis by axis against the table
+    cos(j theta_i) over the distinct |x_i| on axis i; each target is read
+    from the resulting table of prod_i |F_i| entries.
+    """
+    freqs, index = zip(*(np.unique(np.abs(col), return_inverse=True) for col in np.asarray(targets).T))
+
+    def integrand(nodes, weights):
+        mu = sum(2.0 * np.sin(0.5 * t) ** 2 for t in nodes) / d
+        tables = [w.reshape(-1, 1) * np.cos(t.reshape(-1, 1) * f) for t, w, f in zip(nodes, weights, freqs)]
+        return _contract(1.0 / (mu * mu), tables)[index]
 
     return integrand
 
@@ -198,6 +197,7 @@ def green_infinite_fourier_many(
     d: int = 5,
     order_axis0: Optional[int] = None,
 ) -> List[FourierValue]:
+    """G(0, x) for every target from one pass of the shell quadrature."""
     if plan is None:
         plan = FourierCovariance(d=d)
     d = plan.d
@@ -317,6 +317,7 @@ def walk_estimate(
     tkey = _encode(targets, span, d)
     order = np.argsort(tkey)
     tkey_sorted = tkey[order]
+    r2_start = int(np.dot(start_vec.astype(np.int64), start_vec))
 
     sums = np.zeros(ntar)
     sqs = np.zeros(ntar)
@@ -329,6 +330,11 @@ def walk_estimate(
             np.random.SeedSequence(entropy=oracle.seed, spawn_key=(batch_index,))
         )
         pos = np.tile(start_vec, (nw, 1))
+        flat = pos.reshape(-1)
+        rows = np.arange(0, nw * d, d)
+        # running ||pos||^2: ||pos||_inf <= span needs ||pos||^2 <= d span^2,
+        # so the exact test runs on those walks alone
+        r2 = np.full(nw, r2_start, dtype=np.int64)
         tally = np.zeros((nw, ntar), dtype=np.float64)
         at_start = np.nonzero(
             tkey_sorted == _encode(start_vec[None, :].astype(np.int64), span, d)[0]
@@ -339,12 +345,14 @@ def walk_estimate(
             mhits[ti, 0] += nw
         for m in range(1, M + 1):
             move = rng.integers(0, 2 * d, size=nw)
-            axis = move >> 1
-            sgn = np.where(move & 1, 1, -1).astype(np.int16)
-            pos[np.arange(nw), axis] += sgn
-            near = np.max(np.abs(pos), axis=1) <= span
-            if near.any():
-                idx = np.nonzero(near)[0]
+            cell = rows + (move >> 1)
+            sgn = (2 * (move & 1) - 1).astype(np.int16)
+            old = flat[cell]
+            flat[cell] = old + sgn
+            r2 += 2 * sgn * old + 1
+            cand = np.flatnonzero(r2 <= d * span * span)
+            idx = cand[np.max(np.abs(pos[cand]), axis=1) <= span]
+            if idx.size:
                 key = _encode(pos[idx], span, d)
                 j = np.searchsorted(tkey_sorted, key)
                 j = np.clip(j, 0, ntar - 1)
@@ -547,19 +555,15 @@ def scaling_variance(
 
     theta_max = min(N * np.pi, test.fhat_radius(1e-34))
 
-    def excess(mesh, wt):
-        mu = np.zeros_like(mesh[0])
-        r2 = np.zeros_like(mesh[0])
-        for t in mesh:
-            mu += 2.0 * np.sin(0.5 * t / N) ** 2
-            r2 += t * t
-        mu /= d
+    def excess(nodes, weights):
+        mu = sum(2.0 * np.sin(0.5 * t / N) ** 2 for t in nodes) / d
+        r2 = sum(t * t for t in nodes)
         ker = kappa2 / (N**4 * mu * mu) - 1.0 / (r2 * r2)
         fh = test.fhat_radial(np.sqrt(r2))
-        return np.array([float(np.sum(wt * ker * fh * fh))])
+        return _contract(ker * fh * fh, [w.reshape(-1, 1) for w in weights]).item()
 
-    v1 = shell_quadrature(d, theta_max, levels, excess, order=order)[0]
-    v2 = shell_quadrature(d, theta_max, levels + 4, excess, order=order + 2)[0]
+    v1 = shell_quadrature(d, theta_max, levels, excess, order=order)
+    v2 = shell_quadrature(d, theta_max, levels + 4, excess, order=order + 2)
     fold = 2.0**d
     excess_val = v2 * fold
     quad_err = abs(v2 - v1) * fold

@@ -107,19 +107,6 @@ def _fit_window(k: int, window: Optional[tuple]) -> slice:
     return slice(lo - 1, hi)
 
 
-def weyl_fit(lambdas: np.ndarray, window: Optional[tuple] = None) -> float:
-    """Least-squares slope of log lambda_j vs log j over a mid-window of indices.
-
-    The slope tends to 4/d only slowly: for the low clamped spectrum the
-    boundary term of the counting function dominates, so the asymptotic
-    law is checked through `weyl_counting_fit` instead.
-    """
-    lambdas = np.asarray(lambdas, dtype=float)
-    sl = _fit_window(len(lambdas), window)
-    j = np.arange(1, len(lambdas) + 1)
-    return float(np.polyfit(np.log(j[sl]), np.log(lambdas[sl]), 1)[0])
-
-
 def weyl_constant(d: int, volume: float) -> float:
     """Leading Weyl coefficient A_W = omega_d |D| / (2 pi)^d of the clamped plate.
 

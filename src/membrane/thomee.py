@@ -208,33 +208,31 @@ class DiscreteSolution:
     error_grid_norm: Optional[float] = None
 
 
-class _RawSolver:
-    """Factorization of the integer stencil matrix S (L_h = S / h^4)."""
-
-    def __init__(self, domain: GridDomain):
-        from .green import assemble_precision
-
-        prec = assemble_precision(domain)
-        self.S = prec.raw
-        self._lu = spla.splu(self.S.tocsc())
-        self.domain = domain
-
-    def solve_lh(self, f_rh: np.ndarray) -> np.ndarray:
-        h4 = self.domain.h**4
-        return self._lu.solve(h4 * np.asarray(f_rh, dtype=float))
+def backward_error(S, u: np.ndarray, b: np.ndarray) -> float:
+    """Normwise backward error ||S u - b||_inf / (||S||_inf ||u||_inf + ||b||_inf)."""
+    scale = float(abs(S).sum(axis=1).max()) * np.abs(u).max() + np.abs(b).max()
+    return float(np.abs(S @ u - b).max() / scale) if scale > 0 else 0.0
 
 
 def solve_dirichlet(domain: GridDomain, f_rh: np.ndarray, residual_tol: float = 1e-8):
-    """Solve L_h u_h = f on R_h with u_h = 0 on B_h.  Residual checked in grid norm."""
+    """Solve L_h u_h = f on R_h with u_h = 0 on B_h.
+
+    The solve of S u = h^4 f is accepted when its normwise backward error is
+    at most residual_tol: the residual itself grows with the h^-4
+    conditioning of L_h even for a backward-stable solve.  `residual` is the
+    grid norm of L_h u_h - f.
+    """
     if domain.n_rh == 0:
         raise ValueError("R_h is empty")
-    solver = _RawSolver(domain)
-    u = solver.solve_lh(f_rh)
-    res_vec = solver.S @ u / domain.h**4 - f_rh
-    res = grid_norm(res_vec, domain.h, domain.d)
-    rel = res / max(grid_norm(f_rh, domain.h, domain.d), 1e-300)
-    if rel > residual_tol and res > residual_tol:
-        raise RuntimeError(f"discrete solve residual {res:.3e} exceeds tolerance")
+    from .green import assemble_precision
+
+    S = assemble_precision(domain).raw  # the integer stencil matrix, L_h = S / h^4
+    b = domain.h**4 * np.asarray(f_rh, dtype=float)
+    u = spla.splu(S.tocsc()).solve(b)
+    back = backward_error(S, u, b)
+    if back > residual_tol:
+        raise RuntimeError(f"discrete solve backward error {back:.3e} exceeds {residual_tol:.1e}")
+    res = grid_norm(S @ u / domain.h**4 - f_rh, domain.h, domain.d)
     return DiscreteSolution(domain=domain, u_h=u, residual=res)
 
 

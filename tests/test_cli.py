@@ -31,6 +31,17 @@ def test_manifest_lists_every_file(tmp_path):
     assert all(len(v) == 64 for v in man["files"].values())
 
 
+def test_manifest_lists_only_files_the_recipe_wrote(tmp_path):
+    out = tmp_path / "shared"
+    assert main(["--out", str(out), "sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "2"]) == 0
+    sampled = json.loads((out / "manifest.json").read_text())
+    assert set(sampled["files"]) == {"samples.f64", "samples.json"}
+    assert list(sampled["wall_clock_s"]) == ["factorize", "sample"]
+    assert main(["--out", str(out), "b2star", "--shape", "box", "--d", "2", "--h", "1/8"]) == 0
+    b2star = json.loads((out / "manifest.json").read_text())
+    assert set(b2star["files"]) == {"b2star.csv", "domain.csv"}
+
+
 def test_green_small_run(tmp_path):
     code, out = run_cli(["green", "--shape", "box", "--d", "2", "--h", "1/4"], tmp_path, "c")
     assert code == 0

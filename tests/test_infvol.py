@@ -20,6 +20,7 @@ from membrane.infvol import (
     sphere_area,
     symmetry_classes,
     walk_estimate,
+    _tail_bounds,
 )
 
 
@@ -79,6 +80,45 @@ def test_fourier_refinement_self_consistency():
     assert abs(coarse.value - fine.value) <= 0.01 * abs(fine.value)
 
 
+def dense_shell_sum(d, outer, levels, order, integrand, order_axis0=None):
+    """The dyadic shell rule on full meshes: integrand(theta (..., d), weights)."""
+    total = 0.0
+    for k in range(levels):
+        a = outer * 0.5**k
+        for combo in range(1, 2**d):
+            nodes, weights = [], []
+            for ax in range(d):
+                x, w = np.polynomial.legendre.leggauss(order_axis0 if (order_axis0 and ax == 0 and k < 12) else order)
+                lo = a / 2 if (combo >> ax) & 1 else 0.0
+                nodes.append(lo + a / 4 * (x + 1))
+                weights.append(a / 4 * w)
+            theta = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
+            wt = np.prod(np.stack(np.meshgrid(*weights, indexing="ij")), axis=0)
+            total = total + integrand(theta, wt)
+    return total
+
+
+@pytest.mark.parametrize("order_axis0", [None, 6])
+def test_fourier_matches_dense_mesh_reference(order_axis0):
+    d = 5
+    targets = [list(x) for x in sorted(symmetry_classes(2, d))]
+    targets += [[3, 0, 0, 0, 0], [0, 0, 0, 0, -5], [0, 2, -1, 0, 1], [4, 1, 0, 0, 0]]
+    plan = FourierCovariance(d=d, levels=9, order=3)  # refined: 13 levels, past the 12 of order_axis0
+    got = green_infinite_fourier_many(targets, plan=plan, order_axis0=order_axis0)
+
+    def integrand(theta, wt):
+        ker = wt / mu_symbol(theta) ** 2
+        return np.array([np.sum(ker * np.prod(np.cos(theta * np.abs(x)), axis=-1)) for x in targets])
+
+    scale = 2.0**d / (2 * np.pi) ** d
+    coarse = dense_shell_sum(d, np.pi, 9, 3, integrand, order_axis0) * scale
+    fine = dense_shell_sum(d, np.pi, 13, 5, integrand, order_axis0 and order_axis0 + 2) * scale
+    values = np.array([v.value for v in got])
+    assert np.all(np.abs(values - fine) <= 1e-13 * np.abs(fine))
+    qerr = np.array([v.quadrature_error for v in got])
+    assert np.all(np.abs(qerr - np.abs(fine - coarse)) <= 1e-13 * np.abs(fine))
+
+
 # ---------------------------------------------------------------------------
 # walks
 
@@ -115,6 +155,44 @@ def test_walk_agrees_with_fourier_within_budget():
     for i in range(len(targets)):
         tol = 3 * est.standard_errors[i] + four[i].error + est.tail_bounds[i]
         assert abs(four[i].value - est.estimates[i]) <= tol
+
+
+def test_walk_matches_per_walk_reference_loop():
+    # the same (seed, batch) streams and rng.integers calls, one walk at a time
+    oracle = WalkOracle(d=5, n_walks=300, max_steps=30, seed=12, batch=200)
+    start = (1, 0, -1, 0, 0)
+    targets = [(1, 0, -1, 0, 0), (2, 0, -1, 0, 0), (0, 0, 0, 0, 0), (1, 1, 0, 0, 0), (-1, 0, -1, 1, 0)]
+    est = walk_estimate(oracle, targets, start=start)
+
+    d, M = oracle.d, oracle.max_steps
+    tallies = []
+    mhits = np.zeros((len(targets), M + 1))
+    done = batch = 0
+    while done < oracle.n_walks:
+        nw = min(oracle.batch, oracle.n_walks - done)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=oracle.seed, spawn_key=(batch,)))
+        moves = [rng.integers(0, 2 * d, size=nw) for _ in range(M)]
+        for w in range(nw):
+            pos = list(start)
+            tally = [0.0] * len(targets)
+            for m in range(M + 1):
+                if m:
+                    pos[moves[m - 1][w] >> 1] += 1 if moves[m - 1][w] & 1 else -1
+                if tuple(pos) in targets:
+                    i = targets.index(tuple(pos))
+                    tally[i] += m + 1
+                    mhits[i, m] += 1
+            tallies.append(tally)
+        done += nw
+        batch += 1
+    tallies = np.array(tallies)
+    mean = tallies.sum(axis=0) / done
+    se = np.sqrt(np.maximum(np.sum(tallies * tallies, axis=0) / done - mean**2, 0.0) / done)
+    tails = _tail_bounds(mhits, np.array(targets) - np.array(start), done, M, d)
+    assert batch == 2 and est.n_walks == 300
+    assert np.array_equal(est.estimates, mean)
+    assert np.array_equal(est.standard_errors, se)
+    assert np.array_equal(est.tail_bounds, tails)
 
 
 def test_walk_tail_tolerance_error():
@@ -238,6 +316,23 @@ def test_scaling_variance_sequence_decreases_to_limit():
     assert abs(v8.value - limit) < abs(v4.value - limit)
     assert v4.error_budget <= 0.05 * v4.value
     assert abs(v8.value - limit) <= 0.05 * limit
+
+
+def test_scaling_variance_excess_matches_dense_mesh_reference():
+    d, N, levels, order = 5, 4, 4, 3
+    test = gaussian_test(d)
+    sv = scaling_variance(test, N, levels=levels, order=order, budget_cap=1.0)
+    kappa2 = 1.0 / (2 * d) ** 2
+
+    def excess(theta, wt):
+        r2 = np.sum(theta * theta, axis=-1)
+        ker = kappa2 / (N**4 * mu_symbol(theta / N) ** 2) - 1.0 / r2**2
+        return np.sum(wt * ker * test.fhat(theta) ** 2)
+
+    outer = min(N * np.pi, test.fhat_radius(1e-34))
+    ref = 2.0**d * dense_shell_sum(d, outer, levels + 4, order + 2, excess)
+    assert abs(sv.kernel_excess - ref) <= 1e-12 * ref
+    assert sv.value == sv.radial_part + sv.kernel_excess
 
 
 def test_scaling_variance_rejects_small_N():

@@ -20,7 +20,6 @@ from membrane.spectral import (
     s_threshold,
     weyl_constant,
     weyl_counting_fit,
-    weyl_fit,
     wiener_convergence_report,
     wiener_series,
 )
@@ -73,12 +72,6 @@ def test_lambda1_stabilizes_under_refinement():
     assert abs(vals[64] - vals[32]) / vals[32] <= 0.05
 
 
-def test_weyl_fit_exact_power_law():
-    for d in (2, 3):
-        lam = np.arange(1.0, 121.0) ** (4.0 / d)
-        assert weyl_fit(lam) == pytest.approx(4.0 / d, abs=1e-12)
-
-
 def _two_term_spectrum(d, a, b, k):
     # invert j - 1/2 = a mu^d - b mu^{d-1}, mu = lambda^{1/4}, by Newton from above
     target = np.arange(1, k + 1) - 0.5
@@ -100,11 +93,8 @@ def test_weyl_counting_fit_recovers_two_term_law():
         scaled = weyl_counting_fit(2.0 * lam, d, 2.0**d)
         assert scaled.leading == pytest.approx(fit.leading * 2.0 ** (-d / 4.0), rel=1e-12)
         assert abs(scaled.ratio - 1.0) > 0.15
-
-
-def test_weyl_fit_window_too_small():
     with pytest.raises(ValueError):
-        weyl_fit(np.arange(1.0, 30.0), window=(10, 15))
+        weyl_counting_fit(np.arange(1.0, 30.0), 2, 4.0, window=(10, 15))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from membrane.lattice import Ball, classify, field_on_grid, unit_box
 from membrane.thomee import (
     ManufacturedProblem,
     attach_error,
+    backward_error,
     bstar_count_scaling,
     convergence_study,
     grid_norm,
@@ -118,6 +119,27 @@ def test_grid_resolvable_input_reproduces_itself():
     fake = ManufacturedProblem(shape=prob.shape, u=u_grid, f=prob.f, M2=1, M5=1)
     sol2 = attach_error(solve_dirichlet(dom, prob.f(dom.rh_coordinates())), fake)
     assert sol2.error_grid_norm <= 1e-12
+
+
+def test_backward_error_gate_accepts_fine_disk_and_rejects_perturbed_solution():
+    # at h=1/128 the grid-norm residual of an accurate solve is about 1.3e-6,
+    # far above 1e-8, because L_h has condition number of order h^-4; the
+    # normwise backward error of the same solve is at rounding level
+    prob = manufactured_disk(2)
+    dom = classify(prob.shape, 1 / 128)
+    f = prob.f(dom.rh_coordinates())
+    sol = attach_error(solve_dirichlet(dom, f), prob)
+    assert sol.residual > 1e-8
+    assert sol.error_grid_norm < 0.069  # the h=1/64 error; finer is better
+    S = assemble_precision(dom).raw
+    b = dom.h**4 * f
+    assert backward_error(S, sol.u_h, b) <= 1e-14
+    rng = np.random.default_rng(4)
+    perturbed = sol.u_h * (1.0 + 1e-6 * rng.standard_normal(dom.n_rh))
+    assert backward_error(S, perturbed, b) > 1e-8
+    coarse = classify(prob.shape, 1 / 8)
+    with pytest.raises(RuntimeError, match="backward error"):
+        solve_dirichlet(coarse, prob.f(coarse.rh_coordinates()), residual_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
