@@ -293,7 +293,7 @@ def run_pair(args, cfg) -> int:
     hs = [_parse_h(t) for t in args.h_list.split(",")] if args.h_list else [
         float(Fraction(str(t))) for t in cfg.get("h_list", ["1/16", "1/32", "1/64"])
     ]
-    config = {"recipe": "pair", "d": d, "h_list": hs, "f": args.f or "bump"}
+    config = {"recipe": "pair", "d": d, "h_list": hs, "f": "bump"}
     man = RunManifest(config=config)
     f = bump_test_function()
     study = pairing_variance_study(d, hs, f)
@@ -411,7 +411,7 @@ def run_infvol(args, cfg) -> int:
         return EXIT_OK if man.all_passed else EXIT_ASSERTION
     if args.mode == "variance":
         Ns = _parse_list(args.N) if args.N else cfg.get("N", [4, 8, 16])
-        config = {"recipe": "infvol-variance", "d": d, "N": Ns, "f": args.f or "gaussian"}
+        config = {"recipe": "infvol-variance", "d": d, "N": Ns, "f": "gaussian"}
         man = RunManifest(config=config)
         test = gaussian_test(d=d)
         from .infvol import inv_laplacian_norm
@@ -449,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file; flags override its keys")
     p.add_argument("--out", help="output directory (default $MEMBRANE_OUT or ./membrane-out)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1, help="1 guarantees bit-exact reruns")
     sub = p.add_subparsers(dest="cmd")
 
     def common(sp):
@@ -500,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pair")
     common(sp)
-    sp.add_argument("--f", help="named test function (bump)")
     sp.add_argument("--h-list", dest="h_list", help="comma list like 1/16,1/32,1/64")
     sp.set_defaults(func=run_pair)
 
@@ -517,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, help="number of walks")
     sp.add_argument("--radii", help="range like 5..15 or comma list")
     sp.add_argument("--N", help="comma list of scales")
-    sp.add_argument("--f", help="named test function (gaussian)")
     sp.set_defaults(func=run_infvol)
 
     sp = sub.add_parser("list-recipes")

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import GridDomain, stencil_weights
+from .lattice import GridDomain, assemble, stencil_weights
 
 DENSE_TABLE_CAP = 20_000
 FACTORIZATION_CAP = 600_000   # rows; above this fall back to CG
@@ -57,30 +57,8 @@ def assemble_precision(domain: GridDomain) -> PrecisionMatrix:
     """Assemble kappa^2 * S where S is the integer bilaplacian stencil on R_h."""
     if domain.n_rh == 0:
         raise ValueError("R_h is empty; nothing to assemble")
-    d = domain.d
-    st = stencil_weights("bilaplacian", d)
-    pts = domain.rh_points
-    idx_grid = domain.rh_index_grid
-    grid_shape = np.array(domain.mask_shape)
-    rows = []
-    cols = []
-    vals = []
-    own = idx_grid[tuple((pts - domain.origin).T)]
-    for off, coeff in st.items():
-        nb = pts + np.array(off, dtype=np.int64)
-        loc = nb - domain.origin
-        ok = np.all((loc >= 0) & (loc < grid_shape), axis=1)
-        j = idx_grid[tuple(loc[ok].T)]
-        keep = j >= 0
-        rows.append(own[ok][keep])
-        cols.append(j[keep])
-        vals.append(np.full(int(keep.sum()), float(coeff)))
-    n = domain.n_rh
-    raw = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    kappa2 = 1.0 / (2 * d) ** 2
+    raw = assemble(domain, stencil_weights("bilaplacian", domain.d))
+    kappa2 = 1.0 / (2 * domain.d) ** 2
     return PrecisionMatrix(domain=domain, matrix=(kappa2 * raw).tocsr(), raw=raw)
 
 
@@ -92,9 +70,15 @@ def _make_solver(A: sp.csr_matrix, domain: Optional[GridDomain] = None):
         M = centered_box_halfwidth(domain)
         if M >= 0:
             box = CenteredBoxSolver(domain.d, M)
+            tol = 1e-11
 
             def box_solve(rhs):
-                x, _ = box.solve(rhs, tol=1e-11)
+                x, info = box.solve(rhs, tol=tol)
+                if info.relative_residual > tol:
+                    raise RuntimeError(
+                        f"box PCG stopped at relative residual {info.relative_residual:.3e} "
+                        f"after {info.iterations} iterations (tolerance {tol:.0e})"
+                    )
                 return x
 
             return box_solve
@@ -128,22 +112,26 @@ class GreenTable:
     values: np.ndarray         # full: (n, n); columns: (k, n)
     column_points: Optional[np.ndarray] = None   # integer coords for "columns" mode
     max_residual: float = 0.0
+    _row_of: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        points = () if self.column_points is None else self.column_points
+        self._row_of = {tuple(p): r for r, p in enumerate(points)}
 
     def at(self, x: Sequence[int], y: Sequence[int]) -> float:
-        """G between two integer lattice points (0 if either is outside R_h)."""
+        """G between two integer lattice points (0 if either is outside R_h).
+
+        In columns mode x must be a stored column point when both are in R_h.
+        """
         i = self.domain.rh_index_of(x)
         j = self.domain.rh_index_of(y)
-        if j < 0:
+        if i < 0 or j < 0:
             return 0.0
         if self.mode == "full":
-            if i < 0:
-                return 0.0
             return float(self.values[i, j])
-        rows = [tuple(p) for p in self.column_points]
-        try:
-            r = rows.index(tuple(int(v) for v in x))
-        except ValueError:
-            raise KeyError(f"column for {x} not stored") from None
+        r = self._row_of.get(tuple(x))
+        if r is None:
+            raise KeyError(f"column for {tuple(x)} not stored")
         return float(self.values[r, j])
 
 

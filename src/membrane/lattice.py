@@ -1,4 +1,4 @@
-"""Lattice discretization of continuum domains and discrete difference operators.
+"""Lattice discretization of continuum domains and discrete difference stencils.
 
 A domain D in R^d is discretized on the grid h*Z^d.  Grid points are
 classified by how deep they sit inside the domain, using the second-order
@@ -18,17 +18,18 @@ The discrete field lives on R_h with zero values outside, which is exactly
 the support needed so that the 13/25/41-point bilaplacian stencil applied at
 any point of R_h never reads values outside V_h.
 
-Operators are stored as integer stencils (offset -> coefficient) and scaled
-by the appropriate power of h only when applied:
+Operators are stored as integer stencils (offset -> coefficient); the caller
+scales by the appropriate power of h:
 
     delta1        (1/2d) * nearest-neighbour difference, dimensionless
     deltah        h^-2   * nearest-neighbour difference
     bilaplacian   h^-4   * squared stencil (center 4d^2+2d, axis -4d,
                   diagonals +2, double steps +1)
     bilap1        delta1 composed with itself = kappa^2 h^4 * bilaplacian
-    lh2           bilaplacian on R_h*, h^2 * bilaplacian on B_h*, 0 elsewhere
 
-with kappa = 1/(2d) throughout.
+with kappa = 1/(2d) throughout.  This module is the one place where a
+stencil meets the lattice: `apply_stencil_array` applies it to a grid array
+and `assemble` builds its sparse matrix on R_h with zero extension.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 KAPPA_DENOM = 2  # kappa = 1 / (2 d)
 
@@ -171,27 +173,11 @@ def shape_from_config(cfg: dict) -> ShapePredicate:
 # neighbourhood offsets
 
 def neighborhood_offsets(d: int) -> list:
-    """Offsets of N(y)/h: +-e_i, +-2e_i and +-e_i +- e_j for i != j."""
-    offs = set()
-    for i in range(d):
-        for s in (1, -1):
-            e = [0] * d
-            e[i] = s
-            offs.add(tuple(e))
-            e = [0] * d
-            e[i] = 2 * s
-            offs.add(tuple(e))
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            for si in (1, -1):
-                for sj in (1, -1):
-                    e = [0] * d
-                    e[i] = si
-                    e[j] = sj
-                    offs.add(tuple(e))
-    return sorted(offs)
+    """Offsets of N(y)/h: +-e_i, +-2e_i and +-e_i +- e_j for i != j.
+
+    This is the support of the bilaplacian stencil without its centre.
+    """
+    return sorted(o for o in stencil_weights("bilaplacian", d) if any(o))
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +261,21 @@ class GridDomain:
                 w.writerow([f"{v * self.h:.17g}" for v in p] + [CLASS_NAMES[int(c)]])
 
 
-def _shift_and(mask: np.ndarray, offsets: Iterable[Offset]) -> np.ndarray:
-    """Pointwise AND of mask shifted by every offset (False outside)."""
-    out = mask.copy()
-    nd = mask.ndim
-    side = mask.shape
-    for o in offsets:
-        shifted = np.zeros_like(mask)
-        src = []
-        dst = []
-        for k in range(nd):
-            if o[k] >= 0:
-                src.append(slice(o[k], side[k]))
-                dst.append(slice(0, side[k] - o[k]))
-            else:
-                src.append(slice(0, side[k] + o[k]))
-                dst.append(slice(-o[k], side[k]))
-        shifted[tuple(dst)] = mask[tuple(src)]
-        out &= shifted
-    return out
+def _shifted_slices(offset: Offset, side: Tuple[int, ...]):
+    """Slice tuples (src, dst) that pair each position y of dst with y + offset.
+
+    Positions whose partner y + offset falls off the array are left out of dst.
+    """
+    src = []
+    dst = []
+    for o, n in zip(offset, side):
+        if o >= 0:
+            src.append(slice(o, n))
+            dst.append(slice(0, n - o))
+        else:
+            src.append(slice(0, n + o))
+            dst.append(slice(-o, n))
+    return tuple(src), tuple(dst)
 
 
 def classify(shape: ShapePredicate, h: float) -> GridDomain:
@@ -319,9 +301,17 @@ def classify(shape: ShapePredicate, h: float) -> GridDomain:
     if not inside.any():
         raise ValueError("degenerate discretization: V_h is empty")
 
+    # a point left out of dst by a shift lies in the 2-cell pad, which is
+    # already false in both masks
     offs = neighborhood_offsets(d)
-    rh = inside & _shift_and(inside, offs)
-    rhstar = rh & _shift_and(rh, offs)
+    rh = inside.copy()
+    for o in offs:
+        src, dst = _shifted_slices(o, shape_grid)
+        rh[dst] &= inside[src]
+    rhstar = rh.copy()
+    for o in offs:
+        src, dst = _shifted_slices(o, shape_grid)
+        rhstar[dst] &= rh[src]
 
     pts_idx = np.argwhere(inside)  # lexicographic (C order)
     points = pts_idx + kmin
@@ -366,7 +356,7 @@ def stencil_weights(variant: str, d: int) -> Stencil:
         if variant == "delta1":
             st = {o: c / (2 * d) for o, c in st.items()}
         return st
-    if variant in ("bilaplacian", "bilap1", "lh2"):
+    if variant in ("bilaplacian", "bilap1"):
         st = {(0,) * d: Fraction(4 * d * d + 2 * d)}
         for i in range(d):
             for s in (1, -1):
@@ -390,71 +380,41 @@ def stencil_weights(variant: str, d: int) -> Stencil:
     raise ValueError(f"unknown operator variant: {variant!r}")
 
 
-@dataclass(frozen=True)
-class DiscreteOperator:
-    """A stencil plus its h-power scaling.  Immutable; application is pure."""
-
-    variant: str
-    d: int
-    stencil: Stencil = field(compare=False, default=None)
-
-    def __post_init__(self):
-        if self.stencil is None:
-            object.__setattr__(self, "stencil", stencil_weights(self.variant, self.d))
-
-    def h_power(self) -> int:
-        return {"delta1": 0, "bilap1": 0, "deltah": -2, "bilaplacian": -4, "lh2": -4}[
-            self.variant
-        ]
-
-    def scale(self, h: float) -> float:
-        return float(h) ** self.h_power()
-
-
-def operator(variant: str, d: int) -> DiscreteOperator:
-    return DiscreteOperator(variant=variant, d=d)
-
-
 def apply_stencil_array(field: np.ndarray, stencil: Stencil, scale: float = 1.0) -> np.ndarray:
     """Apply a stencil to an nd-array, treating values outside the array as zero."""
     out = np.zeros_like(field, dtype=float)
-    nd = field.ndim
-    side = field.shape
     for o, c in stencil.items():
-        src = []
-        dst = []
-        for k in range(nd):
-            if o[k] >= 0:
-                src.append(slice(o[k], side[k]))
-                dst.append(slice(0, side[k] - o[k]))
-            else:
-                src.append(slice(0, side[k] + o[k]))
-                dst.append(slice(-o[k], side[k]))
-        out[tuple(dst)] += float(c) * field[tuple(src)]
+        src, dst = _shifted_slices(o, field.shape)
+        out[dst] += float(c) * field[src]
     return out * scale
 
 
-def apply(op: DiscreteOperator, field: np.ndarray, domain: GridDomain) -> np.ndarray:
-    """Apply op to a field given on the domain's bounding grid (zero extension).
+def assemble(domain: GridDomain, stencil: Stencil) -> sp.csr_matrix:
+    """The stencil's matrix on R_h with zero extension.
 
-    The lh2 variant returns bilaplacian values on R_h*, h^2-scaled values on
-    B_h*, and exactly zero outside R_h.
+    Rows and columns follow the R_h ordering of `domain.rh_points`; stencil
+    arms that reach outside R_h are dropped, which is the zero field there.
     """
-    if field.shape != domain.mask_shape:
-        raise ValueError(
-            f"field shape {field.shape} does not match domain grid {domain.mask_shape}"
-        )
-    if op.d != domain.d:
-        raise ValueError("operator dimension does not match domain")
-    if op.variant == "lh2":
-        base = stencil_weights("bilaplacian", op.d)
-        raw = apply_stencil_array(field, base, domain.h ** -4)
-        out = np.zeros_like(raw)
-        out[domain.rhstar_mask] = raw[domain.rhstar_mask]
-        bstar = domain.rh_mask & ~domain.rhstar_mask
-        out[bstar] = domain.h**2 * raw[bstar]
-        return out
-    return apply_stencil_array(field, op.stencil, op.scale(domain.h))
+    pts = domain.rh_points
+    idx_grid = domain.rh_index_grid
+    grid_shape = np.array(domain.mask_shape)
+    own = np.arange(domain.n_rh)
+    rows = []
+    cols = []
+    vals = []
+    for off, coeff in stencil.items():
+        loc = pts + np.array(off, dtype=np.int64) - domain.origin
+        ok = np.all((loc >= 0) & (loc < grid_shape), axis=1)
+        j = idx_grid[tuple(loc[ok].T)]
+        keep = j >= 0
+        rows.append(own[ok][keep])
+        cols.append(j[keep])
+        vals.append(np.full(int(keep.sum()), float(coeff)))
+    n = domain.n_rh
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
 
 
 def field_on_grid(domain: GridDomain, values_rh: np.ndarray) -> np.ndarray:

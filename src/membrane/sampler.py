@@ -141,10 +141,6 @@ class InterpolatedField:
         return np.array([self.evaluate(t) for t in np.asarray(ts, dtype=float)])
 
 
-def interpolate(field: InterpolatedField, t: Sequence[float]) -> float:
-    return field.evaluate(t)
-
-
 def rescaled_max(sample_: FieldSample, d: int, N: int) -> float:
     """kappa N^{(d-4)/2} max over R_h of phi, the sup of the interpolated field."""
     pref = (1.0 / (2 * d)) * float(N) ** ((d - 4) / 2.0)
@@ -166,28 +162,35 @@ def increment_weight_vector(t, s, N: int, d: int):
     return combo
 
 
+def _increment_form(table: GreenTable, combo: dict) -> float:
+    """sum_{p,q} w_p w_q G(p, q) for a phi-combination {lattice point: weight}."""
+    acc = 0.0
+    for p, wp in combo.items():
+        for q, wq in combo.items():
+            w = wp * wq
+            if w != 0.0:
+                acc += w * table.at(p, q)
+    return acc
+
+
 def exact_increment_variance(table: GreenTable, t, s, d: int, N: int) -> float:
     """E |Psi_N(t) - Psi_N(s)|^2 evaluated exactly through the covariance table."""
-    combo = increment_weight_vector(t, s, N, d)
-    pts = list(combo.keys())
     pref = (1.0 / (2 * d)) * float(N) ** ((d - 4) / 2.0)
-    acc = 0.0
-    for i, p in enumerate(pts):
-        for q in pts:
-            wpq = combo[p] * combo[q]
-            if wpq != 0.0:
-                acc += wpq * table.at(p, q)
-    return pref * pref * acc
+    return pref * pref * _increment_form(table, increment_weight_vector(t, s, N, d))
 
 
 # ---------------------------------------------------------------------------
 # recipes
+
+MIN_FIT_PAIRS = 10  # pairs with a positive second moment needed for a fit
+
 
 @dataclass
 class MomentFit:
     d: int
     N: int
     n_pairs: int
+    n_kept: int                # pairs with a positive second moment, used in the fit
     exponent: float
     distances: np.ndarray
     second_moments: np.ndarray
@@ -208,7 +211,9 @@ def moment_exponent(
     couple of lattice cells up to a fraction of the domain (1/8 in d=2 where
     the logarithmic increment correction flattens the slope near the domain
     scale, 1/4 in d=3).  Second moments come from exact covariance columns,
-    no Monte Carlo.
+    no Monte Carlo.  Raises ValueError when the window is empty (in d=2 the
+    default r_min = 2/N reaches r_max at N <= 16) or fewer than
+    MIN_FIT_PAIRS pairs have a positive second moment.
     """
     from .green import green_columns
 
@@ -216,6 +221,8 @@ def moment_exponent(
         r_min = (2.0 if d == 2 else 1.5) / N
     if r_max is None:
         r_max = 0.125 if d == 2 else 0.25
+    if r_min >= r_max:
+        raise ValueError(f"distance window [{r_min:.4g}, {r_max:.4g}] is empty at N={N}")
     rng = np.random.default_rng(seed)
     pairs = []
     # base points stay in the bulk: the pinned frame has identically small
@@ -239,36 +246,23 @@ def moment_exponent(
     dom = precision.domain
     in_rh = [p for p in needed if dom.rh_index_of(p) >= 0]
     table = green_columns(precision, in_rh)
-    row_of = {tuple(p): r for r, p in enumerate(table.column_points)}
-
-    def g_at(p, q):
-        jp = dom.rh_index_of(p)
-        jq = dom.rh_index_of(q)
-        if jp < 0 or jq < 0:
-            return 0.0
-        return float(table.values[row_of[p], jq])
 
     pref2 = ((1.0 / (2 * d)) * float(N) ** ((d - 4) / 2.0)) ** 2
-    dist = []
-    mom = []
-    for (t, s), combo in zip(pairs, combos):
-        pts = list(combo.keys())
-        acc = 0.0
-        for p in pts:
-            for q in pts:
-                w = combo[p] * combo[q]
-                if w != 0.0:
-                    acc += w * g_at(p, q)
-        dist.append(np.linalg.norm(t - s))
-        mom.append(pref2 * acc)
-    dist = np.array(dist)
-    mom = np.array(mom)
+    dist = np.array([np.linalg.norm(t - s) for t, s in pairs])
+    mom = np.array([pref2 * _increment_form(table, combo) for combo in combos])
     # pairs entirely inside the pinned boundary frame have exactly zero
     # increments and carry no exponent information
     keep = mom > 0
+    n_kept = int(keep.sum())
+    if n_kept < MIN_FIT_PAIRS:
+        raise ValueError(
+            f"only {n_kept} of {len(pairs)} pairs have a positive second moment; "
+            f"the fit needs {MIN_FIT_PAIRS}"
+        )
     expo = float(np.polyfit(np.log(dist[keep]), np.log(mom[keep]), 1)[0])
     return MomentFit(
-        d=d, N=N, n_pairs=len(pairs), exponent=expo, distances=dist, second_moments=mom
+        d=d, N=N, n_pairs=len(pairs), n_kept=n_kept, exponent=expo,
+        distances=dist, second_moments=mom,
     )
 
 

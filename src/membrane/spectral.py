@@ -32,11 +32,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .green import GreenTable, PrecisionMatrix
-from .lattice import GridDomain, unit_ball_volume
+from .lattice import GridDomain, assemble, stencil_weights, unit_ball_volume
 
 DENSE_EIG_CAP = 4000
 
@@ -421,36 +420,13 @@ class GapReport:
 
 def dirichlet_laplacian_min(domain: GridDomain) -> float:
     """Smallest eigenvalue of -Lap_h with zero condition outside R_h (h^-2 units)."""
-    d = domain.d
-    h = domain.h
-    pts = domain.rh_points
-    idx_grid = domain.rh_index_grid
-    grid_shape = np.array(domain.mask_shape)
-    own = idx_grid[tuple((pts - domain.origin).T)]
-    rows = [own]
-    cols = [own]
-    vals = [np.full(len(pts), 2.0 * d)]
-    for ax in range(d):
-        for sgn in (1, -1):
-            off = np.zeros(d, dtype=np.int64)
-            off[ax] = sgn
-            loc = pts + off - domain.origin
-            ok = np.all((loc >= 0) & (loc < grid_shape), axis=1)
-            j = idx_grid[tuple(loc[ok].T)]
-            keep = j >= 0
-            rows.append(own[ok][keep])
-            cols.append(j[keep])
-            vals.append(np.full(int(keep.sum()), -1.0))
-    n = len(pts)
-    Lap = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsc()
+    Lap = -assemble(domain, stencil_weights("deltah", domain.d))
+    n = domain.n_rh
     if n <= DENSE_EIG_CAP:
         w = scipy.linalg.eigh(Lap.toarray(), eigvals_only=True, subset_by_index=(0, 0))[0]
     else:
-        w = spla.eigsh(Lap, k=1, sigma=0, which="LM", return_eigenvectors=False, tol=0)[0]
-    return float(w) / h**2
+        w = spla.eigsh(Lap.tocsc(), k=1, sigma=0, which="LM", return_eigenvectors=False, tol=0)[0]
+    return float(w) / domain.h**2
 
 
 def boundary_condition_gap(precision: PrecisionMatrix) -> GapReport:

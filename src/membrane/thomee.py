@@ -32,10 +32,10 @@ from .lattice import (
     Ball,
     GridDomain,
     ShapePredicate,
+    apply_stencil_array,
     classify,
     field_on_grid,
-    operator,
-    apply as lattice_apply,
+    stencil_weights,
 )
 
 Poly = Dict[Tuple[int, ...], float]  # exponent tuple -> coefficient
@@ -191,9 +191,12 @@ def sobolev_h2_norm(values_rh: np.ndarray, domain: GridDomain) -> float:
 
 def lh2_apply(values_rh: np.ndarray, domain: GridDomain) -> np.ndarray:
     """The boundary-weighted operator: L_h on R_h*, h^2 L_h on B_h*, 0 outside R_h."""
+    h = domain.h
+    rh_loc = tuple((domain.rh_points - domain.origin).T)
     grid = field_on_grid(domain, values_rh)
-    out = lattice_apply(operator("lh2", domain.d), grid, domain)
-    return out[tuple((domain.rh_points - domain.origin).T)]
+    out = apply_stencil_array(grid, stencil_weights("bilaplacian", domain.d), h**-4)[rh_loc]
+    out[~domain.rhstar_mask[rh_loc]] *= h**2
+    return out
 
 
 # ---------------------------------------------------------------------------

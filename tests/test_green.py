@@ -103,8 +103,24 @@ def test_selected_columns_match_full():
     i = dom.rh_index_of((0, 0))
     assert np.allclose(cols.values[0], full.values[i], rtol=1e-12)
     assert cols.at((1, 2), (0, 0)) == pytest.approx(full.at((1, 2), (0, 0)), rel=1e-12)
-    # zero outside R_h by convention
+    # zero outside R_h by convention, for either argument
     assert cols.at((1, 2), (6, 6)) == 0.0
+    assert cols.at((7, 7), (0, 0)) == full.at((7, 7), (0, 0)) == 0.0
+    with pytest.raises(KeyError):
+        cols.at((0, 1), (0, 0))
+
+
+def test_box_route_raises_when_pcg_stops_short(monkeypatch):
+    from membrane import boxsolve, green
+
+    solve = boxsolve.CenteredBoxSolver.solve
+    monkeypatch.setattr(green, "BOX_FFT_CAP_3D", 0)
+    monkeypatch.setattr(
+        boxsolve.CenteredBoxSolver, "solve", lambda self, b, tol: solve(self, b, tol=tol, maxiter=2)
+    )
+    prec = assemble_precision(classify(unit_box(3), 1 / 6))
+    with pytest.raises(RuntimeError, match="box PCG"):
+        solve_green_column(prec, (0, 0, 0))
 
 
 def test_variance_growth_d2_quick():

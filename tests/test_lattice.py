@@ -9,17 +9,17 @@ from membrane.lattice import (
     CLASS_BH,
     CLASS_BHSTAR,
     CLASS_RHSTAR,
-    apply,
     apply_stencil_array,
+    assemble,
     classify,
     field_on_grid,
     neighborhood_offsets,
-    operator,
     shape_from_config,
     stencil_weights,
     unit_box,
     verify_b2star,
 )
+from membrane.thomee import lh2_apply
 
 
 def brute_force_classes(shape, h):
@@ -173,7 +173,7 @@ def test_stencil_symmetry_under_signed_permutations():
 
 
 # ---------------------------------------------------------------------------
-# operator application
+# stencil application and assembly
 
 def test_delta1_annihilates_affine_fields():
     d = 2
@@ -189,7 +189,7 @@ def test_delta1_annihilates_affine_fields():
 def test_bilaplacian_kills_constants_in_deep_interior():
     dom = classify(unit_box(2), 1 / 8)
     f = np.ones(dom.mask_shape)
-    out = apply(operator("bilaplacian", 2), f, dom)
+    out = apply_stencil_array(f, stencil_weights("bilaplacian", 2), dom.h**-4)
     # away from the zero-extension edge of the array the result vanishes
     assert np.abs(out[4:-4, 4:-4]).max() < 1e-12
 
@@ -198,9 +198,10 @@ def test_deltah_composition_equals_bilaplacian():
     rng = np.random.default_rng(0)
     dom = classify(unit_box(2), 1 / 8)
     f = rng.standard_normal(dom.mask_shape)
-    once = apply(operator("deltah", 2), f, dom)
-    twice = apply(operator("deltah", 2), once, dom)
-    direct = apply(operator("bilaplacian", 2), f, dom)
+    deltah = stencil_weights("deltah", 2)
+    once = apply_stencil_array(f, deltah, dom.h**-2)
+    twice = apply_stencil_array(once, deltah, dom.h**-2)
+    direct = apply_stencil_array(f, stencil_weights("bilaplacian", 2), dom.h**-4)
     # composition reads zero-extended intermediate values, exact in the bulk
     err = np.abs(twice - direct)[4:-4, 4:-4].max()
     assert err <= 1e-12 * max(1.0, np.abs(direct).max())
@@ -210,8 +211,8 @@ def test_bilap1_equals_kappa2_h4_bilaplacian():
     rng = np.random.default_rng(1)
     dom = classify(unit_box(3), 1 / 4)
     f = rng.standard_normal(dom.mask_shape)
-    a = apply(operator("bilap1", 3), f, dom)
-    b = apply(operator("bilaplacian", 3), f, dom)
+    a = apply_stencil_array(f, stencil_weights("bilap1", 3))
+    b = apply_stencil_array(f, stencil_weights("bilaplacian", 3), dom.h**-4)
     kappa2 = 1.0 / 36.0
     assert np.abs(a - kappa2 * dom.h**4 * b).max() <= 1e-14 * np.abs(a).max()
 
@@ -268,16 +269,30 @@ def test_discrete_bilaplacian_consistency_order_two():
 
 
 def test_lh2_variant_zero_outside_and_scaled_on_inner_band():
+    # the boundary-weighted bilaplacian now lives in thomee.lh2_apply
     dom = classify(unit_box(2), 1 / 8)
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(dom.n_rh)
-    grid = field_on_grid(dom, vals)
-    out = apply(operator("lh2", 2), grid, dom)
-    raw = apply(operator("bilaplacian", 2), grid, dom)
+    out = field_on_grid(dom, lh2_apply(vals, dom))
+    raw = apply_stencil_array(field_on_grid(dom, vals), stencil_weights("bilaplacian", 2), dom.h**-4)
     assert np.abs(out[~dom.rh_mask]).max() == 0.0
     bstar = dom.rh_mask & ~dom.rhstar_mask
+    assert bstar.any() and dom.rhstar_mask.any()
     assert np.allclose(out[bstar], dom.h**2 * raw[bstar], rtol=1e-14)
     assert np.allclose(out[dom.rhstar_mask], raw[dom.rhstar_mask], rtol=1e-14)
+
+
+@pytest.mark.parametrize("variant", ["bilaplacian", "deltah"])
+@pytest.mark.parametrize("shape,h", [(Ball([0.0, 0.0], 1.0), 1 / 10), (unit_box(3), 1 / 6)])
+def test_assemble_matches_stencil_application(variant, shape, h):
+    # the sparse matrix and the array kernel are each other's oracle
+    dom = classify(shape, h)
+    st = stencil_weights(variant, dom.d)
+    v = np.random.default_rng(5).standard_normal(dom.n_rh)
+    rh_loc = tuple((dom.rh_points - dom.origin).T)
+    want = apply_stencil_array(field_on_grid(dom, v), st)[rh_loc]
+    got = assemble(dom, st) @ v
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

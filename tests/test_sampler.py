@@ -10,6 +10,7 @@ from membrane.sampler import (
     increment_weight_vector,
     ks_distance,
     max_scaling,
+    MIN_FIT_PAIRS,
     moment_exponent,
     rescaled_max,
     sample,
@@ -261,11 +262,17 @@ def test_increment_weight_vector_cancels_at_t_equals_s():
 
 
 def test_moment_exponent_quick():
-    dom = classify(unit_box(2), 1 / 16)
-    prec = assemble_precision(dom)
-    fit = moment_exponent(prec, 2, 16, n_pairs=80, seed=3)
+    # at N = 16 the d=2 window [2/N, 1/8] is empty: refuse rather than fit
+    # a constant abscissa
+    with pytest.raises(ValueError, match="window"):
+        moment_exponent(assemble_precision(classify(unit_box(2), 1 / 16)), 2, 16, n_pairs=80, seed=3)
+    fit = moment_exponent(assemble_precision(classify(unit_box(2), 1 / 32)), 2, 32, n_pairs=80, seed=3)
     assert 1.2 <= fit.exponent <= 2.2
     assert len(fit.distances) == 80
+    assert MIN_FIT_PAIRS <= fit.n_kept <= 80
+    assert fit.distances.min() < 0.9 * fit.distances.max()
+    with pytest.raises(ValueError, match="positive second moment"):
+        moment_exponent(assemble_precision(classify(unit_box(2), 1 / 32)), 2, 32, n_pairs=MIN_FIT_PAIRS - 1)
 
 
 def _d3_increment_constant(N, seed=17):
