@@ -1,4 +1,4 @@
-"""Fast solver for the field precision operator on centred box domains.
+"""Fast solvers for the field precision operator on centred box domains.
 
 On a box Lambda = [-M, M]^d of lattice points with zero field outside, the
 precision matrix (the quadratic form of the interface energy) splits exactly
@@ -18,11 +18,14 @@ B is diagonalized by products of sines, so B^2 is an ideal preconditioner:
 conjugate gradients on A with the B^{-2} preconditioner converges in a few
 dozen iterations regardless of size.
 
-For right-hand sides that are even in every coordinate (a delta at the
-centre, symmetric test functions) the solve is folded onto the quarter/16-th
-grid m_i = |x_i| in {0..M}: even functions are spanned by the odd-frequency
-sine modes, and the per-axis half transforms are small dense matrices applied
-with BLAS.  This is what makes the d=4 experiments desk-sized.
+Two solvers share one block-PCG loop (`block_pcg`).  `CenteredBoxSolver`
+takes arbitrary batched right-hand sides on the full grid, with DST-I
+transforms.  `SymmetricBoxSolver` takes right-hand sides that are even in
+every coordinate (a delta at the centre, symmetric test functions) and folds
+the solve onto the quarter/16-th grid m_i = |x_i| in {0..M}: even functions
+are spanned by the odd-frequency sine modes, and the per-axis half transforms
+are small dense matrices applied with BLAS.  This is what makes the d=4
+experiments desk-sized.
 """
 
 from __future__ import annotations
@@ -38,95 +41,116 @@ class SolveInfo:
     relative_residual: float
 
 
+def _axis_sum(a: np.ndarray, d: int) -> np.ndarray:
+    """sum_i a[x_i] on the grid (len(a),)^d, one broadcast term per axis."""
+    total = np.zeros((len(a),) * d)
+    for ax in range(d):
+        total = total + a.reshape((-1,) + (1,) * (d - 1 - ax))
+    return total
+
+
+def _b_squared(freq: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Eigenvalues of B^2 on the grid of sine frequencies freq (period 2n):
+    (sum_i 2 sin^2(pi k_i / 2n) / d)^2, the sin^2 form being stable near zero."""
+    return (_axis_sum(2.0 * np.sin(np.pi * freq / (2 * n)) ** 2, d) / d) ** 2
+
+
+def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b, and 0 where b == 0 (a column whose residual is exactly zero)."""
+    return np.divide(a, b, out=np.zeros_like(a), where=b != 0.0)
+
+
+def block_pcg(apply_A, precondition, B: np.ndarray, tol: float, maxiter: int, weight=None):
+    """Preconditioned CG on each slice B[j] of a batch, all slices in step.
+
+    The inner product is sum(weight * u * v) over the non-batch axes (plain
+    sum when weight is None).  Iteration stops when every column's relative
+    residual is at most tol, or when a residual is NaN.  Zero columns are
+    solved by x = 0.  Returns (X, SolveInfo) with the worst column's residual.
+    """
+    axes = tuple(range(1, B.ndim))
+    col = (-1,) + (1,) * (B.ndim - 1)
+
+    def dot(u, v):
+        return np.sum(u * v if weight is None else weight * u * v, axis=axes)
+
+    X = np.zeros_like(B)
+    R = B.copy()
+    bnorm = np.sqrt(dot(B, B))
+    if not bnorm.any():
+        return X, SolveInfo(0, 0.0)
+    bnorm[bnorm == 0.0] = 1.0
+    Z = precondition(R)
+    P = Z.copy()
+    rz = dot(R, Z)
+    info = SolveInfo(0, 1.0)
+    for it in range(1, maxiter + 1):
+        AP = apply_A(P)
+        alpha = _ratio(rz, dot(P, AP)).reshape(col)
+        X += alpha * P
+        R -= alpha * AP
+        rel = np.sqrt(dot(R, R)) / bnorm
+        info = SolveInfo(it, float(rel.max()))
+        if not info.relative_residual > tol:  # converged, or NaN
+            break
+        Z = precondition(R)
+        rz_new = dot(R, Z)
+        P = Z + _ratio(rz_new, rz).reshape(col) * P
+        rz = rz_new
+    return X, info
+
+
 class SymmetricBoxSolver:
     """PCG solver for A u = b on Lambda = [-M, M]^d, restricted to inputs that
     are even in every coordinate.  Works in folded coordinates (M+1,)*d.
     """
 
-    def __init__(self, d: int, M: int, dtype=np.float64):
+    def __init__(self, d: int, M: int):
         if M < 0:
             raise ValueError("M must be >= 0")
         self.d = int(d)
         self.M = int(M)
-        self.dtype = dtype
         self.kappa2 = 1.0 / (2 * d) ** 2
-        L = 2 * M + 1
-        n = L + 1
+        n = 2 * M + 2
         m = np.arange(M + 1)
-        q = 2 * np.arange(M + 1) + 1  # odd sine frequencies carry even functions
+        q = 2 * m + 1  # odd sine frequencies carry even functions
         psi = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(q, (M + m + 1)) / n)
         w = np.where(m == 0, 1.0, 2.0)  # fold multiplicity per axis
-        self._fwd = np.ascontiguousarray((psi * w).astype(dtype))
-        self._inv = np.ascontiguousarray(psi.T.astype(dtype))
-        # B multiplier is -mu(omega); use the sin^2 form, stable near zero
-        self._mu1 = (2.0 * np.sin(np.pi * q / (2 * n)) ** 2).astype(dtype)
-        sh = (M + 1,) * d
-        musum = np.zeros(sh, dtype=dtype)
-        for ax in range(d):
-            s = [1] * d
-            s[ax] = M + 1
-            musum = musum + self._mu1.reshape(s)
-        self._mu2 = (musum / d) ** 2
-        c = np.zeros(sh, dtype=dtype)
-        for ax in range(d):
-            s = [slice(None)] * d
-            s[ax] = M
-            c[tuple(s)] += 1.0
-        self._kc = (self.kappa2 * c).astype(dtype)
-        wfold = np.ones(sh, dtype=dtype)
-        for ax in range(d):
-            s = [1] * d
-            s[ax] = M + 1
-            wfold = wfold * w.reshape(s).astype(dtype)
-        self._wfold = wfold
+        self._fwd = np.ascontiguousarray(psi * w)
+        self._inv = np.ascontiguousarray(psi.T)
+        self._mu2 = _b_squared(q, n, d)
+        faces = (m == M).astype(float) + (m == -M)  # both faces of x_i = m when M == 0
+        self._kc = self.kappa2 * _axis_sum(faces, d)
+        self._wfold = 2.0 ** _axis_sum((m > 0).astype(float), d)
 
     # -- folded linear algebra -------------------------------------------------
 
     def _transform(self, a: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        for ax in range(self.d):
+        for ax in range(a.ndim - self.d, a.ndim):
             a = np.moveaxis(np.tensordot(mat, a, axes=([1], [ax])), 0, ax)
         return a
 
     def apply_precision(self, u: np.ndarray) -> np.ndarray:
-        """A u for a folded even field u."""
+        """A u for a folded even field u (or a batch of them)."""
         spectral = self._transform(self._transform(u, self._fwd) * self._mu2, self._inv)
         return spectral + self._kc * u
 
-    def _apply_preconditioner(self, r: np.ndarray) -> np.ndarray:
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
         return self._transform(self._transform(r, self._fwd) / self._mu2, self._inv)
 
-    def _dot(self, u: np.ndarray, v: np.ndarray) -> float:
-        # weighted = inner product of the unfolded fields
+    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
+        """Inner product of the unfolded fields of two folded fields."""
         return float(np.sum(self._wfold * u * v))
 
     def solve(self, b: np.ndarray, tol: float = 1e-10, maxiter: int = 800):
         """Solve A u = b (folded, even input).  Returns (u, SolveInfo)."""
-        b = np.asarray(b, dtype=self.dtype)
+        b = np.asarray(b, dtype=float)
         if b.shape != (self.M + 1,) * self.d:
             raise ValueError("folded right-hand side has wrong shape")
-        x = np.zeros_like(b)
-        r = b.copy()
-        z = self._apply_preconditioner(r)
-        p = z.copy()
-        rz = self._dot(r, z)
-        bnorm = np.sqrt(self._dot(b, b))
-        if bnorm == 0.0:
-            return x, SolveInfo(0, 0.0)
-        rel = 1.0
-        it = 0
-        for it in range(1, maxiter + 1):
-            Ap = self.apply_precision(p)
-            alpha = rz / self._dot(p, Ap)
-            x += alpha * p
-            r -= alpha * Ap
-            rel = np.sqrt(self._dot(r, r)) / bnorm
-            if rel <= tol:
-                break
-            z = self._apply_preconditioner(r)
-            rz_new = self._dot(r, z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        return x, SolveInfo(it, rel)
+        x, info = block_pcg(
+            self.apply_precision, self._precondition, b[None], tol, maxiter, weight=self._wfold
+        )
+        return x[0], info
 
     # -- folding helpers ---------------------------------------------------------
 
@@ -134,7 +158,7 @@ class SymmetricBoxSolver:
         """Restrict a full (2M+1,)^d even field to folded coordinates."""
         M = self.M
         sl = tuple(slice(M, 2 * M + 1) for _ in range(self.d))
-        return np.ascontiguousarray(full[sl]).astype(self.dtype)
+        return np.ascontiguousarray(full[sl], dtype=float)
 
     def unfold(self, folded: np.ndarray) -> np.ndarray:
         """Reflect a folded field back to the full box."""
@@ -146,7 +170,7 @@ class SymmetricBoxSolver:
         return out
 
     def center_delta(self) -> np.ndarray:
-        b = np.zeros((self.M + 1,) * self.d, dtype=self.dtype)
+        b = np.zeros((self.M + 1,) * self.d)
         b[(0,) * self.d] = 1.0
         return b
 
@@ -163,7 +187,7 @@ class CenteredBoxSolver:
     allows in d >= 3.
     """
 
-    def __init__(self, d: int, M: int, dtype=np.float64):
+    def __init__(self, d: int, M: int):
         import scipy.fft as sfft
 
         self._sfft = sfft
@@ -171,25 +195,11 @@ class CenteredBoxSolver:
         self.M = int(M)
         self.L = 2 * M + 1
         self.n = self.L**d
-        self.dtype = dtype
         self.kappa2 = 1.0 / (2 * d) ** 2
-        n1 = self.L + 1
         k = np.arange(self.L)
-        mu1 = (2.0 * np.sin(np.pi * (k + 1) / (2 * n1)) ** 2).astype(dtype)
-        sh = (self.L,) * d
-        musum = np.zeros(sh, dtype=dtype)
-        for ax in range(d):
-            s = [1] * d
-            s[ax] = self.L
-            musum = musum + mu1.reshape(s)
-        self._mu2 = (musum / d) ** 2
-        c = np.zeros(sh, dtype=dtype)
-        for ax in range(d):
-            for edge in (0, self.L - 1):
-                s = [slice(None)] * d
-                s[ax] = edge
-                c[tuple(s)] += 1.0
-        self._kc = (self.kappa2 * c).astype(dtype)
+        self._mu2 = _b_squared(k + 1, self.L + 1, d)
+        faces = (k == 0).astype(float) + (k == self.L - 1)  # 2 when L == 1
+        self._kc = self.kappa2 * _axis_sum(faces, d)
 
     def _dst(self, x):
         axes = tuple(range(x.ndim - self.d, x.ndim))
@@ -203,33 +213,11 @@ class CenteredBoxSolver:
 
     def solve(self, b: np.ndarray, tol: float = 1e-10, maxiter: int = 400):
         """Solve for flat right-hand sides (n,) or (n, k); returns same shape."""
-        b = np.asarray(b, dtype=self.dtype)
+        b = np.asarray(b, dtype=float)
         single = b.ndim == 1
         cols = 1 if single else b.shape[1]
-        sh = (cols,) + (self.L,) * self.d
-        B = (b.T if not single else b[None, :]).reshape(sh)
-        X = np.zeros_like(B)
-        R = B.copy()
-        Z = self._precondition(R)
-        P = Z.copy()
-        axes = tuple(range(1, self.d + 1))
-        rz = np.sum(R * Z, axis=axes)
-        bnorm = np.sqrt(np.sum(B * B, axis=axes))
-        bnorm[bnorm == 0.0] = 1.0
-        info = SolveInfo(0, 0.0)
-        for it in range(1, maxiter + 1):
-            AP = self.apply_precision(P)
-            alpha = rz / np.sum(P * AP, axis=axes)
-            X += alpha.reshape((-1,) + (1,) * self.d) * P
-            R -= alpha.reshape((-1,) + (1,) * self.d) * AP
-            rel = np.sqrt(np.sum(R * R, axis=axes)) / bnorm
-            info = SolveInfo(it, float(rel.max()))
-            if rel.max() <= tol:
-                break
-            Z = self._precondition(R)
-            rz_new = np.sum(R * Z, axis=axes)
-            P = Z + (rz_new / rz).reshape((-1,) + (1,) * self.d) * P
-            rz = rz_new
+        B = (b[None, :] if single else b.T).reshape((cols,) + (self.L,) * self.d)
+        X, info = block_pcg(self.apply_precision, self._precondition, B, tol, maxiter)
         out = X.reshape(cols, -1).T
         return (out[:, 0] if single else out), info
 

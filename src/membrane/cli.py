@@ -27,7 +27,7 @@ EXIT_USAGE = 2
 RECIPE_CLAIMS = {
     "b2star": "every inner-band point sees two consecutive boundary-band points along an axis ray",
     "green": "covariance columns solve the discrete biharmonic problem with zero boundary (residual, symmetry, positivity)",
-    "sample": "sampled fields reproduce the covariance table within Monte Carlo bands",
+    "sample": "writes the requested number of exact draws of the field on R_h (only the count is checked)",
     "interpolate": "the simplex extension is continuous, affine per cell, and equals the rescaled field at lattice points",
     "max-scaling": "the law of the rescaled field maximum stabilizes across scales",
     "moment-check": "squared increments of the interpolated field scale with the expected Holder exponent",

@@ -8,13 +8,15 @@ dropped (the zero boundary).  The covariance G solves
 
     Delta_1^2 G(x, .) = delta_x     on R_h,     G(x, .) = 0 outside.
 
-Columns are obtained from a sparse factorization (fill-reducing ordering, via
-SuperLU) or, for very large systems, by preconditioned conjugate gradients.
+`PrecisionMatrix.solver()` is the one place that picks how to invert the
+precision: a sparse factorization (fill-reducing ordering, via SuperLU) up to
+FACTORIZATION_CAP rows, and the spectrally preconditioned box PCG of
+`boxsolve` for centred boxes above that cap (above BOX_FFT_CAP_3D in d >= 3,
+where factorization fill explodes).  Any other domain above the cap raises.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,7 +27,7 @@ import scipy.sparse.linalg as spla
 from .lattice import GridDomain, assemble, stencil_weights
 
 DENSE_TABLE_CAP = 20_000
-FACTORIZATION_CAP = 600_000   # rows; above this fall back to CG
+FACTORIZATION_CAP = 600_000   # rows; above this only centred boxes are solved
 BOX_FFT_CAP_3D = 40_000       # centred boxes in d >= 3: factorization fill
                               # explodes, switch to the spectral solver early
 
@@ -62,9 +64,9 @@ def assemble_precision(domain: GridDomain) -> PrecisionMatrix:
     return PrecisionMatrix(domain=domain, matrix=(kappa2 * raw).tocsr(), raw=raw)
 
 
-def _make_solver(A: sp.csr_matrix, domain: Optional[GridDomain] = None):
+def _make_solver(A: sp.csr_matrix, domain: GridDomain):
     n = A.shape[0]
-    if domain is not None and domain.d >= 3 and n > BOX_FFT_CAP_3D:
+    if n > FACTORIZATION_CAP or (domain.d >= 3 and n > BOX_FFT_CAP_3D):
         from .boxsolve import CenteredBoxSolver, centered_box_halfwidth
 
         M = centered_box_halfwidth(domain)
@@ -74,7 +76,7 @@ def _make_solver(A: sp.csr_matrix, domain: Optional[GridDomain] = None):
 
             def box_solve(rhs):
                 x, info = box.solve(rhs, tol=tol)
-                if info.relative_residual > tol:
+                if not info.relative_residual <= tol:
                     raise RuntimeError(
                         f"box PCG stopped at relative residual {info.relative_residual:.3e} "
                         f"after {info.iterations} iterations (tolerance {tol:.0e})"
@@ -82,25 +84,12 @@ def _make_solver(A: sp.csr_matrix, domain: Optional[GridDomain] = None):
                 return x
 
             return box_solve
-    if n <= FACTORIZATION_CAP:
-        lu = spla.splu(A.tocsc())
-        return lu.solve
-    warnings.warn(
-        f"system size {n} above factorization cap; using diagonally preconditioned CG"
-    )
-    dinv = 1.0 / A.diagonal()
-    M = spla.LinearOperator(A.shape, matvec=lambda v: dinv * v)
-
-    def cg_solve(rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim == 2:
-            return np.stack([cg_solve(rhs[:, j]) for j in range(rhs.shape[1])], axis=1)
-        x, info = spla.cg(A, rhs, rtol=1e-10, atol=0.0, M=M, maxiter=200_000)
-        if info != 0:
-            raise RuntimeError(f"CG failed to converge (info={info})")
-        return x
-
-    return cg_solve
+    if n > FACTORIZATION_CAP:
+        raise ValueError(
+            f"system size {n} is above the factorization cap {FACTORIZATION_CAP} "
+            f"and the domain is not a centred box"
+        )
+    return spla.splu(A.tocsc()).solve
 
 
 @dataclass
@@ -146,7 +135,7 @@ def solve_green_column(
     rhs[i] = 1.0
     g = precision.solve(rhs)
     res = np.abs(precision.matrix @ g - rhs).max()
-    if res > residual_tol:
+    if not res <= residual_tol:
         raise RuntimeError(
             f"BVP residual {res:.3e} above {residual_tol:.1e}; "
             f"condition may be too poor for this solver"
@@ -176,7 +165,7 @@ def green_columns(
         rhs[idx[lo:hi], np.arange(hi - lo)] = 1.0
         sol = solver(rhs)
         res = np.abs(precision.matrix @ sol - rhs).max()
-        worst = max(worst, float(res))
+        worst = float(np.maximum(worst, res))  # NaN propagates
         cols[lo:hi] = sol.T
     return GreenTable(
         domain=precision.domain,
@@ -203,7 +192,7 @@ def green_full(precision: PrecisionMatrix, cap: int = DENSE_TABLE_CAP) -> GreenT
         rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
         G[:, lo:hi] = solver(rhs)
     asym = np.abs(G - G.T).max() / max(np.abs(G).max(), 1e-300)
-    if asym > 1e-10:
+    if not asym <= 1e-10:
         raise RuntimeError(f"Green table asymmetry {asym:.2e} exceeds 1e-10")
     G = 0.5 * (G + G.T)
     return GreenTable(domain=precision.domain, mode="full", values=G)
@@ -323,7 +312,6 @@ def log_correlation_slope(
     N: int,
     r_min: float = 3.0,
     r_max: Optional[float] = None,
-    dtype=np.float64,
     tol: float = 1e-9,
 ) -> LogCorrReport:
     """Covariance against -log(|x-y|+1) for bulk pairs on the d=4 box at scale N.
@@ -339,14 +327,14 @@ def log_correlation_slope(
     M = N - 2  # R_h of the box (-1,1)^d at h = 1/N blows up to [-(N-2), N-2]^d
     if r_max is None:
         r_max = N / 2.0
-    solver = SymmetricBoxSolver(d, M, dtype=dtype)
+    solver = SymmetricBoxSolver(d, M)
     gfold, info = solver.solve_center_column(tol=tol)
     coords = np.indices((M + 1,) * d).reshape(d, -1)
     r = np.sqrt(np.sum(coords.astype(float) ** 2, axis=0))
     bulk = np.max(coords, axis=0) <= (M - N // 4)
     mask = bulk & (r >= r_min) & (r <= r_max)
     X = -np.log(r[mask] + 1.0)
-    Y = gfold.reshape(-1)[mask].astype(float)
+    Y = gfold.reshape(-1)[mask]
     slope, intercept = np.polyfit(X, Y, 1)
     return LogCorrReport(
         N=N,

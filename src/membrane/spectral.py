@@ -383,9 +383,9 @@ def pairing_variance_study(
         axis = np.arange(0, M + 1) * h
         coords = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
         fv = np.asarray(f(coords.reshape(-1, d)), dtype=float).reshape((M + 1,) * d)
-        z, info = solver.solve(fv.astype(solver.dtype), tol=1e-12)
+        z, info = solver.solve(fv, tol=1e-12)
         kappa2 = 1.0 / (2 * d) ** 2
-        var_fold = kappa2 * h ** (d + 4) * float(np.sum(solver._wfold * fv * z))
+        var_fold = kappa2 * h ** (d + 4) * solver.dot(fv, z)
         variances.append(var_fold)
         if (2 * M + 1) ** d <= cross_check_cap:
             dom = classify(box, h)

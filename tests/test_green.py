@@ -123,6 +123,26 @@ def test_box_route_raises_when_pcg_stops_short(monkeypatch):
         solve_green_column(prec, (0, 0, 0))
 
 
+def test_residual_gates_fail_on_nan(monkeypatch):
+    from membrane import green
+
+    dom = classify(unit_box(2), 1 / 6)
+    prec = assemble_precision(dom)
+    prec._solver = lambda rhs: np.full(np.shape(rhs), np.nan)
+    with pytest.raises(RuntimeError, match="BVP residual"):
+        solve_green_column(prec, (0, 0))
+    assert np.isnan(green_columns(prec, [(0, 0), (1, 2)]).max_residual)
+    with pytest.raises(RuntimeError, match="asymmetry"):
+        green_full(prec)
+    # the box route reports a NaN residual instead of passing it on
+    monkeypatch.setattr(green, "BOX_FFT_CAP_3D", 0)
+    box = assemble_precision(classify(unit_box(3), 1 / 6))
+    rhs = np.zeros(box.n)
+    rhs[0] = np.nan
+    with pytest.raises(RuntimeError, match="box PCG"):
+        box.solve(rhs)
+
+
 def test_variance_growth_d2_quick():
     slope, vals = variance_growth_slope(2, [8, 16, 32])
     assert all(np.diff(vals) > 0)

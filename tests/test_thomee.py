@@ -142,6 +142,18 @@ def test_backward_error_gate_accepts_fine_disk_and_rejects_perturbed_solution():
         solve_dirichlet(coarse, prob.f(coarse.rh_coordinates()), residual_tol=0.0)
 
 
+def test_backward_error_gate_rejects_nan():
+    # a NaN in f gives a NaN solution; the gate must not read it as zero error
+    prob = manufactured_disk(2)
+    dom = classify(prob.shape, 1 / 8)
+    f = prob.f(dom.rh_coordinates())
+    f[0] = np.nan
+    S = assemble_precision(dom).raw
+    assert np.isnan(backward_error(S, np.full(dom.n_rh, np.nan), dom.h**4 * f))
+    with pytest.raises(RuntimeError, match="backward error"):
+        solve_dirichlet(dom, f)
+
+
 # ---------------------------------------------------------------------------
 # norms
 
