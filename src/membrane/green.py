@@ -10,9 +10,12 @@ dropped (the zero boundary).  The covariance G solves
 
 `PrecisionMatrix.solver()` is the one place that picks how to invert the
 precision: a sparse factorization (fill-reducing ordering, via SuperLU) up to
-FACTORIZATION_CAP rows, and the spectrally preconditioned box PCG of
-`boxsolve` for centred boxes above that cap (above BOX_FFT_CAP_3D in d >= 3,
-where factorization fill explodes).  Any other domain above the cap raises.
+FACTORIZATION_CAP rows, and the sine-coefficient box PCG of `boxsolve` for
+centred boxes above that cap (above BOX_FFT_CAP_3D in d >= 3, where
+factorization fill explodes); a box solve that stops above its tolerance
+raises.  Any other domain above the cap raises.  The d=4 log-correlation
+study solves for the centre column with the even variant of the box solver,
+on the sector |x_i| of the box.
 """
 
 from __future__ import annotations
@@ -72,18 +75,7 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain):
         M = centered_box_halfwidth(domain)
         if M >= 0:
             box = CenteredBoxSolver(domain.d, M)
-            tol = 1e-11
-
-            def box_solve(rhs):
-                x, info = box.solve(rhs, tol=tol)
-                if not info.relative_residual <= tol:
-                    raise RuntimeError(
-                        f"box PCG stopped at relative residual {info.relative_residual:.3e} "
-                        f"after {info.iterations} iterations (tolerance {tol:.0e})"
-                    )
-                return x
-
-            return box_solve
+            return lambda rhs: box.solve(rhs, tol=1e-11)[0]
     if n > FACTORIZATION_CAP:
         raise ValueError(
             f"system size {n} is above the factorization cap {FACTORIZATION_CAP} "
@@ -316,25 +308,27 @@ def log_correlation_slope(
 ) -> LogCorrReport:
     """Covariance against -log(|x-y|+1) for bulk pairs on the d=4 box at scale N.
 
-    Uses the centre covariance column from the folded box solver; pairs are
+    Uses the centre covariance column from the even box solver; pairs are
     (0, y) with y at least N/4 from the boundary and separation in
     [r_min, r_max] (default N/2, keeping clear of both the lattice scale and
     the boundary-affected regime).
     """
-    from .boxsolve import SymmetricBoxSolver
+    from .boxsolve import CenteredBoxSolver
 
     d = 4
     M = N - 2  # R_h of the box (-1,1)^d at h = 1/N blows up to [-(N-2), N-2]^d
     if r_max is None:
         r_max = N / 2.0
-    solver = SymmetricBoxSolver(d, M)
-    gfold, info = solver.solve_center_column(tol=tol)
-    coords = np.indices((M + 1,) * d).reshape(d, -1)
-    r = np.sqrt(np.sum(coords.astype(float) ** 2, axis=0))
-    bulk = np.max(coords, axis=0) <= (M - N // 4)
-    mask = bulk & (r >= r_min) & (r <= r_max)
-    X = -np.log(r[mask] + 1.0)
-    Y = gfold.reshape(-1)[mask]
+    delta = np.zeros((M + 1) ** d)
+    delta[0] = 1.0  # the centre, stored at m = 0
+    gfold, info = CenteredBoxSolver(d, M, even=True).solve(delta, tol=tol)
+    m2 = np.arange(M + 1) ** 2.0
+    r = np.sqrt(sum(m2.reshape((-1,) + (1,) * (d - 1 - ax)) for ax in range(d)))
+    bulk = np.zeros(r.shape, dtype=bool)
+    bulk[(slice(0, M - N // 4 + 1),) * d] = True
+    mask = (bulk & (r >= r_min) & (r <= r_max)).reshape(-1)
+    X = -np.log(r.reshape(-1)[mask] + 1.0)
+    Y = gfold[mask]
     slope, intercept = np.polyfit(X, Y, 1)
     return LogCorrReport(
         N=N,

@@ -240,9 +240,6 @@ class GridDomain:
             return -1
         return int(self.rh_index_grid[tuple(p)])
 
-    def points_in_class(self, cls: int) -> np.ndarray:
-        return self.points[self.classes == cls]
-
     def counts(self) -> Dict[str, int]:
         return {
             "V_h": self.n_vh,

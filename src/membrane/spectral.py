@@ -76,9 +76,7 @@ def eigendecompose(precision: PrecisionMatrix, k: int, dense_cap: int = DENSE_EI
     S = precision.raw
     h = dom.h
     if n <= dense_cap:
-        w, v = scipy.linalg.eigh(S.toarray())
-        w = w[:k]
-        v = v[:, :k]
+        w, v = scipy.linalg.eigh(S.toarray(), subset_by_index=(0, k - 1))
     else:
         try:
             w, v = spla.eigsh(S, k=k, sigma=0, which="LM", tol=0)
@@ -159,10 +157,6 @@ class SobolevParams:
     l2: int
     l5: int
     s_d: Fraction
-
-    @property
-    def s_d_float(self) -> float:
-        return float(self.s_d)
 
 
 def _l_exponent(d: int, m: int) -> int:
@@ -355,6 +349,22 @@ class PairingStudy:
     cross_checks: list         # (h, relative gap) where both solver routes ran
 
 
+def _cg_direct(A, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b by unpreconditioned CG on the assembled matrix, to 1e-13.
+
+    Raises unless CG reports convergence and the normwise backward error is
+    at most 1e-13.  The true relative residual cannot be gated at 1e-13: it
+    stalls near eps * cond(A) (4e-12 for d=2 at h=1/32).
+    """
+    from .thomee import backward_error
+
+    x, info = spla.cg(A, b, rtol=1e-13, atol=0.0, maxiter=10 * len(b))
+    back = backward_error(A, x, b)
+    if info != 0 or not back <= 1e-13:
+        raise RuntimeError(f"CG cross-check stopped at backward error {back:.3e} (info {info})")
+    return x
+
+
 def pairing_variance_study(
     d: int,
     h_list: Sequence[float],
@@ -364,34 +374,38 @@ def pairing_variance_study(
 ) -> PairingStudy:
     """Var(psi_h, f) along a refinement sequence on the centred box.
 
-    Small grids run both the sparse direct route and the folded spectral
-    route and report their relative gap; large grids use the folded route
-    (exact same operator, preconditioned CG to 1e-12).
+    Every grid runs the even box solver (sine-coefficient PCG to 1e-12 on the
+    exact operator); the variance is the plain dot product of the
+    coefficients of f and of A^{-1} f.  Grids with at most cross_check_cap
+    points also run unpreconditioned CG on the assembled precision matrix, a
+    route that shares no code with the box solver, and report the relative
+    gap between the two.
     """
-    from .boxsolve import SymmetricBoxSolver
+    from .boxsolve import CenteredBoxSolver
     from .green import assemble_precision
     from .lattice import Box, classify
 
     hs = sorted(h_list, reverse=True)
     box = Box([(-half_width, half_width)] * d)
+    kappa2 = 1.0 / (2 * d) ** 2
     variances = []
     checks = []
     for h in hs:
         Mv = int(round(half_width / h))
         M = Mv - 2
-        solver = SymmetricBoxSolver(d, M)
+        solver = CenteredBoxSolver(d, M, even=True)
         axis = np.arange(0, M + 1) * h
         coords = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
-        fv = np.asarray(f(coords.reshape(-1, d)), dtype=float).reshape((M + 1,) * d)
-        z, info = solver.solve(fv, tol=1e-12)
-        kappa2 = 1.0 / (2 * d) ** 2
-        var_fold = kappa2 * h ** (d + 4) * solver.dot(fv, z)
+        fv = np.asarray(f(coords.reshape(-1, d)), dtype=float)
+        z, _ = solver.solve(fv, tol=1e-12)
+        fz = solver.coefficients(np.stack([fv, z]).reshape((2,) + (M + 1,) * d))
+        var_fold = kappa2 * h ** (d + 4) * float(np.vdot(fz[0], fz[1]))
         variances.append(var_fold)
         if (2 * M + 1) ** d <= cross_check_cap:
             dom = classify(box, h)
-            table_free = assemble_precision(dom)
+            A = assemble_precision(dom).matrix
             frh = np.asarray(f(dom.rh_coordinates()), dtype=float)
-            w = table_free.solve(frh)
+            w = _cg_direct(A, frh)
             var_direct = kappa2 * h ** (d + 4) * float(frh @ w)
             checks.append((h, abs(var_direct - var_fold) / max(abs(var_direct), 1e-300)))
     diffs = [abs(variances[i + 1] - variances[i]) for i in range(len(variances) - 1)]

@@ -264,12 +264,6 @@ class ConvergenceStudy:
     monotone: bool
     within_bound: bool
 
-    def as_table(self):
-        return [
-            {"h": r.h, "n_rh": r.n_rh, "error": r.error, "bound": r.bound}
-            for r in self.rows
-        ]
-
 
 def convergence_study(
     problem: ManufacturedProblem, h_list: Sequence[float], bound_slack: float = 1.05

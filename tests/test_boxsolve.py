@@ -1,14 +1,48 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
-from membrane import green
-from membrane.boxsolve import CenteredBoxSolver, SymmetricBoxSolver
+from membrane import boxsolve, green, spectral
+from membrane.boxsolve import CenteredBoxSolver
 from membrane.green import assemble_precision, green_columns
 from membrane.lattice import Ball, classify, unit_box
 
 
-@pytest.mark.parametrize("d,N", [(2, 12), (3, 8)])
+def sector(full: np.ndarray, d: int, M: int) -> np.ndarray:
+    """The stored sector {0..M}^d of a flat field on [-M, M]^d."""
+    return full.reshape((2 * M + 1,) * d)[(slice(M, None),) * d].reshape(-1)
+
+
+def even_field(rng, d: int, M: int) -> np.ndarray:
+    """A random field on [-M, M]^d that is even in every coordinate, flat."""
+    u = rng.standard_normal((2 * M + 1,) * d)
+    for ax in range(d):
+        u = u + np.flip(u, axis=ax)
+    return u.reshape(-1)
+
+
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    M=st.integers(0, 4),
+    even=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_coefficient_apply_matches_assembled_matrix(d, M, even, seed):
+    A = assemble_precision(classify(unit_box(d), 1.0 / (M + 2))).matrix
+    rng = np.random.default_rng(seed)
+    u = even_field(rng, d, M) if even else rng.standard_normal(A.shape[0])
+    ref = A @ u
+    solver = CenteredBoxSolver(d, M, even=even)
+    if even:
+        u, ref = sector(u, d, M), sector(ref, d, M)
+    grid = (solver.L,) * d
+    y = solver.field(solver.apply(solver.coefficients(u.reshape(grid))))
+    assert np.abs(y.reshape(-1) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d,N", [(2, 12), (3, 8), (4, 5)])
 def test_centered_solver_matches_sparse_direct(d, N):
     dom = classify(unit_box(d), 1.0 / N)
     A = assemble_precision(dom).matrix
@@ -70,7 +104,28 @@ def test_single_point_box_both_solvers(d):
     # M = 0: the one point sees an exterior neighbour on both faces of every axis
     dom = classify(unit_box(d), 1 / 2)
     a = assemble_precision(dom).matrix.toarray()[0, 0]
-    g, _ = SymmetricBoxSolver(d, 0).solve_center_column(tol=1e-12)
+    g, _ = CenteredBoxSolver(d, 0, even=True).solve(np.ones(1), tol=1e-12)
     x, _ = CenteredBoxSolver(d, 0).solve(np.ones(1), tol=1e-12)
-    assert g[(0,) * d] == pytest.approx(1.0 / a, rel=1e-14)
+    assert g[0] == pytest.approx(1.0 / a, rel=1e-14)
     assert x[0] == pytest.approx(1.0 / a, rel=1e-14)
+
+
+@pytest.mark.parametrize("d,M", [(2, 9), (3, 5), (4, 3)])
+def test_even_and_full_solves_agree_on_even_rhs(d, M):
+    rng = np.random.default_rng(3 + d)
+    b = even_field(rng, d, M)
+    x, full_info = CenteredBoxSolver(d, M).solve(b, tol=1e-13)
+    y, even_info = CenteredBoxSolver(d, M, even=True).solve(sector(b, d, M), tol=1e-13)
+    assert full_info.relative_residual <= 1e-13 and even_info.relative_residual <= 1e-13
+    assert np.abs(sector(x, d, M) - y).max() <= 1e-11 * np.abs(y).max()
+
+
+def test_even_route_raises_when_pcg_stops_short(monkeypatch):
+    solve = boxsolve.CenteredBoxSolver.solve
+    monkeypatch.setattr(
+        boxsolve.CenteredBoxSolver, "solve", lambda self, b, tol: solve(self, b, tol=tol, maxiter=2)
+    )
+    with pytest.raises(RuntimeError, match="box PCG stopped"):
+        spectral.pairing_variance_study(4, [1 / 12], spectral.bump_test_function(), cross_check_cap=0)
+    with pytest.raises(RuntimeError, match="box PCG stopped"):
+        green.log_correlation_slope(12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from membrane.boxsolve import SymmetricBoxSolver
+from membrane.boxsolve import CenteredBoxSolver
 from membrane.green import (
     assemble_precision,
     check_bounds,
@@ -185,22 +185,37 @@ def test_bound_report_d3_increment_variance_bounded():
 
 
 # ---------------------------------------------------------------------------
-# folded symmetric box solver against the assembled operator
+# even box solver (fields stored on the sector |x_i|) against the assembled operator
+
+def fold(full: np.ndarray) -> np.ndarray:
+    """Restrict a full (2M+1,)^d even field to the stored sector {0..M}^d."""
+    M = full.shape[0] // 2
+    return np.ascontiguousarray(full[(slice(M, None),) * full.ndim])
+
+
+def unfold(folded: np.ndarray) -> np.ndarray:
+    """Reflect a sector field back to the full box."""
+    out = folded
+    for ax in range(folded.ndim):
+        mirror = np.delete(np.flip(out, axis=ax), -1, axis=ax)  # drop the duplicated centre slice
+        out = np.concatenate([mirror, out], axis=ax)
+    return out
+
 
 def test_folded_apply_matches_assembled_matrix():
     d, N = 2, 8
     M = N - 2
     dom = classify(unit_box(d), 1.0 / N)
     prec = assemble_precision(dom)
-    solver = SymmetricBoxSolver(d, M)
+    solver = CenteredBoxSolver(d, M, even=True)
     rng = np.random.default_rng(5)
     L = 2 * M + 1
     g = rng.standard_normal((L, L))
     g = g + g[::-1, :]
     g = g + g[:, ::-1]
     yref = (prec.matrix @ g.reshape(-1)).reshape(L, L)
-    yf = solver.apply_precision(solver.fold(g))
-    assert np.abs(solver.unfold(yf) - yref).max() <= 1e-12 * np.abs(yref).max()
+    yf = solver.field(solver.apply(solver.coefficients(fold(g))))
+    assert np.abs(unfold(yf) - yref).max() <= 1e-12 * np.abs(yref).max()
 
 
 def test_folded_solve_matches_direct_column():
@@ -211,19 +226,21 @@ def test_folded_solve_matches_direct_column():
     g_direct = solve_green_column(prec, (0,) * d)
     L = 2 * M + 1
     gd = g_direct.reshape(L, L)
-    solver = SymmetricBoxSolver(d, M)
-    gf, info = solver.solve_center_column(tol=1e-12)
+    solver = CenteredBoxSolver(d, M, even=True)
+    delta = np.zeros(solver.n)
+    delta[0] = 1.0
+    gf, info = solver.solve(delta, tol=1e-12)
     assert info.relative_residual <= 1e-12
-    assert np.abs(solver.unfold(gf) - gd).max() <= 1e-9 * np.abs(gd).max()
+    assert np.abs(unfold(gf.reshape(M + 1, M + 1)) - gd).max() <= 1e-9 * np.abs(gd).max()
 
 
 def test_folded_roundtrip():
-    solver = SymmetricBoxSolver(2, 3)
+    solver = CenteredBoxSolver(2, 3, even=True)
     rng = np.random.default_rng(9)
     g = rng.standard_normal((7, 7))
     g = g + g[::-1, :]
     g = g + g[:, ::-1]
-    assert np.allclose(solver.unfold(solver.fold(g)), g)
+    assert np.allclose(unfold(solver.field(solver.coefficients(fold(g)))), g)
 
 
 def test_log_correlation_report_small():
