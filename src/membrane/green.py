@@ -9,13 +9,16 @@ dropped (the zero boundary).  The covariance G solves
     Delta_1^2 G(x, .) = delta_x     on R_h,     G(x, .) = 0 outside.
 
 `PrecisionMatrix.solver()` is the one place that picks how to invert the
-precision: a sparse factorization (fill-reducing ordering, via SuperLU) up to
-FACTORIZATION_CAP rows, and the sine-coefficient box PCG of `boxsolve` for
-centred boxes above that cap (above BOX_FFT_CAP_3D in d >= 3, where
-factorization fill explodes); a box solve that stops above its tolerance
-raises.  Any other domain above the cap raises.  The d=4 log-correlation
-study solves for the centre column with the even variant of the box solver,
-on the sector |x_i| of the box.
+precision: a sparse factorization up to FACTORIZATION_CAP rows, and the
+sine-coefficient box PCG of `boxsolve` for centred boxes above that cap
+(above BOX_FFT_CAP_3D in d >= 3, where factorization fill explodes); a box
+solve that stops above its tolerance raises.  Any other domain above the cap
+raises.  The d=4 log-correlation study solves for the centre column with the
+even variant of the box solver, on the sector |x_i| of the box.
+
+`factorize_spd`, the one call of SuperLU, uses its symmetric mode: minimum-
+degree ordering of A^T + A and diagonal pivots, the choice for SPD matrices
+(George & Liu 1981).  The shift-invert eigensolves of `spectral` use it too.
 """
 
 from __future__ import annotations
@@ -81,7 +84,15 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain):
             f"system size {n} is above the factorization cap {FACTORIZATION_CAP} "
             f"and the domain is not a centred box"
         )
-    return spla.splu(A.tocsc()).solve
+    return factorize_spd(A).solve
+
+
+def factorize_spd(A: sp.spmatrix) -> spla.SuperLU:
+    """SuperLU factor of a symmetric positive definite matrix, in symmetric mode."""
+    return spla.splu(
+        A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
 
 
 @dataclass
@@ -93,27 +104,36 @@ class GreenTable:
     values: np.ndarray         # full: (n, n); columns: (k, n)
     column_points: Optional[np.ndarray] = None   # integer coords for "columns" mode
     max_residual: float = 0.0
-    _row_of: dict = field(init=False, repr=False, compare=False)
+    _row: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        points = () if self.column_points is None else self.column_points
-        self._row_of = {tuple(p): r for r, p in enumerate(points)}
+    def __post_init__(self):  # table row of each R_h point, -1 where no column is stored
+        n = self.domain.n_rh
+        cols = np.arange(n) if self.mode == "full" else self.domain.rh_indices(self.column_points)
+        self._row = np.full(n, -1)
+        self._row[cols] = np.arange(len(cols))
 
     def at(self, x: Sequence[int], y: Sequence[int]) -> float:
         """G between two integer lattice points (0 if either is outside R_h).
 
         In columns mode x must be a stored column point when both are in R_h.
         """
-        i = self.domain.rh_index_of(x)
-        j = self.domain.rh_index_of(y)
+        i, j = self.domain.rh_indices([x, y])
         if i < 0 or j < 0:
             return 0.0
-        if self.mode == "full":
-            return float(self.values[i, j])
-        r = self._row_of.get(tuple(x))
-        if r is None:
+        if self._row[i] < 0:
             raise KeyError(f"column for {tuple(x)} not stored")
-        return float(self.values[r, j])
+        return float(self.values[self._row[i], j])
+
+    def block(self, points: np.ndarray) -> np.ndarray:
+        """G between all pairs of points (..., m, d) as (..., m, m), zero off R_h.
+
+        In columns mode every point in R_h must have a stored column."""
+        j = self.domain.rh_indices(points)
+        r = np.where(j >= 0, self._row[j], 0)
+        if np.any((j >= 0) & (r < 0)):
+            raise KeyError("a point in R_h has no stored column")
+        G = self.values[r[..., :, None], j[..., None, :]]
+        return np.where((j[..., :, None] >= 0) & (j[..., None, :] >= 0), G, 0.0)
 
 
 def solve_green_column(
@@ -139,13 +159,10 @@ def green_columns(
     precision: PrecisionMatrix, points: Sequence[Sequence[int]], batch: int = 256
 ) -> GreenTable:
     """Selected covariance columns, solved in batches against one factorization."""
-    pts = np.asarray(points, dtype=np.int64)
-    idx = np.empty(len(pts), dtype=np.int64)
-    for r, p in enumerate(pts):
-        i = precision.domain.rh_index_of(p)
-        if i < 0:
-            raise ValueError(f"point {tuple(p)} is not in R_h")
-        idx[r] = i
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, precision.domain.d)
+    idx = precision.domain.rh_indices(pts)
+    if np.any(idx < 0):
+        raise ValueError(f"point {tuple(pts[idx < 0][0])} is not in R_h")
     # keep each dense block of right-hand sides within a fixed float budget
     batch = max(1, min(batch, 16_000_000 // precision.n))
     cols = np.empty((len(pts), precision.n))
@@ -241,25 +258,14 @@ def check_bounds(table: GreenTable, N: int) -> BoundReport:
     # mixed second differences D_{i,x} D_{i,y} G at coincident points give the
     # increment variance E[(phi_{z+e_i}-phi_z)^2] = G(z+e,z+e)-2G(z+e,z)+G(z,z)
     inc_max = 0.0
+    flat = table.values
+    lin = np.arange(flat.shape[0]).reshape(shp)
     for ax in range(d):
-        sl_all = [slice(None)] * d
-        sl_cut = [slice(None)] * d
-        sl_cut[ax] = slice(0, shp[ax] - 1)
-        sl_up = [slice(None)] * d
-        sl_up[ax] = slice(1, shp[ax])
-        idx = np.indices(shp)
-        # diagonal entries via fancy indexing on the flattened table
-        flat = table.values
-        nrh = flat.shape[0]
-        lin = np.arange(nrh).reshape(shp)
-        a = lin[tuple(sl_cut)].ravel()
-        b = lin[tuple(sl_up)].ravel()
+        a = np.delete(lin, -1, axis=ax).ravel()  # z
+        b = np.delete(lin, 0, axis=ax).ravel()  # z + e_ax
         inc = flat[b, b] - 2.0 * flat[b, a] + flat[a, a]
         inc_max = max(inc_max, float(inc.max()))
-    if d == 2:
-        denom = np.log(N)
-    else:
-        denom = 1.0
+    denom = np.log(N) if d == 2 else 1.0
     return BoundReport(
         N=N,
         sup_g=sup_g,

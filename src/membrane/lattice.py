@@ -235,10 +235,15 @@ class GridDomain:
 
     def rh_index_of(self, point: Sequence[int]) -> int:
         """Row index of an integer lattice point; -1 if not in R_h."""
-        p = np.asarray(point, dtype=np.int64) - self.origin
-        if np.any(p < 0) or np.any(p >= np.array(self.mask_shape)):
-            return -1
-        return int(self.rh_index_grid[tuple(p)])
+        return int(self.rh_indices(point))
+
+    def rh_indices(self, points) -> np.ndarray:
+        """Row indices of integer lattice points of shape (..., d); -1 off R_h."""
+        p = np.asarray(points, dtype=np.int64) - self.origin
+        inside = np.all((p >= 0) & (p < np.array(self.mask_shape)), axis=-1)
+        idx = np.full(inside.shape, -1, dtype=np.int64)
+        idx[inside] = self.rh_index_grid[tuple(np.moveaxis(p[inside], -1, 0))]
+        return idx
 
     def counts(self) -> Dict[str, int]:
         return {

@@ -162,21 +162,24 @@ def increment_weight_vector(t, s, N: int, d: int):
     return combo
 
 
-def _increment_form(table: GreenTable, combo: dict) -> float:
-    """sum_{p,q} w_p w_q G(p, q) for a phi-combination {lattice point: weight}."""
-    acc = 0.0
-    for p, wp in combo.items():
-        for q, wq in combo.items():
-            w = wp * wq
-            if w != 0.0:
-                acc += w * table.at(p, q)
-    return acc
+def _combo_arrays(combos: list, d: int):
+    """phi-combinations as points (P, m, d) and weights (P, m); pads repeat a point at weight 0."""
+    m = max(map(len, combos))
+    rows = [list(c.items()) + [(next(iter(c)), 0.0)] * (m - len(c)) for c in combos]
+    points = np.array([[p for p, _ in r] for r in rows], dtype=np.int64).reshape(len(rows), m, d)
+    return points, np.array([[w for _, w in r] for r in rows])
+
+
+def _increment_form(table: GreenTable, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_{a,b} w_a w_b G(p_a, p_b) for combinations of points (..., m, d), weights (..., m)."""
+    return np.einsum("...a,...ab,...b->...", weights, table.block(points), weights)
 
 
 def exact_increment_variance(table: GreenTable, t, s, d: int, N: int) -> float:
     """E |Psi_N(t) - Psi_N(s)|^2 evaluated exactly through the covariance table."""
     pref = (1.0 / (2 * d)) * float(N) ** ((d - 4) / 2.0)
-    return pref * pref * _increment_form(table, increment_weight_vector(t, s, N, d))
+    points, weights = _combo_arrays([increment_weight_vector(t, s, N, d)], d)
+    return pref * pref * float(_increment_form(table, points, weights)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +239,13 @@ def moment_exponent(
         if np.all(np.abs(s) <= 1.0):
             pairs.append((t, s))
 
-    needed = {}
-    combos = []
-    for t, s in pairs:
-        combo = increment_weight_vector(t, s, N, d)
-        combos.append(combo)
-        for p in combo:
-            needed[p] = None
-    dom = precision.domain
-    in_rh = [p for p in needed if dom.rh_index_of(p) >= 0]
-    table = green_columns(precision, in_rh)
+    points, weights = _combo_arrays([increment_weight_vector(t, s, N, d) for t, s in pairs], d)
+    needed = np.unique(points.reshape(-1, d), axis=0)
+    table = green_columns(precision, needed[precision.domain.rh_indices(needed) >= 0])
 
     pref2 = ((1.0 / (2 * d)) * float(N) ** ((d - 4) / 2.0)) ** 2
     dist = np.array([np.linalg.norm(t - s) for t, s in pairs])
-    mom = np.array([pref2 * _increment_form(table, combo) for combo in combos])
+    mom = pref2 * _increment_form(table, points, weights)
     # pairs entirely inside the pinned boundary frame have exactly zero
     # increments and carry no exponent information
     keep = mom > 0

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .green import GreenTable, PrecisionMatrix
+from .green import GreenTable, PrecisionMatrix, _make_solver, factorize_spd
 from .lattice import GridDomain, assemble, stencil_weights, unit_ball_volume
 
 DENSE_EIG_CAP = 4000
@@ -65,8 +65,8 @@ class SpectralBasis:
 def eigendecompose(precision: PrecisionMatrix, k: int, dense_cap: int = DENSE_EIG_CAP) -> SpectralBasis:
     """k smallest eigenpairs of the h-scaled bilaplacian on R_h.
 
-    Shift-invert iteration against a sparse factorization; dense fallback for
-    small systems.  Contracts: eigenvalues ascending and positive,
+    Shift-invert iteration against a fresh (uncached) solver of the precision;
+    dense fallback for small systems.  Contracts: eigenvalues ascending and positive,
     orthonormality residual <= 1e-8, eigen-residual <= 1e-6 relative.
     """
     dom = precision.domain
@@ -78,8 +78,10 @@ def eigendecompose(precision: PrecisionMatrix, k: int, dense_cap: int = DENSE_EI
     if n <= dense_cap:
         w, v = scipy.linalg.eigh(S.toarray(), subset_by_index=(0, k - 1))
     else:
+        solve = _make_solver(precision.matrix, dom)  # S^{-1} = A^{-1} / (2d)^2
+        OPinv = spla.LinearOperator((n, n), matvec=lambda x: solve(x) / (2 * dom.d) ** 2, dtype=float)
         try:
-            w, v = spla.eigsh(S, k=k, sigma=0, which="LM", tol=0)
+            w, v = spla.eigsh(S, k=k, sigma=0, which="LM", tol=0, OPinv=OPinv)
         except spla.ArpackNoConvergence as exc:
             raise RuntimeError(
                 f"eigensolver failed to converge: {exc}"
@@ -439,7 +441,8 @@ def dirichlet_laplacian_min(domain: GridDomain) -> float:
     if n <= DENSE_EIG_CAP:
         w = scipy.linalg.eigh(Lap.toarray(), eigvals_only=True, subset_by_index=(0, 0))[0]
     else:
-        w = spla.eigsh(Lap.tocsc(), k=1, sigma=0, which="LM", return_eigenvectors=False, tol=0)[0]
+        OPinv = spla.LinearOperator((n, n), matvec=factorize_spd(Lap).solve, dtype=float)
+        w = spla.eigsh(Lap, k=1, sigma=0, which="LM", return_eigenvectors=False, tol=0, OPinv=OPinv)[0]
     return float(w) / domain.h**2
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from membrane.boxsolve import CenteredBoxSolver
 from membrane.green import (
     assemble_precision,
     check_bounds,
     central_variance,
+    factorize_spd,
     green_columns,
     green_full,
     log_correlation_slope,
@@ -46,6 +48,17 @@ def test_spd_factorization_and_residual():
         r = prec.matrix @ g
         r[i] -= 1.0
         assert np.abs(r).max() <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [unit_box(2), Ball([0.0, 0.0], 1.0)], ids=["box", "disk"])
+def test_symmetric_mode_factor_has_less_fill_and_solves(shape):
+    A = assemble_precision(classify(shape, 1 / 32)).matrix
+    lu = factorize_spd(A)
+    default = spla.splu(A.tocsc())
+    assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+    B = np.random.default_rng(3).standard_normal((A.shape[0], 4))
+    expect = np.linalg.solve(A.toarray(), B)
+    assert np.abs(lu.solve(B) - expect).max() <= 1e-10 * np.abs(expect).max()
 
 
 def test_center_variance_positive():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from membrane import green
 from membrane.green import assemble_precision, green_full
 from membrane.lattice import Box, classify, unit_box
 from membrane.spectral import (
@@ -48,12 +49,15 @@ def test_eigendecompose_contracts(basis16):
         )
 
 
-def test_dense_and_sparse_paths_agree():
-    dom = classify(unit_box(2), 1 / 10)
-    prec = assemble_precision(dom)
-    dense = eigendecompose(prec, 8, dense_cap=10_000)
-    sparse = eigendecompose(prec, 8, dense_cap=1)
-    assert np.allclose(dense.lambdas, sparse.lambdas, rtol=1e-9)
+def test_dense_and_sparse_paths_agree(monkeypatch):
+    # the d=2 box is factorized; with the cap at 0 the d=3 box runs box PCG
+    monkeypatch.setattr(green, "BOX_FFT_CAP_3D", 0)
+    for d, N in [(2, 10), (3, 6)]:
+        prec = assemble_precision(classify(unit_box(d), 1 / N))
+        dense = eigendecompose(prec, 8, dense_cap=10_000)
+        sparse = eigendecompose(prec, 8, dense_cap=1)
+        assert np.allclose(dense.lambdas, sparse.lambdas, rtol=1e-9)
+        assert prec._solver is None  # the eigensolve's own solver is cached nowhere
 
 
 def test_k_exceeds_size_raises():
