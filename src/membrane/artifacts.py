@@ -61,6 +61,7 @@ class RunManifest:
     config: dict
     versions: dict = field(default_factory=dict)
     stages: dict = field(default_factory=dict)       # stage -> seconds
+    stage_facts: dict = field(default_factory=dict)  # stage -> solver facts of that stage
     assertions: list = field(default_factory=list)   # {name, passed, detail}
     files: dict = field(default_factory=dict)        # name of a file this run wrote -> sha256
 
@@ -77,10 +78,13 @@ class RunManifest:
         }
         self._stage_start = time.perf_counter()
 
-    def stage(self, name: str) -> None:
+    def stage(self, name: str, **facts) -> None:
+        """Close a stage: book its wall time and any facts about how it ran."""
         now = time.perf_counter()
         self.stages[name] = round(now - self._stage_start, 6)
         self._stage_start = now
+        if facts:
+            self.stage_facts[name] = facts
 
     def wrote(self, paths: list) -> None:
         """Book files this run wrote; the manifest lists these and no others."""
@@ -102,6 +106,7 @@ class RunManifest:
             "config": self.config,
             "versions": self.versions,
             "wall_clock_s": self.stages,
+            "stage_facts": self.stage_facts,
             "assertions": self.assertions,
             "passed": self.all_passed,
             "files": self.files,

@@ -36,6 +36,7 @@ DENSE_TABLE_CAP = 20_000
 FACTORIZATION_CAP = 600_000   # rows; above this only centred boxes are solved
 BOX_FFT_CAP_3D = 40_000       # centred boxes in d >= 3: factorization fill
                               # explodes, switch to the spectral solver early
+RHS_FLOAT_BUDGET = 16_000_000  # floats in one dense batch of right-hand sides
 
 
 @dataclass
@@ -136,46 +137,54 @@ class GreenTable:
         return np.where((j[..., :, None] >= 0) & (j[..., None, :] >= 0), G, 0.0)
 
 
+def solve_block(precision: PrecisionMatrix, W: sp.csc_matrix, take) -> float:
+    """Solve A X = W for a sparse block W (n, k) of right-hand sides.
+
+    Columns go to the precision's solver in dense batches of at most 256
+    columns and RHS_FLOAT_BUDGET floats, so box-PCG domains in d >= 3 stay
+    within memory.  `take(cols, X)` receives each batch's column slice and
+    solutions.  Returns the worst max-norm residual |A X - W| (NaN
+    propagates); callers gate on it.
+    """
+    n, k = W.shape
+    step = max(1, min(256, RHS_FLOAT_BUDGET // n))
+    solver = precision.solver()
+    worst = 0.0
+    for lo in range(0, k, step):
+        cols = slice(lo, min(lo + step, k))
+        rhs = W[:, cols].toarray()
+        sol = solver(rhs)
+        worst = float(np.maximum(worst, np.abs(precision.matrix @ sol - rhs).max()))
+        take(cols, sol)
+    return worst
+
+
 def solve_green_column(
     precision: PrecisionMatrix, x: Sequence[int], residual_tol: float = 1e-8
 ) -> np.ndarray:
     """One covariance column G(x, .) on R_h; asserts the BVP residual post-solve."""
-    i = precision.domain.rh_index_of(x)
-    if i < 0:
-        raise ValueError(f"point {x} is not in R_h")
-    rhs = np.zeros(precision.n)
-    rhs[i] = 1.0
-    g = precision.solve(rhs)
-    res = np.abs(precision.matrix @ g - rhs).max()
-    if not res <= residual_tol:
+    table = green_columns(precision, [x])
+    if not table.max_residual <= residual_tol:
         raise RuntimeError(
-            f"BVP residual {res:.3e} above {residual_tol:.1e}; "
+            f"BVP residual {table.max_residual:.3e} above {residual_tol:.1e}; "
             f"condition may be too poor for this solver"
         )
-    return g
+    return table.values[0]
 
 
-def green_columns(
-    precision: PrecisionMatrix, points: Sequence[Sequence[int]], batch: int = 256
-) -> GreenTable:
-    """Selected covariance columns, solved in batches against one factorization."""
+def green_columns(precision: PrecisionMatrix, points: Sequence[Sequence[int]]) -> GreenTable:
+    """Selected covariance columns, solved in batches against one solver."""
     pts = np.asarray(points, dtype=np.int64).reshape(-1, precision.domain.d)
     idx = precision.domain.rh_indices(pts)
     if np.any(idx < 0):
         raise ValueError(f"point {tuple(pts[idx < 0][0])} is not in R_h")
-    # keep each dense block of right-hand sides within a fixed float budget
-    batch = max(1, min(batch, 16_000_000 // precision.n))
     cols = np.empty((len(pts), precision.n))
-    worst = 0.0
-    solver = precision.solver()
-    for lo in range(0, len(pts), batch):
-        hi = min(lo + batch, len(pts))
-        rhs = np.zeros((precision.n, hi - lo))
-        rhs[idx[lo:hi], np.arange(hi - lo)] = 1.0
-        sol = solver(rhs)
-        res = np.abs(precision.matrix @ sol - rhs).max()
-        worst = float(np.maximum(worst, res))  # NaN propagates
-        cols[lo:hi] = sol.T
+
+    def store(c, X):
+        cols[c] = X.T
+
+    units = sp.csc_matrix((np.ones(len(pts)), (idx, np.arange(len(pts)))), shape=(precision.n, len(pts)))
+    worst = solve_block(precision, units, store)
     return GreenTable(
         domain=precision.domain,
         mode="columns",
@@ -186,25 +195,23 @@ def green_columns(
 
 
 def green_full(precision: PrecisionMatrix, cap: int = DENSE_TABLE_CAP) -> GreenTable:
-    """All covariance columns against one factorization; symmetry asserted."""
+    """All covariance columns against one solver; symmetry asserted."""
     n = precision.n
     if n > cap:
         raise ValueError(
             f"|R_h| = {n} exceeds the dense cap {cap}; use green_columns instead"
         )
-    solver = precision.solver()
     G = np.empty((n, n))
-    batch = 512
-    for lo in range(0, n, batch):
-        hi = min(lo + batch, n)
-        rhs = np.zeros((n, hi - lo))
-        rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        G[:, lo:hi] = solver(rhs)
+
+    def store(c, X):
+        G[:, c] = X
+
+    worst = solve_block(precision, sp.identity(n, format="csc"), store)
     asym = np.abs(G - G.T).max() / max(np.abs(G).max(), 1e-300)
     if not asym <= 1e-10:
         raise RuntimeError(f"Green table asymmetry {asym:.2e} exceeds 1e-10")
     G = 0.5 * (G + G.T)
-    return GreenTable(domain=precision.domain, mode="full", values=G)
+    return GreenTable(domain=precision.domain, mode="full", values=G, max_residual=worst)
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ def eta2_trend(radii: Sequence[int], d: int = 5, plan: Optional[FourierCovarianc
     top = ratios[len(ratios) // 2 :]
     flat = float((top.max() - top.min()) / np.abs(top).mean())
     spread = float(np.max(qerr / np.maximum(np.abs(g), 1e-300)))
-    if np.any(qerr > 0.1 * np.abs(g)):
+    if not np.all(qerr <= 0.1 * np.abs(g)):
         raise RuntimeError("quadrature error exceeds 10% of the ratio scale")
     return Eta2Trend(
         radii=radii, greens=g, ratios=ratios, flatness=flat, quadrature_spread=spread
@@ -596,7 +596,7 @@ def scaling_variance(
 
     budget = quad_err + center + out_tail + poisson
     value = radial + excess_val
-    if budget > budget_cap * value:
+    if not budget <= budget_cap * value:
         raise RuntimeError(
             f"error budget {budget:.3e} exceeds {budget_cap:.0%} of value {value:.6f}"
         )

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from .green import GreenTable, PrecisionMatrix
+from .green import GreenTable, PrecisionMatrix, solve_block
 from .lattice import GridDomain, field_on_grid, stencil_weights, apply_stencil_array
 
 
@@ -71,28 +72,28 @@ def sample(
 # ---------------------------------------------------------------------------
 # simplex interpolation
 
-def simplex_weights(t: np.ndarray, N: int, d: int):
-    """Barycentric decomposition of one point: list of (lattice point, weight).
+def field_prefactor(d: int, N: int) -> float:
+    """kappa N^{(d-4)/2}, the scale that turns phi into Psi_N."""
+    return (1.0 / (2 * d)) * float(N) ** ((d - 4) / 2.0)
 
-    Ties among fractional parts resolve by axis order, which both adjacent
-    simplex formulas agree on.
+
+def simplex_weights(t: np.ndarray, N: int, d: int):
+    """Barycentric decomposition of points t (..., d) at scale N.
+
+    Returns the simplex vertices (..., d+1, d) as integer lattice points and
+    their weights (..., d+1).  Fractional parts are sorted along the last
+    axis; ties resolve by axis order, which both adjacent simplex formulas
+    agree on.
     """
     p = np.asarray(t, dtype=float) * N
     a = np.floor(p).astype(np.int64)
     frac = p - a
-    order = np.argsort(-frac, kind="stable")
-    fs = frac[order]
-    verts = [a.copy()]
-    v = a.copy()
-    for k in range(d):
-        v = v.copy()
-        v[order[k]] += 1
-        verts.append(v)
-    wts = np.empty(d + 1)
-    wts[0] = 1.0 - fs[0]
-    for k in range(1, d):
-        wts[k] = fs[k - 1] - fs[k]
-    wts[d] = fs[d - 1]
+    order = np.argsort(-frac, axis=-1, kind="stable")
+    fs = np.take_along_axis(frac, order, axis=-1)
+    # v_k = a + e_{order[0]} + ... + e_{order[k-1]}
+    steps = np.cumsum(np.eye(d, dtype=np.int64)[order], axis=-2)
+    verts = a[..., None, :] + np.concatenate([np.zeros_like(steps[..., :1, :]), steps], axis=-2)
+    wts = np.concatenate([1.0 - fs[..., :1], fs[..., :-1] - fs[..., 1:], fs[..., -1:]], axis=-1)
     return verts, wts
 
 
@@ -104,12 +105,8 @@ class InterpolatedField:
     N: int
 
     def __post_init__(self):
-        d = self.sample.domain.d
-        if d not in (2, 3):
+        if self.sample.domain.d not in (2, 3):
             raise ValueError("interpolation is defined for d in {2, 3}")
-        self._grid = self.sample.on_grid()
-        self._origin = self.sample.domain.origin
-        self._shape = np.array(self.sample.domain.mask_shape)
 
     @property
     def d(self) -> int:
@@ -117,34 +114,28 @@ class InterpolatedField:
 
     @property
     def prefactor(self) -> float:
-        d = self.d
-        return (1.0 / (2 * d)) * float(self.N) ** ((d - 4) / 2.0)
-
-    def _phi(self, point: np.ndarray) -> float:
-        loc = point - self._origin
-        if np.any(loc < 0) or np.any(loc >= self._shape):
-            return 0.0
-        return float(self._grid[tuple(loc)])
+        return field_prefactor(self.d, self.N)
 
     def evaluate(self, t: Sequence[float]) -> float:
-        t = np.asarray(t, dtype=float)
-        if np.any(np.abs(t) > 1.0 + 1e-12):
-            raise ValueError("evaluation point outside the closed box")
-        verts, wts = simplex_weights(t, self.N, self.d)
-        acc = 0.0
-        for v, w in zip(verts, wts):
-            if w != 0.0:
-                acc += w * self._phi(v)
-        return self.prefactor * acc
+        return float(self.evaluate_many(t)[0])
 
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self.evaluate(t) for t in np.asarray(ts, dtype=float)])
+        """Psi_N at points ts (m, d); raises ValueError outside the closed box."""
+        ts = np.asarray(ts, dtype=float).reshape(-1, self.d)
+        if np.any(np.abs(ts) > 1.0 + 1e-12):
+            raise ValueError("evaluation point outside the closed box")
+        verts, wts = simplex_weights(ts, self.N, self.d)
+        j = self.sample.domain.rh_indices(verts)
+        phi = np.where(j >= 0, self.sample.values[j], 0.0)
+        acc = np.zeros(len(ts))
+        for k in range(self.d + 1):  # the vertex order of a per-point sum
+            acc += wts[:, k] * phi[:, k]
+        return self.prefactor * acc
 
 
 def rescaled_max(sample_: FieldSample, d: int, N: int) -> float:
     """kappa N^{(d-4)/2} max over R_h of phi, the sup of the interpolated field."""
-    pref = (1.0 / (2 * d)) * float(N) ** ((d - 4) / 2.0)
-    return pref * float(sample_.values.max())
+    return field_prefactor(d, N) * float(sample_.values.max())
 
 
 # ---------------------------------------------------------------------------
@@ -162,30 +153,35 @@ def increment_weight_vector(t, s, N: int, d: int):
     return combo
 
 
-def _combo_arrays(combos: list, d: int):
-    """phi-combinations as points (P, m, d) and weights (P, m); pads repeat a point at weight 0."""
-    m = max(map(len, combos))
-    rows = [list(c.items()) + [(next(iter(c)), 0.0)] * (m - len(c)) for c in combos]
-    points = np.array([[p for p, _ in r] for r in rows], dtype=np.int64).reshape(len(rows), m, d)
-    return points, np.array([[w for _, w in r] for r in rows])
-
-
-def _increment_form(table: GreenTable, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_{a,b} w_a w_b G(p_a, p_b) for combinations of points (..., m, d), weights (..., m)."""
-    return np.einsum("...a,...ab,...b->...", weights, table.block(points), weights)
-
-
 def exact_increment_variance(table: GreenTable, t, s, d: int, N: int) -> float:
     """E |Psi_N(t) - Psi_N(s)|^2 evaluated exactly through the covariance table."""
-    pref = (1.0 / (2 * d)) * float(N) ** ((d - 4) / 2.0)
-    points, weights = _combo_arrays([increment_weight_vector(t, s, N, d)], d)
-    return pref * pref * float(_increment_form(table, points, weights)[0])
+    combo = increment_weight_vector(t, s, N, d)
+    points = np.array(list(combo), dtype=np.int64)
+    w = np.array(list(combo.values()))
+    return field_prefactor(d, N) ** 2 * float(w @ table.block(points) @ w)
+
+
+def increment_weights(ts: np.ndarray, ss: np.ndarray, N: int, domain: GridDomain) -> sp.csc_matrix:
+    """Column p holds the signed weights of Psi(t_p) - Psi(s_p) on R_h, (n_rh, P).
+
+    Vertices off R_h drop out (phi is zero there); a vertex shared by both
+    simplices gets the sum of its two weights.
+    """
+    d = domain.d
+    verts_t, w_t = simplex_weights(ts, N, d)
+    verts_s, w_s = simplex_weights(ss, N, d)
+    rows = domain.rh_indices(np.concatenate([verts_t, verts_s], axis=1))
+    wts = np.concatenate([w_t, -w_s], axis=1)
+    pair = np.broadcast_to(np.arange(len(ts))[:, None], rows.shape)
+    on = rows >= 0
+    return sp.csc_matrix((wts[on], (rows[on], pair[on])), shape=(domain.n_rh, len(ts)))
 
 
 # ---------------------------------------------------------------------------
 # recipes
 
 MIN_FIT_PAIRS = 10  # pairs with a positive second moment needed for a fit
+RESIDUAL_TOL = 1e-8  # max-norm residual |A X - W| of the increment solves
 
 
 @dataclass
@@ -197,6 +193,27 @@ class MomentFit:
     exponent: float
     distances: np.ndarray
     second_moments: np.ndarray
+    max_residual: float        # worst max-norm residual of the n_pairs solves
+
+
+def increment_pairs(d: int, n_pairs: int, seed: int, r_min: float, r_max: float):
+    """Random pairs (t, s) as two (n_pairs, d) arrays, |t - s| log-uniform in [r_min, r_max].
+
+    Base points stay in the bulk: the pinned frame has identically small
+    increments that carry no information about the scaling exponent.
+    """
+    rng = np.random.default_rng(seed)
+    ts, ss = [], []
+    while len(ts) < n_pairs:
+        t = rng.uniform(-0.7, 0.7, size=d)
+        r = np.exp(rng.uniform(np.log(r_min), np.log(r_max)))
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        s = t + r * u
+        if np.all(np.abs(s) <= 1.0):
+            ts.append(t)
+            ss.append(s)
+    return np.array(ts).reshape(-1, d), np.array(ss).reshape(-1, d)
 
 
 def moment_exponent(
@@ -213,52 +230,44 @@ def moment_exponent(
     Distances are drawn log-uniformly inside the field-scaling window: from a
     couple of lattice cells up to a fraction of the domain (1/8 in d=2 where
     the logarithmic increment correction flattens the slope near the domain
-    scale, 1/4 in d=3).  Second moments come from exact covariance columns,
-    no Monte Carlo.  Raises ValueError when the window is empty (in d=2 the
-    default r_min = 2/N reaches r_max at N <= 16) or fewer than
-    MIN_FIT_PAIRS pairs have a positive second moment.
+    scale, 1/4 in d=3).  Second moments are exact, no Monte Carlo: with w_p
+    the pair's signed weights on R_h, E|Psi(t)-Psi(s)|^2 = kappa^2 N^{d-4} w_p^T A^{-1} w_p,
+    one solve per pair.  Raises ValueError when the window is empty (in d=2
+    the default r_min = 2/N reaches r_max at N <= 16) or fewer than
+    MIN_FIT_PAIRS pairs have a positive second moment, and RuntimeError when
+    a solve's residual is above RESIDUAL_TOL (or NaN).
     """
-    from .green import green_columns
-
     if r_min is None:
         r_min = (2.0 if d == 2 else 1.5) / N
     if r_max is None:
         r_max = 0.125 if d == 2 else 0.25
     if r_min >= r_max:
         raise ValueError(f"distance window [{r_min:.4g}, {r_max:.4g}] is empty at N={N}")
-    rng = np.random.default_rng(seed)
-    pairs = []
-    # base points stay in the bulk: the pinned frame has identically small
-    # increments that carry no information about the scaling exponent
-    while len(pairs) < n_pairs:
-        t = rng.uniform(-0.7, 0.7, size=d)
-        r = np.exp(rng.uniform(np.log(r_min), np.log(r_max)))
-        u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
-        s = t + r * u
-        if np.all(np.abs(s) <= 1.0):
-            pairs.append((t, s))
+    ts, ss = increment_pairs(d, n_pairs, seed, r_min, r_max)
+    W = increment_weights(ts, ss, N, precision.domain)
+    quad = np.empty(n_pairs)
 
-    points, weights = _combo_arrays([increment_weight_vector(t, s, N, d) for t, s in pairs], d)
-    needed = np.unique(points.reshape(-1, d), axis=0)
-    table = green_columns(precision, needed[precision.domain.rh_indices(needed) >= 0])
+    def take(c, X):  # w_p^T A^{-1} w_p for the batch's pairs
+        quad[c] = np.asarray(W[:, c].multiply(X).sum(axis=0)).ravel()
 
-    pref2 = ((1.0 / (2 * d)) * float(N) ** ((d - 4) / 2.0)) ** 2
-    dist = np.array([np.linalg.norm(t - s) for t, s in pairs])
-    mom = pref2 * _increment_form(table, points, weights)
+    worst = solve_block(precision, W, take)
+    if not worst <= RESIDUAL_TOL:
+        raise RuntimeError(f"increment solve residual {worst:.3e} above {RESIDUAL_TOL:.0e}")
+    mom = field_prefactor(d, N) ** 2 * quad
+    dist = np.linalg.norm(ts - ss, axis=1)
     # pairs entirely inside the pinned boundary frame have exactly zero
     # increments and carry no exponent information
     keep = mom > 0
     n_kept = int(keep.sum())
     if n_kept < MIN_FIT_PAIRS:
         raise ValueError(
-            f"only {n_kept} of {len(pairs)} pairs have a positive second moment; "
+            f"only {n_kept} of {n_pairs} pairs have a positive second moment; "
             f"the fit needs {MIN_FIT_PAIRS}"
         )
     expo = float(np.polyfit(np.log(dist[keep]), np.log(mom[keep]), 1)[0])
     return MomentFit(
-        d=d, N=N, n_pairs=len(pairs), n_kept=n_kept, exponent=expo,
-        distances=dist, second_moments=mom,
+        d=d, N=N, n_pairs=n_pairs, n_kept=n_kept, exponent=expo,
+        distances=dist, second_moments=mom, max_residual=worst,
     )
 
 

@@ -89,11 +89,16 @@ def eigendecompose(precision: PrecisionMatrix, k: int, dense_cap: int = DENSE_EI
         order = np.argsort(w)
         w = w[order]
         v = v[:, order]
+    if not np.all(w > 0):
+        raise RuntimeError(f"eigenvalues not all positive (smallest {w.min():.3e})")
+    orth = np.abs(v.T @ v - np.eye(k)).max()
+    if not orth <= 1e-8:
+        raise RuntimeError(f"orthonormality residual {orth:.2e} above 1e-8")
     lambdas = w / h**4
     # normalize to the discrete L^2 product (vectors come back 2-norm unit)
     vectors = v / h ** (dom.d / 2.0)
     res = np.linalg.norm(S @ v - v * w, axis=0).max()
-    if res > 1e-6 * max(abs(w[-1]), 1.0):
+    if not res <= 1e-6 * max(abs(w[-1]), 1.0):
         raise RuntimeError(f"eigen residual {res:.2e} too large")
     return SpectralBasis(domain=dom, lambdas=lambdas, vectors=vectors)
 

@@ -42,6 +42,16 @@ def test_manifest_lists_only_files_the_recipe_wrote(tmp_path):
     assert set(b2star["files"]) == {"b2star.csv", "domain.csv"}
 
 
+def test_moment_check_records_its_solves(tmp_path):
+    code, out = run_cli(["moment-check", "--d", "2", "--N", "32"], tmp_path, "m")
+    assert code == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert list(man["wall_clock_s"]) == ["fit"]
+    facts = man["stage_facts"]["fit"]
+    assert facts["right_hand_sides"] == man["config"]["pairs"] == 200
+    assert 0.0 <= facts["max_residual"] <= 1e-8
+
+
 def test_green_small_run(tmp_path):
     code, out = run_cli(["green", "--shape", "box", "--d", "2", "--h", "1/4"], tmp_path, "c")
     assert code == 0

@@ -335,6 +335,24 @@ def test_scaling_variance_excess_matches_dense_mesh_reference():
     assert sv.value == sv.radial_part + sv.kernel_excess
 
 
+def test_quadrature_and_budget_gates_fail_on_nan(monkeypatch):
+    from membrane import infvol
+
+    many = infvol.green_infinite_fourier_many
+
+    def nan_error(*args, **kwargs):
+        vals = many(*args, **kwargs)
+        vals[1].quadrature_error = float("nan")
+        return vals
+
+    monkeypatch.setattr(infvol, "green_infinite_fourier_many", nan_error)
+    with pytest.raises(RuntimeError, match="quadrature error"):
+        eta2_trend(range(3, 6), d=5, plan=FourierCovariance(d=5, order=5, levels=12))
+    monkeypatch.setattr(infvol, "shell_quadrature", lambda *args, **kwargs: float("nan"))
+    with pytest.raises(RuntimeError, match="error budget"):
+        scaling_variance(gaussian_test(5), 4)
+
+
 def test_scaling_variance_rejects_small_N():
     with pytest.raises(ValueError):
         scaling_variance(gaussian_test(5), 1)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from membrane.green import assemble_precision, green_full
+from membrane import green
+from membrane.green import assemble_precision, factorize_spd, green_full
 from membrane.lattice import classify, unit_box
 from membrane.sampler import (
     FieldSample,
     InterpolatedField,
     exact_increment_variance,
+    increment_pairs,
     increment_weight_vector,
     ks_distance,
     max_scaling,
@@ -177,6 +179,53 @@ def test_simplex_weights_sum_to_one():
             assert np.allclose(recon, t, atol=1e-12)
 
 
+def _evaluate_per_point(f, t):
+    """Psi_N(t) by the one-point formula, vertex by vertex (reference)."""
+    d, N = f.d, f.N
+    grid = f.sample.on_grid()
+    origin = f.sample.domain.origin
+    p = np.asarray(t, dtype=float) * N
+    a = np.floor(p).astype(np.int64)
+    frac = p - a
+    order = np.argsort(-frac, kind="stable")
+    v = a.copy()
+    fs = frac[order]
+    wts = [1.0 - fs[0]] + [fs[k - 1] - fs[k] for k in range(1, d)] + [fs[d - 1]]
+    acc = 0.0
+    for k in range(d + 1):
+        if k:
+            v[order[k - 1]] += 1
+        loc = v - origin
+        inside = np.all(loc >= 0) and np.all(loc < grid.shape)
+        if wts[k] != 0.0:
+            acc += wts[k] * (float(grid[tuple(loc)]) if inside else 0.0)
+    return f.prefactor * acc
+
+
+@pytest.mark.parametrize("d,N", [(2, 12), (3, 6)])
+def test_evaluate_many_equals_per_point_loop(d, N):
+    prec = assemble_precision(classify(unit_box(d), 1 / N))
+    f = InterpolatedField(sample(prec, seed=4, count=1)[0], N)
+    rng = np.random.default_rng(31 + d)
+    random = rng.uniform(-1, 1, size=(200, d))
+    lattice = rng.integers(-N, N + 1, size=(40, d)) / N
+    tied = np.repeat(rng.uniform(-1, 1, size=(40, 1)), d, axis=1)  # equal fractional parts
+    tied[20:, 0] += 2.0 / N
+    faces = rng.uniform(-1, 1, size=(40, d))
+    faces[np.arange(40), rng.integers(0, d, size=40)] = rng.choice([-1.0, 1.0], size=40)
+    for pts in (random, lattice, tied, faces):
+        pts = np.clip(pts, -1.0, 1.0)
+        want = np.array([_evaluate_per_point(f, t) for t in pts])
+        assert np.array_equal(f.evaluate_many(pts), want)
+        assert np.array_equal([f.evaluate(t) for t in pts], want)
+    bad = random.copy()
+    bad[17, d - 1] = 1.01
+    with pytest.raises(ValueError, match="outside"):
+        f.evaluate_many(bad)
+    with pytest.raises(ValueError, match="outside"):
+        f.evaluate(bad[17])
+
+
 def test_affine_within_simplex(box16):
     _, prec, _ = box16
     f = InterpolatedField(sample(prec, seed=12, count=1)[0], 16)
@@ -273,6 +322,48 @@ def test_moment_exponent_quick():
     assert fit.distances.min() < 0.9 * fit.distances.max()
     with pytest.raises(ValueError, match="positive second moment"):
         moment_exponent(assemble_precision(classify(unit_box(2), 1 / 32)), 2, 32, n_pairs=MIN_FIT_PAIRS - 1)
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+def test_moment_exponent_matches_covariance_table(d, N):
+    # one solve per pair against the column route over the full table
+    prec = assemble_precision(classify(unit_box(d), 1 / N))
+    r_min, r_max = 1.0 / N, 0.25
+    fit = moment_exponent(prec, d, N, n_pairs=40, seed=11, r_min=r_min, r_max=r_max)
+    table = green_full(prec)
+    ts, ss = increment_pairs(d, 40, 11, r_min, r_max)
+    want = np.array([exact_increment_variance(table, t, s, d, N) for t, s in zip(ts, ss)])
+    assert np.all(want > 0)
+    assert np.abs(fit.second_moments - want).max() <= 1e-12 * want.max()
+    assert np.array_equal(fit.distances, np.linalg.norm(ts - ss, axis=1))  # the same pairs
+    assert fit.max_residual <= 1e-8
+
+
+def test_moment_exponent_solves_one_column_per_pair_in_any_batching(monkeypatch):
+    prec = assemble_precision(classify(unit_box(2), 1 / 32))
+    lu = factorize_spd(prec.matrix)
+    widths = []
+
+    def counting(rhs):  # column by column: SuperLU's BLAS-3 rounding depends on the block width
+        widths.append(rhs.shape[1])
+        return np.column_stack([lu.solve(b) for b in rhs.T])
+
+    prec._solver = counting
+    whole = moment_exponent(prec, 2, 32, n_pairs=80, seed=3)
+    assert widths == [80]
+    widths.clear()
+    monkeypatch.setattr(green, "RHS_FLOAT_BUDGET", 7 * prec.n)
+    batched = moment_exponent(prec, 2, 32, n_pairs=80, seed=3)
+    assert widths == [7] * 11 + [3]
+    assert np.array_equal(batched.second_moments, whole.second_moments)
+    assert batched.exponent == whole.exponent
+
+
+def test_moment_exponent_raises_on_nan_solve():
+    prec = assemble_precision(classify(unit_box(2), 1 / 32))
+    prec._solver = lambda rhs: np.full(np.shape(rhs), np.nan)
+    with pytest.raises(RuntimeError, match="residual"):
+        moment_exponent(prec, 2, 32, n_pairs=40, seed=3)
 
 
 def _d3_increment_constant(N, seed=17):

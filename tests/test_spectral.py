@@ -49,6 +49,30 @@ def test_eigendecompose_contracts(basis16):
         )
 
 
+@pytest.mark.parametrize(
+    "spoil,gate", [("value", "positive"), ("vector", "orthonormality"), ("negative", "positive")]
+)
+def test_eigendecompose_gates_fail_on_nan_or_nonpositive(monkeypatch, spoil, gate):
+    import scipy.linalg
+
+    eigh = scipy.linalg.eigh
+
+    def spoiled(*args, **kwargs):
+        w, v = eigh(*args, **kwargs)
+        if spoil == "value":
+            w[3] = np.nan
+        elif spoil == "vector":
+            v[0, 2] = np.nan
+        else:
+            w[0] = -w[0]
+        return w, v
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spoiled)
+    prec = assemble_precision(classify(unit_box(2), 1 / 8))
+    with pytest.raises(RuntimeError, match=gate):
+        eigendecompose(prec, 6)
+
+
 def test_dense_and_sparse_paths_agree(monkeypatch):
     # the d=2 box is factorized; with the cap at 0 the d=3 box runs box PCG
     monkeypatch.setattr(green, "BOX_FFT_CAP_3D", 0)
