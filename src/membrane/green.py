@@ -9,12 +9,22 @@ dropped (the zero boundary).  The covariance G solves
     Delta_1^2 G(x, .) = delta_x     on R_h,     G(x, .) = 0 outside.
 
 `PrecisionMatrix.solver()` is the one place that picks how to invert the
-precision: a sparse factorization up to FACTORIZATION_CAP rows, and the
-sine-coefficient box PCG of `boxsolve` for centred boxes above that cap
-(above BOX_FFT_CAP_3D in d >= 3, where factorization fill explodes); a box
-solve that stops above its tolerance raises.  Any other domain above the cap
-raises.  The d=4 log-correlation study solves for the centre column with the
-even variant of the box solver, on the sector |x_i| of the box.
+precision, and `PrecisionMatrix.route` records its pick:
+
+- "box-direct": every centred box in d = 2, at any size, by the sine-transform
+  and capacitance solve of `boxsolve.DirectBoxSolver`;
+- "box-pcg": centred boxes in d >= 3 above BOX_FFT_CAP_3D rows (where
+  factorization fill explodes) or above FACTORIZATION_CAP, by the
+  sine-coefficient box PCG of `boxsolve`; a solve that stops above its
+  tolerance raises;
+- "superlu": every other domain up to FACTORIZATION_CAP rows.  Above the cap
+  a domain that is not a centred box raises.
+
+A box route builds its operator from the domain, so it is taken only when a
+seeded random probe shows that the matrix given is that operator; otherwise
+the domain is solved like any other, and `route_reason` says why.  The d=4
+log-correlation study solves for the centre column with the even variant of
+the box solver, on the sector |x_i| of the box.
 
 `factorize_spd`, the one call of SuperLU, uses its symmetric mode: minimum-
 degree ordering of A^T + A and diagonal pivots, the choice for SPD matrices
@@ -37,6 +47,7 @@ FACTORIZATION_CAP = 600_000   # rows; above this only centred boxes are solved
 BOX_FFT_CAP_3D = 40_000       # centred boxes in d >= 3: factorization fill
                               # explodes, switch to the spectral solver early
 RHS_FLOAT_BUDGET = 16_000_000  # floats in one dense batch of right-hand sides
+PROBE_TOL = 1e-12             # box operator vs matrix, relative to ||A|| ||v||
 
 
 @dataclass
@@ -48,6 +59,8 @@ class PrecisionMatrix:
     raw: sp.csr_matrix         # integer stencil matrix S (matrix = kappa^2 * S)
 
     _solver: Optional[object] = field(default=None, repr=False)
+    route: Optional[str] = field(default=None, init=False)  # set by solver()
+    route_reason: str = field(default="", init=False)       # why a box route was refused
 
     @property
     def n(self) -> int:
@@ -55,7 +68,7 @@ class PrecisionMatrix:
 
     def solver(self):
         if self._solver is None:
-            self._solver = _make_solver(self.matrix, self.domain)
+            self._solver, self.route, self.route_reason = _make_solver(self.matrix, self.domain)
         return self._solver
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -72,20 +85,31 @@ def assemble_precision(domain: GridDomain) -> PrecisionMatrix:
 
 
 def _make_solver(A: sp.csr_matrix, domain: GridDomain):
-    n = A.shape[0]
-    if n > FACTORIZATION_CAP or (domain.d >= 3 and n > BOX_FFT_CAP_3D):
-        from .boxsolve import CenteredBoxSolver, centered_box_halfwidth
+    """(solve, route, reason): a solver for A, the route's name, and why a
+    box route was refused ("" when it was not)."""
+    from .boxsolve import CenteredBoxSolver, DirectBoxSolver, centered_box_halfwidth
 
+    n, d = A.shape[0], domain.d
+    reason = ""
+    # d=2 boxes always go direct; in d >= 3 a box goes to PCG only where
+    # factorization fill explodes.  Either way the probe must accept A.
+    if d == 2 or n > FACTORIZATION_CAP or n > BOX_FFT_CAP_3D:
         M = centered_box_halfwidth(domain)
         if M >= 0:
-            box = CenteredBoxSolver(domain.d, M)
-            return lambda rhs: box.solve(rhs, tol=1e-11)[0]
+            box = DirectBoxSolver(M) if d == 2 else CenteredBoxSolver(d, M)
+            v = np.random.default_rng(0).standard_normal(n)
+            mismatch = np.abs(A @ v - box.operator(v)).max() / (abs(A).sum(axis=1).max() * np.abs(v).max())
+            if mismatch <= PROBE_TOL:
+                if d == 2:
+                    return box.solve, "box-direct", ""
+                return (lambda rhs: box.solve(rhs, tol=1e-11)[0]), "box-pcg", ""
+            reason = f"matrix is not the box operator (probe mismatch {mismatch:.1e})"
     if n > FACTORIZATION_CAP:
         raise ValueError(
             f"system size {n} is above the factorization cap {FACTORIZATION_CAP} "
-            f"and the domain is not a centred box"
+            f"and {reason or 'the domain is not a centred box'}"
         )
-    return factorize_spd(A).solve
+    return factorize_spd(A).solve, "superlu", reason
 
 
 def factorize_spd(A: sp.spmatrix) -> spla.SuperLU:
@@ -105,6 +129,7 @@ class GreenTable:
     values: np.ndarray         # full: (n, n); columns: (k, n)
     column_points: Optional[np.ndarray] = None   # integer coords for "columns" mode
     max_residual: float = 0.0
+    asymmetry: float = 0.0     # full: max |G - G^T| / max |G| as solved, before averaging
     _row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):  # table row of each R_h point, -1 where no column is stored
@@ -195,7 +220,8 @@ def green_columns(precision: PrecisionMatrix, points: Sequence[Sequence[int]]) -
 
 
 def green_full(precision: PrecisionMatrix, cap: int = DENSE_TABLE_CAP) -> GreenTable:
-    """All covariance columns against one solver; symmetry asserted."""
+    """All covariance columns against one solver, symmetrized after the
+    asymmetry as solved is checked and stored on the table."""
     n = precision.n
     if n > cap:
         raise ValueError(
@@ -207,11 +233,11 @@ def green_full(precision: PrecisionMatrix, cap: int = DENSE_TABLE_CAP) -> GreenT
         G[:, c] = X
 
     worst = solve_block(precision, sp.identity(n, format="csc"), store)
-    asym = np.abs(G - G.T).max() / max(np.abs(G).max(), 1e-300)
+    asym = float(np.abs(G - G.T).max() / max(np.abs(G).max(), 1e-300))
     if not asym <= 1e-10:
         raise RuntimeError(f"Green table asymmetry {asym:.2e} exceeds 1e-10")
     G = 0.5 * (G + G.T)
-    return GreenTable(domain=precision.domain, mode="full", values=G, max_residual=worst)
+    return GreenTable(domain=precision.domain, mode="full", values=G, max_residual=worst, asymmetry=asym)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Sampling the interface, continuum interpolation and scaling statistics.
 
-Sampling uses the factorized precision: with w i.i.d. standard normal on the
+Sampling solves against the precision: with w i.i.d. standard normal on the
 lattice, the vector y = Delta_1 w restricted to R_h has covariance exactly
 equal to the precision matrix A (the normalized Laplacian is the symmetric
 square root of the bilaplacian), so phi = A^{-1} y is an exact draw from
-N(0, A^{-1}).  Each sample costs one solve against the shared factorization.
+N(0, A^{-1}).  Each sample costs one solve against the shared solver.
 
 The continuum interpolation on the box (-1,1)^d splits every lattice cell
 into d! simplices by the ordering of the fractional parts of N*t and is

@@ -78,7 +78,7 @@ def eigendecompose(precision: PrecisionMatrix, k: int, dense_cap: int = DENSE_EI
     if n <= dense_cap:
         w, v = scipy.linalg.eigh(S.toarray(), subset_by_index=(0, k - 1))
     else:
-        solve = _make_solver(precision.matrix, dom)  # S^{-1} = A^{-1} / (2d)^2
+        solve = _make_solver(precision.matrix, dom)[0]  # S^{-1} = A^{-1} / (2d)^2
         OPinv = spla.LinearOperator((n, n), matvec=lambda x: solve(x) / (2 * dom.d) ** 2, dtype=float)
         try:
             w, v = spla.eigsh(S, k=k, sigma=0, which="LM", tol=0, OPinv=OPinv)

@@ -4,9 +4,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from membrane import boxsolve, green, spectral
-from membrane.boxsolve import CenteredBoxSolver
-from membrane.green import assemble_precision, green_columns
-from membrane.lattice import Ball, classify, unit_box
+from membrane.boxsolve import CenteredBoxSolver, DirectBoxSolver
+from membrane.green import PrecisionMatrix, assemble_precision, green_columns
+from membrane.lattice import Ball, Box, classify, unit_box
+from membrane.thomee import backward_error
 
 
 def sector(full: np.ndarray, d: int, M: int) -> np.ndarray:
@@ -37,9 +38,9 @@ def test_coefficient_apply_matches_assembled_matrix(d, M, even, seed):
     solver = CenteredBoxSolver(d, M, even=even)
     if even:
         u, ref = sector(u, d, M), sector(ref, d, M)
-    grid = (solver.L,) * d
-    y = solver.field(solver.apply(solver.coefficients(u.reshape(grid))))
-    assert np.abs(y.reshape(-1) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(solver.operator(u) - ref).max() <= 1e-12 * np.abs(ref).max()
+    if d == 2 and not even:
+        assert np.abs(DirectBoxSolver(M).operator(u) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("d,N", [(2, 12), (3, 8), (4, 5)])
@@ -85,7 +86,9 @@ def test_zero_columns_are_solved_by_zero(monkeypatch):
 def test_above_factorization_cap_only_centred_boxes_are_solved(monkeypatch):
     box = classify(unit_box(2), 1 / 10)
     pts = [(0, 0), (3, -2), (-8, 8)]
-    reference = green_columns(assemble_precision(box), pts).values  # SuperLU
+    units = np.zeros((box.n_rh, len(pts)))
+    units[box.rh_indices(pts), np.arange(len(pts))] = 1.0
+    reference = spla.spsolve(assemble_precision(box).matrix.tocsc(), units).T
 
     def no_factorization(*args, **kwargs):
         raise AssertionError("splu called above the factorization cap")
@@ -129,3 +132,74 @@ def test_even_route_raises_when_pcg_stops_short(monkeypatch):
         spectral.pairing_variance_study(4, [1 / 12], spectral.bump_test_function(), cross_check_cap=0)
     with pytest.raises(RuntimeError, match="box PCG stopped"):
         green.log_correlation_slope(12)
+
+
+# ---------------------------------------------------------------------------
+# the direct (capacitance) solver of d=2 boxes
+
+
+@given(M=st.integers(0, 12), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_direct_solve_matches_dense_solve(M, k, seed):
+    A = assemble_precision(classify(unit_box(2), 1.0 / (M + 2))).matrix.toarray()
+    B = np.random.default_rng(seed).standard_normal((A.shape[0], k))
+    ref = np.linalg.solve(A, B)
+    X = DirectBoxSolver(M).solve(B)
+    assert X.shape == B.shape
+    assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("N", [40, 96, 160])
+def test_direct_solve_is_backward_stable(N):
+    A = assemble_precision(classify(unit_box(2), 1.0 / N)).matrix
+    b = np.random.default_rng(N).standard_normal(A.shape[0])
+    assert backward_error(A, DirectBoxSolver(N - 2).solve(b), b) <= 1e-14
+
+
+def test_direct_unit_columns_match_box_pcg_and_single_solves():
+    M = 14
+    direct, pcg = DirectBoxSolver(M), CenteredBoxSolver(2, M)
+    idx = np.random.default_rng(5).choice(direct.n, size=6, replace=False)
+    E = np.zeros((direct.n, len(idx)))
+    E[idx, np.arange(len(idx))] = 1.0
+    X = direct.solve(E)
+    ref, _ = pcg.solve(E, tol=1e-13)
+    assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+    for j in range(len(idx)):
+        x = direct.solve(E[:, j])
+        assert np.abs(x - X[:, j]).max() <= 1e-13 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("cap", [green.FACTORIZATION_CAP, 10])
+def test_d2_boxes_are_solved_without_factorization(monkeypatch, cap):
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("splu called for a centred d=2 box")
+
+    monkeypatch.setattr(green, "FACTORIZATION_CAP", cap)
+    monkeypatch.setattr(green.spla, "splu", no_factorization)
+    prec = assemble_precision(classify(unit_box(2), 1 / 12))
+    table = green_columns(prec, [(0, 0), (5, -9)])
+    assert table.max_residual <= 1e-8
+    assert prec.route == "box-direct" and prec.route_reason == ""
+    monkeypatch.undo()
+    for shape in (Ball([0.0, 0.0], 1.0), Box([(-1, 1), (-1, 2)])):
+        other = assemble_precision(classify(shape, 1 / 6))
+        assert green_columns(other, [(0, 0)]).max_residual <= 1e-8
+        assert other.route == "superlu" and other.route_reason == ""
+
+
+@pytest.mark.parametrize("d,N", [(2, 10), (3, 6)])
+def test_box_routes_solve_the_matrix_they_are_given(monkeypatch, d, N):
+    monkeypatch.setattr(green, "BOX_FFT_CAP_3D", 0)
+    box = assemble_precision(classify(unit_box(d), 1.0 / N))
+    perturbed = PrecisionMatrix(domain=box.domain, matrix=(box.matrix * (1.0 + 1e-6)).tocsr(), raw=box.raw)
+    pts = [(0,) * d, (1,) * d]
+    table = green_columns(perturbed, pts)
+    assert perturbed.route == "superlu"
+    assert "probe mismatch" in perturbed.route_reason
+    assert table.max_residual <= 1e-8
+    units = np.zeros((box.n, len(pts)))
+    units[box.domain.rh_indices(pts), np.arange(len(pts))] = 1.0
+    assert np.abs(box.matrix @ table.values.T - units).max() > 1e-8
+    assert green_columns(box, pts).max_residual <= 1e-8
+    assert box.route == ("box-direct" if d == 2 else "box-pcg")

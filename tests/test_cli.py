@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from membrane.cli import RECIPE_CLAIMS, main
@@ -58,6 +59,39 @@ def test_green_small_run(tmp_path):
     assert (out / "green.f64").exists()
     side = json.loads((out / "green.json").read_text())
     assert side["dtype"] == "float64" and side["byte_order"] == "little"
+
+
+def test_green_symmetry_check_reads_the_asymmetry_as_solved(tmp_path, monkeypatch):
+    from membrane import green
+
+    make = green._make_solver
+
+    def skewed(A, domain):
+        solve, route, reason = make(A, domain)
+
+        def solve_skewed(rhs):
+            x = solve(rhs)
+            x[0] += 1e-12 * np.abs(x).max() * rhs[1]  # G(0, 1) alone moves
+            return x
+
+        return solve_skewed, route, reason
+
+    monkeypatch.setattr(green, "_make_solver", skewed)
+    code, out = run_cli(["green", "--shape", "box", "--d", "2", "--h", "1/4", "--columns", "all"], tmp_path, "s")
+    assert code == 0
+    man = json.loads((out / "manifest.json").read_text())
+    sym = next(a for a in man["assertions"] if a["name"] == "symmetry")
+    assert sym["passed"]
+    assert 0.5e-12 <= float(sym["detail"].split()[3]) <= 2e-12
+
+
+def test_recipes_record_the_solver_route(tmp_path):
+    code, out = run_cli(["sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "1"], tmp_path, "r1")
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["stage_facts"]["factorize"] == {"route": "box-direct"}
+    code, out = run_cli(["green", "--shape", "ball", "--d", "2", "--h", "1/8", "--columns", "0,0"], tmp_path, "r2")
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["stage_facts"]["solve"] == {"route": "superlu"}
 
 
 def test_green_selected_columns(tmp_path):
