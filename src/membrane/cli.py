@@ -34,7 +34,7 @@ RECIPE_CLAIMS = {
     "spectrum": "bilaplacian eigenvalues are ascending and positive; with k >= 60, weyl.csv gives the two-term Weyl coefficient A against A_W",
     "pair": "variance of the grid pairing against a test function converges under h-refinement",
     "thomee": "finite-difference biharmonic errors decrease within the h^(1/2) bound curve",
-    "infvol-green": "walk representation of the infinite-volume covariance matches the singular Fourier integral",
+    "infvol-green": "walk representation of the infinite-volume covariance matches the singular Fourier integral within 3 SE + quadrature error + the rigorous tail bound past max_steps",
     "infvol-eta2": "the covariance ratio against |x|^(4-d) flattens at large distance",
     "infvol-variance": "rescaled test-function variances approach the inverse-Laplacian norm of the test function",
 }

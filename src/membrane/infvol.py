@@ -18,8 +18,9 @@ The independent check is Monte Carlo over simple random walks:
 
     G(x, y) = sum_{m >= 0} (m + 1) P_x[ S_m = y ],
 
-truncated at m <= M with the tail bounded by the fitted local-CLT decay
-c m^{-d/2}.
+truncated at m <= M; the tail past M is bounded in closed form by the
+return-probability envelope P[S_m = x] <= 2 i0e(2 floor(m/2) / d)^d (see
+`walk_tail_bound`), which needs nothing from the walks.
 
 The rescaled test-function variance uses the same symbol:
 
@@ -41,6 +42,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import i0e
 
 TWO_PI = 2.0 * np.pi
 
@@ -293,14 +295,50 @@ def _encode(pos: np.ndarray, span: int, d: int) -> np.ndarray:
     return key
 
 
+def walk_tail_bound(M: int, d: int, parity: int) -> float:
+    """Bound on sum_{m > M, m = parity mod 2} (m + 1) P[S_m = x], for every x
+    with sum_i |x_i| = parity mod 2 (P[S_m = x] = 0 at the other parity).
+
+    Envelope.  With phi(theta) = (1/d) sum_i cos(theta_i) and n = floor(m/2),
+
+        P[S_m = x] = (2 pi)^-d int_{[-pi,pi]^d} cos<x, theta> phi^m dtheta
+                  <= (2 pi)^-d int |phi|^m  <=  (2 pi)^-d int phi^{2n}
+
+    because |phi| <= 1 and m >= 2n.  Since log t <= t - 1, |phi|^{2n} <=
+    exp(-2n (1 - |phi|)) <= exp(-2n (1 - phi)) + exp(-2n (1 + phi)), and each
+    exponential is a product of I_0 factors: (2 pi)^-1 int exp(+-(2n/d) cos t)
+    dt = I_0(2n/d).  Hence P[S_m = x] <= 2 (e^{-2n/d} I_0(2n/d))^d =
+    2 i0e(2n/d)^d, asymptotically 2 (d / (4 pi n))^{d/2}, the local CLT value
+    of P[S_{2n} = 0] (Lawler & Limic, Random Walk: A Modern Introduction,
+    2010, ch. 2); so the bound is tight for large M.
+
+    Sum.  The terms (m + 1) 2 i0e(2n/d)^d are added up to n0 =
+    max(floor(M/2) + 1, 5000, d).  i0e(z) sqrt(z) decreases for z >= 0.79
+    (checked numerically on [0.8, 1e7]; its peak is at z = 0.790), and z0 =
+    2 n0 / d >= 2, so for n > n0 each term is at most (2n + 2) A n^{-d/2} with
+    A = 2 (i0e(z0) sqrt(z0))^d (d/2)^{d/2}.  That summand decreases, so the
+    rest is at most its integral from n0,
+    A (2 n0^{2-d/2} / (d/2 - 2) + 2 n0^{1-d/2} / (d/2 - 1)), finite for d >= 5.
+    """
+    if d <= 4:
+        raise ValueError("the walk sum converges only for d >= 5")
+    half = d / 2.0
+    n0 = max(M // 2 + 1, 5000, d)
+    n = np.arange((M - parity) // 2 + 1, n0 + 1, dtype=float)
+    head = float(np.sum((2.0 * n + parity + 1.0) * 2.0 * i0e(n / half) ** d))
+    z0 = n0 / half
+    A = 2.0 * (i0e(z0) * math.sqrt(z0)) ** d * half**half
+    return head + A * (2.0 * n0 ** (2.0 - half) / (half - 2.0) + 2.0 * n0 ** (1.0 - half) / (half - 1.0))
+
+
 def walk_estimate(
     oracle: WalkOracle,
     targets: Sequence[Sequence[int]],
-    tail_tolerance: Optional[float] = None,
     start: Optional[Sequence[int]] = None,
 ) -> WalkEstimate:
     """Per-target tally averages of sum_{m<=M} (m+1) 1{S_m = x} with standard
-    errors from per-walk tallies, plus a fitted local-CLT tail bound.
+    errors from per-walk tallies, plus the closed-form tail bound
+    `walk_tail_bound` of the terms past M at the parity of x - start.
 
     Walks start at `start` (origin by default); with a nonzero start this
     estimates G(start, x), which by translation invariance equals
@@ -309,19 +347,17 @@ def walk_estimate(
     d = oracle.d
     M = oracle.max_steps
     targets = np.asarray(targets, dtype=np.int64)
-    start_vec = np.zeros(d, dtype=np.int16)
-    if start is not None:
-        start_vec = np.asarray(start, dtype=np.int16)
+    start_vec = np.asarray(start if start is not None else [0] * d, dtype=np.int16)
     ntar = len(targets)
     span = int(max(np.abs(targets).max() if targets.size else 0, np.abs(start_vec).max()))
     tkey = _encode(targets, span, d)
     order = np.argsort(tkey)
     tkey_sorted = tkey[order]
     r2_start = int(np.dot(start_vec.astype(np.int64), start_vec))
+    home = order[tkey_sorted == _encode(start_vec[None, :].astype(np.int64), span, d)[0]][:1]
 
     sums = np.zeros(ntar)
     sqs = np.zeros(ntar)
-    mhits = np.zeros((ntar, M + 1))
     done = 0
     batch_index = 0
     while done < oracle.n_walks:
@@ -336,13 +372,7 @@ def walk_estimate(
         # so the exact test runs on those walks alone
         r2 = np.full(nw, r2_start, dtype=np.int64)
         tally = np.zeros((nw, ntar), dtype=np.float64)
-        at_start = np.nonzero(
-            tkey_sorted == _encode(start_vec[None, :].astype(np.int64), span, d)[0]
-        )[0]
-        if at_start.size:
-            ti = order[at_start[0]]
-            tally[:, ti] += 1.0
-            mhits[ti, 0] += nw
+        tally[:, home] += 1.0  # m = 0, when the start is a target
         for m in range(1, M + 1):
             move = rng.integers(0, 2 * d, size=nw)
             cell = rows + (move >> 1)
@@ -358,10 +388,7 @@ def walk_estimate(
                 j = np.clip(j, 0, ntar - 1)
                 ok = tkey_sorted[j] == key
                 if ok.any():
-                    widx = idx[ok]
-                    tj = order[j[ok]]
-                    np.add.at(tally, (widx, tj), float(m + 1))
-                    np.add.at(mhits[:, m], tj, 1.0)
+                    np.add.at(tally, (idx[ok], order[j[ok]]), float(m + 1))
         sums += tally.sum(axis=0)
         sqs += np.sum(tally * tally, axis=0)
         done += nw
@@ -370,11 +397,8 @@ def walk_estimate(
     mean = sums / done
     var = np.maximum(sqs / done - mean**2, 0.0)
     se = np.sqrt(var / done)
-    tails = _tail_bounds(mhits, targets - start_vec.astype(np.int64), done, M, d)
-    if tail_tolerance is not None and np.any(tails > tail_tolerance):
-        raise RuntimeError(
-            f"tail bound {tails.max():.3e} above tolerance; increase max_steps"
-        )
+    parity = np.abs(targets - start_vec.astype(np.int64)).sum(axis=1) % 2
+    tails = np.array([walk_tail_bound(M, d, p) for p in (0, 1)])[parity]
     return WalkEstimate(
         targets=targets,
         estimates=mean,
@@ -383,42 +407,6 @@ def walk_estimate(
         n_walks=done,
         max_steps=M,
     )
-
-
-def _tail_bounds(mhits: np.ndarray, targets: np.ndarray, n: int, M: int, d: int) -> np.ndarray:
-    """Upper bounds on sum_{m>M} (m+1) P[S_m=x] from fitted m^{-d/2} returns.
-
-    The observed frequencies follow the local CLT level c m^{-d/2}
-    exp(-d|x|^2/2m) (matching parity); the Gaussian displacement factor is
-    divided out before fitting so the level c is unbiased also for far
-    targets, and left out of the tail sum, which therefore over-covers.  The
-    fitted level is further inflated by twice its standard error.
-    """
-    out = np.zeros(len(targets))
-    ms = np.arange(M + 1)
-    for i, x in enumerate(targets):
-        parity = int(np.abs(x).sum()) % 2
-        x2 = float(np.dot(x, x))
-        window = ms[(ms >= max(M // 3, 2)) & (ms % 2 == parity) & (ms > 0)]
-        if len(window) == 0:
-            continue
-        hits = mhits[i, window]
-        if hits.sum() < 20 and M > 12:
-            window = ms[(ms >= max(M // 6, 2)) & (ms % 2 == parity) & (ms > 0)]
-            hits = mhits[i, window]
-        freqs = hits / n
-        mw = window.astype(float)
-        chat_samples = freqs * mw ** (d / 2.0) * np.exp(d * x2 / (2.0 * mw))
-        chat = float(np.mean(chat_samples))
-        spread = float(np.std(chat_samples) / max(np.sqrt(len(window)), 1.0))
-        c_bound = chat + 2.0 * spread
-        mm = np.arange(M + 1 + (M + 1) % 2 + (1 - parity) % 2, 200_000, 2, dtype=float)
-        mm = mm[mm > M]
-        tail = float(np.sum((mm + 1.0) * c_bound * mm ** (-d / 2.0)))
-        mend = mm[-1]
-        tail += c_bound * 0.5 * (mend ** (1 - d / 2.0) / (d / 2.0 - 1) + 2 * mend ** (-d / 2.0))
-        out[i] = tail
-    return out
 
 
 def symmetry_classes(span: int, d: int):

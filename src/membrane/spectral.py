@@ -62,30 +62,23 @@ class SpectralBasis:
         return h**self.domain.d * (self.vectors.T @ values_rh)
 
 
-def eigendecompose(precision: PrecisionMatrix, k: int, dense_cap: int = DENSE_EIG_CAP) -> SpectralBasis:
-    """k smallest eigenpairs of the h-scaled bilaplacian on R_h.
+def _smallest_eigenpairs(S, k: int, dense_cap: int, make_solve: Callable[[], Callable]):
+    """k smallest eigenpairs (ascending) of the sparse SPD matrix S.
 
-    Shift-invert iteration against a fresh (uncached) solver of the precision;
-    dense fallback for small systems.  Contracts: eigenvalues ascending and positive,
-    orthonormality residual <= 1e-8, eigen-residual <= 1e-6 relative.
+    Dense `eigh` of the first k pairs up to dense_cap unknowns; above it
+    shift-invert `eigsh` about 0 with OPinv = make_solve(), built only there.
+    Contracts: eigenvalues positive, orthonormality residual <= 1e-8,
+    eigen-residual <= 1e-6 relative.
     """
-    dom = precision.domain
-    n = precision.n
-    if k > n:
-        raise ValueError(f"k={k} exceeds |R_h|={n}")
-    S = precision.raw
-    h = dom.h
+    n = S.shape[0]
     if n <= dense_cap:
         w, v = scipy.linalg.eigh(S.toarray(), subset_by_index=(0, k - 1))
     else:
-        solve = _make_solver(precision.matrix, dom)[0]  # S^{-1} = A^{-1} / (2d)^2
-        OPinv = spla.LinearOperator((n, n), matvec=lambda x: solve(x) / (2 * dom.d) ** 2, dtype=float)
+        OPinv = spla.LinearOperator((n, n), matvec=make_solve(), dtype=float)
         try:
             w, v = spla.eigsh(S, k=k, sigma=0, which="LM", tol=0, OPinv=OPinv)
         except spla.ArpackNoConvergence as exc:
-            raise RuntimeError(
-                f"eigensolver failed to converge: {exc}"
-            ) from exc
+            raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
         order = np.argsort(w)
         w = w[order]
         v = v[:, order]
@@ -94,13 +87,29 @@ def eigendecompose(precision: PrecisionMatrix, k: int, dense_cap: int = DENSE_EI
     orth = np.abs(v.T @ v - np.eye(k)).max()
     if not orth <= 1e-8:
         raise RuntimeError(f"orthonormality residual {orth:.2e} above 1e-8")
-    lambdas = w / h**4
-    # normalize to the discrete L^2 product (vectors come back 2-norm unit)
-    vectors = v / h ** (dom.d / 2.0)
     res = np.linalg.norm(S @ v - v * w, axis=0).max()
     if not res <= 1e-6 * max(abs(w[-1]), 1.0):
         raise RuntimeError(f"eigen residual {res:.2e} too large")
-    return SpectralBasis(domain=dom, lambdas=lambdas, vectors=vectors)
+    return w, v
+
+
+def eigendecompose(precision: PrecisionMatrix, k: int, dense_cap: int = DENSE_EIG_CAP) -> SpectralBasis:
+    """k smallest eigenpairs of the h-scaled bilaplacian on R_h.
+
+    Shift-invert iteration against a fresh (uncached) solver of the precision;
+    dense for small systems; gated by `_smallest_eigenpairs`.
+    """
+    dom = precision.domain
+    if k > precision.n:
+        raise ValueError(f"k={k} exceeds |R_h|={precision.n}")
+
+    def make_solve():
+        solve = _make_solver(precision.matrix, dom)[0]  # S^{-1} = A^{-1} / (2d)^2
+        return lambda x: solve(x) / (2 * dom.d) ** 2
+
+    w, v = _smallest_eigenpairs(precision.raw, k, dense_cap, make_solve)
+    # normalize to the discrete L^2 product (vectors come back 2-norm unit)
+    return SpectralBasis(domain=dom, lambdas=w / dom.h**4, vectors=v / dom.h ** (dom.d / 2.0))
 
 
 def _fit_window(k: int, window: Optional[tuple]) -> slice:
@@ -442,13 +451,8 @@ class GapReport:
 def dirichlet_laplacian_min(domain: GridDomain) -> float:
     """Smallest eigenvalue of -Lap_h with zero condition outside R_h (h^-2 units)."""
     Lap = -assemble(domain, stencil_weights("deltah", domain.d))
-    n = domain.n_rh
-    if n <= DENSE_EIG_CAP:
-        w = scipy.linalg.eigh(Lap.toarray(), eigvals_only=True, subset_by_index=(0, 0))[0]
-    else:
-        OPinv = spla.LinearOperator((n, n), matvec=factorize_spd(Lap).solve, dtype=float)
-        w = spla.eigsh(Lap, k=1, sigma=0, which="LM", return_eigenvectors=False, tol=0, OPinv=OPinv)[0]
-    return float(w) / domain.h**2
+    w, _ = _smallest_eigenpairs(Lap, 1, DENSE_EIG_CAP, lambda: factorize_spd(Lap).solve)
+    return float(w[0]) / domain.h**2
 
 
 def boundary_condition_gap(precision: PrecisionMatrix) -> GapReport:

@@ -195,6 +195,21 @@ def test_spectrum_recipe_weyl_ratio(tmp_path):
     assert abs(ratio - 1.0) <= 0.10
 
 
+def test_infvol_green_recipe_small(tmp_path):
+    from membrane.infvol import walk_tail_bound
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_steps": 60}))
+    code, out = run_cli(
+        ["--config", str(cfg), "infvol", "green", "--x", "1,0,0,0,0", "--count", "20000"], tmp_path, "k"
+    )
+    assert code == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert [(a["name"], a["passed"]) for a in man["assertions"]] == [("agree_0", True)]
+    header, row = [line.split(",") for line in (out / "infvol_green.csv").read_text().strip().splitlines()]
+    assert float(row[header.index("tail_bound")]) == walk_tail_bound(60, 5, 1)
+
+
 def test_infvol_variance_recipe_small(tmp_path):
     code, out = run_cli(["infvol", "variance", "--d", "5", "--N", "4,8"], tmp_path, "j")
     assert code == 0

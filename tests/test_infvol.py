@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import i0e
+from scipy.stats import binom
 
 from membrane.infvol import (
     FourierCovariance,
@@ -20,7 +23,7 @@ from membrane.infvol import (
     sphere_area,
     symmetry_classes,
     walk_estimate,
-    _tail_bounds,
+    walk_tail_bound,
 )
 
 
@@ -166,7 +169,6 @@ def test_walk_matches_per_walk_reference_loop():
 
     d, M = oracle.d, oracle.max_steps
     tallies = []
-    mhits = np.zeros((len(targets), M + 1))
     done = batch = 0
     while done < oracle.n_walks:
         nw = min(oracle.batch, oracle.n_walks - done)
@@ -179,26 +181,121 @@ def test_walk_matches_per_walk_reference_loop():
                 if m:
                     pos[moves[m - 1][w] >> 1] += 1 if moves[m - 1][w] & 1 else -1
                 if tuple(pos) in targets:
-                    i = targets.index(tuple(pos))
-                    tally[i] += m + 1
-                    mhits[i, m] += 1
+                    tally[targets.index(tuple(pos))] += m + 1
             tallies.append(tally)
         done += nw
         batch += 1
     tallies = np.array(tallies)
     mean = tallies.sum(axis=0) / done
     se = np.sqrt(np.maximum(np.sum(tallies * tallies, axis=0) / done - mean**2, 0.0) / done)
-    tails = _tail_bounds(mhits, np.array(targets) - np.array(start), done, M, d)
     assert batch == 2 and est.n_walks == 300
     assert np.array_equal(est.estimates, mean)
     assert np.array_equal(est.standard_errors, se)
-    assert np.array_equal(est.tail_bounds, tails)
+    for i, x in enumerate(targets):
+        parity = sum(abs(a - b) for a, b in zip(x, start)) % 2
+        assert est.tail_bounds[i] == walk_tail_bound(M, d, parity)
 
 
-def test_walk_tail_tolerance_error():
-    oracle = WalkOracle(d=5, n_walks=50_000, max_steps=40, seed=8)
-    with pytest.raises(RuntimeError):
-        walk_estimate(oracle, [(0, 0, 0, 0, 0)], tail_tolerance=1e-6)
+def exact_walk_probabilities(x, M):
+    """P[S_m = x] for m = 0..M of the simple random walk on Z^d, d = len(x).
+
+    P[S_m = x] = m! [t^m] prod_i E_i(t), with E_i(t) = sum_k p_k(x_i) (t/d)^k / k!
+    the exponential generating function of the 1-D walk (p_k(j) = P[k-step
+    1-D walk ends at j]) whose steps come at rate 1/d.  Multiplying EGFs is a
+    binomial convolution; folding in one axis at a time with binomial
+    probabilities keeps every term in [0, 1].
+    """
+    m = np.arange(M + 1)
+    gap = m[:, None] - m[None, :]                     # m - k
+    probs = None
+    for axes, xi in enumerate(x, start=1):
+        one = np.where((m + xi) % 2 == 0, binom.pmf((m + abs(xi)) // 2, m, 0.5), 0.0)
+        if probs is None:
+            probs = one
+            continue
+        split = binom.pmf(m[None, :], m[:, None], 1.0 / axes)  # k of m steps on this axis
+        rest = np.where(gap >= 0, probs[np.clip(gap, 0, M)], 0.0)
+        probs = np.sum(split * one[None, :] * rest, axis=1)
+    return probs
+
+
+CLASSES = [tuple(c) for c in sorted(symmetry_classes(2, 5))]
+
+
+@pytest.fixture(scope="module")
+def class_greens():
+    four = green_infinite_fourier_many(CLASSES)
+    return np.array([v.value for v in four]), np.array([v.error for v in four])
+
+
+def test_exact_walk_probabilities_match_enumeration():
+    d, M = 3, 6
+    counts = {}
+    for steps in itertools.product(range(2 * d), repeat=M):
+        pos = [0] * d
+        for m, s in enumerate(steps, start=1):
+            pos[s >> 1] += 1 if s & 1 else -1
+            counts[(m, tuple(pos))] = counts.get((m, tuple(pos)), 0) + 1
+    for x in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 1), (0, -2, 0)]:
+        got = exact_walk_probabilities(x, M)
+        want = [float(x == (0, 0, 0))] + [counts.get((m, x), 0) / (2 * d) ** M for m in range(1, M + 1)]
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_return_envelope_dominates_every_walk_probability():
+    d, M = 5, 200
+    n = np.arange(M + 1) // 2
+    envelope = 2.0 * i0e(2.0 * n / d) ** d
+    for x in CLASSES:
+        assert np.all(exact_walk_probabilities(x, M) <= envelope)
+
+
+def test_envelope_decay_factor_is_monotone():
+    # the remainder of walk_tail_bound rests on i0e(z) sqrt(z) decreasing for z >= 0.79
+    z = np.geomspace(0.8, 1e7, 200_000)
+    assert np.all(np.diff(i0e(z) * np.sqrt(z)) <= 0.0)
+
+
+@pytest.mark.parametrize("d", [5, 6, 8])
+@pytest.mark.parametrize("M", [40, 200])
+def test_tail_bound_covers_the_envelope_sum(d, M):
+    # the envelope summed term by term to m = 4e6 stays below the bound,
+    # and the closed-form remainder adds little on top
+    n = np.arange(2_000_001, dtype=float)
+    env = 2.0 * i0e(2.0 * n / d) ** d
+    for parity in (0, 1):
+        m = 2 * n + parity
+        direct = float(np.sum(((m + 1) * env)[m > M]))
+        bound = walk_tail_bound(M, d, parity)
+        assert direct <= bound <= direct + 1e-3
+
+
+def test_tail_bound_rejects_low_dimension():
+    with pytest.raises(ValueError):
+        walk_tail_bound(200, 4, 0)
+
+
+@pytest.mark.parametrize("M", [40, 200])
+def test_tail_bound_covers_the_true_tail(class_greens, M):
+    # G(0, x) - sum_{m<=M} (m+1) P[S_m = x] is the exact tail past M
+    values, _ = class_greens
+    weights = np.arange(M + 1) + 1.0
+    ratios = []
+    for x, g in zip(CLASSES, values):
+        tail = g - float(np.sum(weights * exact_walk_probabilities(x, M)))
+        ratios.append(walk_tail_bound(M, 5, sum(x) % 2) / tail)
+    assert min(ratios) >= 1.0
+    assert min(ratios) <= 1.04  # nearly attained: the envelope is the return probability
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9, 10])
+def test_walk_agrees_with_fourier_on_every_class(class_greens, seed):
+    # seeds on which the earlier tail bound, fitted to the walks' own hits,
+    # fell short of the true tail
+    values, errors = class_greens
+    est = walk_estimate(WalkOracle(d=5, n_walks=100_000, max_steps=200, seed=seed), CLASSES)
+    tol = 3 * est.standard_errors + errors + est.tail_bounds
+    assert np.all(np.abs(values - est.estimates) <= tol)
 
 
 def test_symmetry_classes_cover_span():

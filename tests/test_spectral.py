@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from membrane import green
+from membrane import green, spectral
 from membrane.green import assemble_precision, green_full
 from membrane.lattice import Box, classify, unit_box
 from membrane.spectral import (
@@ -71,6 +71,25 @@ def test_eigendecompose_gates_fail_on_nan_or_nonpositive(monkeypatch, spoil, gat
     prec = assemble_precision(classify(unit_box(2), 1 / 8))
     with pytest.raises(RuntimeError, match=gate):
         eigendecompose(prec, 6)
+
+
+@pytest.mark.parametrize("spoil,gate", [("negative", "positive"), ("vector", "orthonormality")])
+def test_laplacian_min_gates_fail_on_nan_or_nonpositive(monkeypatch, spoil, gate):
+    import scipy.linalg
+
+    eigh = scipy.linalg.eigh
+
+    def spoiled(*args, **kwargs):
+        w, v = eigh(*args, **kwargs)
+        if spoil == "vector":
+            v[0, 0] = np.nan
+        else:
+            w[0] = -w[0]
+        return w, v
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spoiled)
+    with pytest.raises(RuntimeError, match=gate):
+        dirichlet_laplacian_min(classify(unit_box(2), 1 / 8))
 
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
@@ -325,3 +344,20 @@ def test_gap_positive_and_laplacian_closed_form():
     L = 2 * (N - 2) + 1
     closed = (4.0 / dom.h**2) * 2 * np.sin(np.pi / (2 * (L + 1))) ** 2
     assert dirichlet_laplacian_min(dom) == pytest.approx(closed, rel=1e-9)
+
+
+def test_laplacian_min_shift_invert_branch(monkeypatch):
+    # the test domains sit below DENSE_EIG_CAP; lower it to reach eigsh over SuperLU
+    monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 100)
+    calls = []
+    factorize = spectral.factorize_spd
+    monkeypatch.setattr(spectral, "factorize_spd", lambda A: calls.append(A.shape) or factorize(A))
+    N = 16
+    dom = classify(unit_box(2), 1.0 / N)
+    L = 2 * (N - 2) + 1
+    closed = (4.0 / dom.h**2) * 2 * np.sin(np.pi / (2 * (L + 1))) ** 2
+    assert dirichlet_laplacian_min(dom) == pytest.approx(closed, rel=1e-9)
+    assert calls == [(dom.n_rh, dom.n_rh)]
+    monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 10_000)
+    assert dirichlet_laplacian_min(dom) == pytest.approx(closed, rel=1e-9)
+    assert len(calls) == 1  # the dense branch builds no factorization
