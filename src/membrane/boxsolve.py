@@ -34,6 +34,17 @@ only those modes, where v_+ = v_-; by Parseval the inner product of two even
 fields over the whole box is the plain dot product of their coefficients.
 This is what makes the d=4 experiments desk-sized.
 
+That is one of 2^d parity sectors.  On the full box the face vectors obey
+v_+(f) = (-1)^(f+1) v_-(f) at frequency f, so v_- v_-^T + v_+ v_+^T couples
+only frequencies of equal parity, as 2 u u^T with u = v_- on them.  A_hat
+therefore splits exactly into one block per choice of frequency parity along
+each axis: Lambda_s plus a rank-1 term per axis, on (M+1)^a M^(d-a)
+unknowns for a odd axes (the even-frequency sets are empty when M = 0).
+Sectors that differ by a permutation of the axes have the same block up to
+that permutation.  `parity_classes` groups the sectors by class, and
+`CenteredBoxSolver.sector_block` assembles one sector's dense block; the box
+spectra of `spectral.eigendecompose` come from these blocks.
+
 In d = 2 the face term has rank only 4L for L = 2M+1 points per side, so
 `DirectBoxSolver` solves exactly instead of iterating, by the capacitance
 (Woodbury) method of Buzbee, Dorr, George and Golub (SIAM J. Numer. Anal. 8,
@@ -50,6 +61,7 @@ with K symmetric positive definite, 4L x 4L and Cholesky-factored once
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -159,6 +171,7 @@ class CenteredBoxSolver:
             mult = np.ones(len(x))
         self.L = len(x)
         self.n = self.L**self.d
+        self._freq = freq
 
         def sines(points):  # orthonormal DST-I basis, (modes, points)
             return np.sqrt(2.0 / period) * np.sin(np.pi * np.outer(freq, points + M + 1) / period)
@@ -196,6 +209,23 @@ class CenteredBoxSolver:
         """A u for a flat stored field u, through the coefficient-space apply."""
         return self.field(self.apply(self.coefficients(u.reshape((self.L,) * self.d)))).reshape(-1)
 
+    def sector_indices(self, parity: int) -> np.ndarray:
+        """Coefficient indices along an axis whose frequency has the parity (1 odd, 0 even)."""
+        return np.flatnonzero(self._freq % 2 == parity)
+
+    def sector_block(self, parity: tuple) -> np.ndarray:
+        """Dense block of A_hat on one parity sector, in C order over the
+        sector's frequencies: Lambda_s plus 2 u u^T along each axis, with u
+        the face vector v_- on that axis's frequencies."""
+        idx = [self.sector_indices(p) for p in parity]
+        block = np.diag(self._lam[np.ix_(*idx)].reshape(-1))
+        rows = np.arange(len(block)).reshape([len(i) for i in idx])
+        for ax, i in enumerate(idx):
+            r = np.moveaxis(rows, ax, -1)[..., :, None]
+            u = self._faces[i, 0]
+            block[r, np.swapaxes(r, -1, -2)] += 2.0 * np.outer(u, u)
+        return block
+
     def solve(self, b: np.ndarray, tol: float = 1e-10, maxiter: int = 400):
         """Solve A x = b for flat right-hand sides (n,) or (n, k).
 
@@ -214,6 +244,27 @@ class CenteredBoxSolver:
             )
         out = self.field(C).reshape(cols, -1).T
         return (out[:, 0] if single else out), info
+
+
+def parity_classes(d: int) -> list:
+    """The 2^d parity sectors of a d-dimensional box, by permutation class.
+
+    One entry per count a = d, ..., 0 of odd-frequency axes: the class
+    representative (1,)*a + (0,)*(d-a) and the class's sectors as
+    (parity, axes) with parity[j] = rep[axes[j]], so that an array over the
+    representative's frequencies, transposed by `axes`, is the same array
+    over the sector's.  The order of the list is the sector order.
+    """
+    classes = []
+    for a in range(d, -1, -1):
+        sectors = []
+        for odd in itertools.combinations(range(d), a):
+            even = [j for j in range(d) if j not in odd]
+            axes = np.empty(d, dtype=int)
+            axes[list(odd)], axes[even] = range(a), range(a, d)
+            sectors.append((tuple(int(j in odd) for j in range(d)), tuple(int(j) for j in axes)))
+        classes.append(((1,) * a + (0,) * (d - a), sectors))
+    return classes
 
 
 class DirectBoxSolver:

@@ -21,10 +21,11 @@ precision, and `PrecisionMatrix.route` records its pick:
   a domain that is not a centred box raises.
 
 A box route builds its operator from the domain, so it is taken only when a
-seeded random probe shows that the matrix given is that operator; otherwise
-the domain is solved like any other, and `route_reason` says why.  The d=4
-log-correlation study solves for the centre column with the even variant of
-the box solver, on the sector |x_i| of the box.
+seeded random probe (`box_probe`, which the box spectra of `spectral` share)
+shows that the matrix given is that operator; otherwise the domain is solved
+like any other, and `route_reason` says why.  The d=4 log-correlation study
+solves for the centre column with the even variant of the box solver, on the
+sector |x_i| of the box.
 
 `factorize_spd`, the one call of SuperLU, uses its symmetric mode: minimum-
 degree ordering of A^T + A and diagonal pivots, the choice for SPD matrices
@@ -97,19 +98,27 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain):
         M = centered_box_halfwidth(domain)
         if M >= 0:
             box = DirectBoxSolver(M) if d == 2 else CenteredBoxSolver(d, M)
-            v = np.random.default_rng(0).standard_normal(n)
-            mismatch = np.abs(A @ v - box.operator(v)).max() / (abs(A).sum(axis=1).max() * np.abs(v).max())
-            if mismatch <= PROBE_TOL:
+            reason = box_probe(A, box)
+            if not reason:
                 if d == 2:
                     return box.solve, "box-direct", ""
                 return (lambda rhs: box.solve(rhs, tol=1e-11)[0]), "box-pcg", ""
-            reason = f"matrix is not the box operator (probe mismatch {mismatch:.1e})"
     if n > FACTORIZATION_CAP:
         raise ValueError(
             f"system size {n} is above the factorization cap {FACTORIZATION_CAP} "
             f"and {reason or 'the domain is not a centred box'}"
         )
     return factorize_spd(A).solve, "superlu", reason
+
+
+def box_probe(A: sp.spmatrix, box) -> str:
+    """"" when a seeded random probe shows that A is the box's `operator`,
+    else why the box route is refused."""
+    v = np.random.default_rng(0).standard_normal(A.shape[0])
+    mismatch = np.abs(A @ v - box.operator(v)).max() / (abs(A).sum(axis=1).max() * np.abs(v).max())
+    if mismatch <= PROBE_TOL:
+        return ""
+    return f"matrix is not the box operator (probe mismatch {mismatch:.1e})"
 
 
 def factorize_spd(A: sp.spmatrix) -> spla.SuperLU:

@@ -237,8 +237,13 @@ class Eta2Trend:
 
 
 def eta2_trend(radii: Sequence[int], d: int = 5, plan: Optional[FourierCovariance] = None) -> Eta2Trend:
-    """Ratio G(0, r e_1) r^{d-4} along increasing radii (its limit is the
-    covariance asymptotic constant, which has no closed numeric value here)."""
+    """Ratio G(0, r e_1) r^{d-4} along increasing radii.
+
+    Its limit is (2d)^2 Gamma(d/2 - 2) / (16 pi^{d/2}), which is
+    100 / (16 pi^2) = 0.633257 for d = 5: the constant of the Riesz kernel
+    of Delta^2 (Stein, *Singular Integrals*, 1970, ch. V §1), times (2d)^2
+    because Delta_1 = Delta / (2d).
+    """
     radii = np.asarray(sorted(radii), dtype=int)
     targets = [[r] + [0] * (d - 1) for r in radii]
     if plan is None:
@@ -342,7 +347,7 @@ def walk_estimate(
 
     Walks start at `start` (origin by default); with a nonzero start this
     estimates G(start, x), which by translation invariance equals
-    G(0, x - start).
+    G(0, x - start).  A target listed twice raises ValueError.
     """
     d = oracle.d
     M = oracle.max_steps
@@ -351,6 +356,8 @@ def walk_estimate(
     ntar = len(targets)
     span = int(max(np.abs(targets).max() if targets.size else 0, np.abs(start_vec).max()))
     tkey = _encode(targets, span, d)
+    if len(np.unique(tkey)) < ntar:
+        raise ValueError("a walk target is listed twice")
     order = np.argsort(tkey)
     tkey_sorted = tkey[order]
     r2_start = int(np.dot(start_vec.astype(np.int64), start_vec))

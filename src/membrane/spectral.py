@@ -8,6 +8,14 @@ refinement).  Note these differ from squares of Dirichlet Laplacian
 eigenvalues: the zero extension clamps two layers, which raises the bottom of
 the spectrum strictly.
 
+`eigendecompose` takes one of three routes, recorded as `SpectralBasis.route`
+and `route_reason`: "box-sectors", dense `eigh` of one parity-sector block per
+permutation class (see `boxsolve`), for a centred box that the box probe of
+`green` accepts, when it has at most DENSE_EIG_CAP unknowns or, in d >= 3, its
+largest sector has; "dense" `eigh` for any other matrix up to DENSE_EIG_CAP;
+and "shift-invert" `eigsh` above it (d=2 boxes go there over box-direct).
+Every route is gated against the assembled matrix.
+
 Norms on the dual scale: || v ||_{-s}^2 = sum_j lambda_j^{-s/2} (v, u_j)^2.
 The random series  sum_j lambda_j^{-1/2} xi_j u_j  with i.i.d. standard
 normal xi has squared dual norm  sum_j lambda_j^{-s/2-1} xi_j^2, which
@@ -34,7 +42,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .green import GreenTable, PrecisionMatrix, _make_solver, factorize_spd
+from .boxsolve import CenteredBoxSolver, centered_box_halfwidth, parity_classes
+from .green import GreenTable, PrecisionMatrix, _make_solver, box_probe, factorize_spd
 from .lattice import GridDomain, assemble, stencil_weights, unit_ball_volume
 
 DENSE_EIG_CAP = 4000
@@ -51,6 +60,8 @@ class SpectralBasis:
     domain: GridDomain
     lambdas: np.ndarray        # (k,) ascending, units of the continuum operator
     vectors: np.ndarray        # (n_rh, k)
+    route: str = ""            # "box-sectors", "dense" or "shift-invert"
+    route_reason: str = ""     # why that route was taken
 
     @property
     def k(self) -> int:
@@ -62,54 +73,100 @@ class SpectralBasis:
         return h**self.domain.d * (self.vectors.T @ values_rh)
 
 
-def _smallest_eigenpairs(S, k: int, dense_cap: int, make_solve: Callable[[], Callable]):
+def _smallest_eigenpairs(S, k: int, make_solve: Callable[[], Callable]):
     """k smallest eigenpairs (ascending) of the sparse SPD matrix S.
 
-    Dense `eigh` of the first k pairs up to dense_cap unknowns; above it
+    Dense `eigh` of the first k pairs up to DENSE_EIG_CAP unknowns; above it
     shift-invert `eigsh` about 0 with OPinv = make_solve(), built only there.
-    Contracts: eigenvalues positive, orthonormality residual <= 1e-8,
-    eigen-residual <= 1e-6 relative.
     """
     n = S.shape[0]
-    if n <= dense_cap:
-        w, v = scipy.linalg.eigh(S.toarray(), subset_by_index=(0, k - 1))
-    else:
-        OPinv = spla.LinearOperator((n, n), matvec=make_solve(), dtype=float)
-        try:
-            w, v = spla.eigsh(S, k=k, sigma=0, which="LM", tol=0, OPinv=OPinv)
-        except spla.ArpackNoConvergence as exc:
-            raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
-        order = np.argsort(w)
-        w = w[order]
-        v = v[:, order]
+    if n <= DENSE_EIG_CAP:
+        return scipy.linalg.eigh(S.toarray(), subset_by_index=(0, k - 1))
+    OPinv = spla.LinearOperator((n, n), matvec=make_solve(), dtype=float)
+    try:
+        w, v = spla.eigsh(S, k=k, sigma=0, which="LM", tol=0, OPinv=OPinv)
+    except spla.ArpackNoConvergence as exc:
+        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+    order = np.argsort(w)
+    return w[order], v[:, order]
+
+
+def _sector_eigenpairs(box, k: int):
+    """k smallest eigenpairs (ascending) of the box operator A_hat, mapped to
+    the box: dense `eigh` of one block per permutation class of parity
+    sectors, the class's other sectors by transposing axes.  Candidates are
+    ordered stably by value and then by sector order."""
+    cands = []  # (values, parity, vectors over the sector's frequencies)
+    for rep, sectors in parity_classes(box.d):
+        block = box.sector_block(rep)
+        if not len(block):
+            continue
+        w, V = scipy.linalg.eigh(block, subset_by_index=(0, min(k, len(block)) - 1))
+        V = V.T.reshape((len(w),) + tuple(len(box.sector_indices(p)) for p in rep))
+        for parity, axes in sectors:
+            cands.append((w, parity, V.transpose((0,) + tuple(a + 1 for a in axes))))
+    values = np.concatenate([w for w, _, _ in cands])
+    # a NaN sorts first, so that the gate sees it
+    pick = np.argsort(np.where(np.isnan(values), -np.inf, values), kind="stable")[:k]
+    coef = np.zeros((k,) + (box.L,) * box.d)
+    lo = 0
+    for w, parity, V in cands:
+        rows = np.flatnonzero((pick >= lo) & (pick < lo + len(w)))
+        coef[np.ix_(rows, *(box.sector_indices(p) for p in parity))] = V[pick[rows] - lo]
+        lo += len(w)
+    return values[pick], box.field(coef).reshape(k, -1).T
+
+
+def _gate_eigenpairs(S, w: np.ndarray, v: np.ndarray) -> None:
+    """Raise unless the eigenvalues are positive, the orthonormality residual
+    is at most 1e-8 and the eigen-residual against S at most 1e-6 relative."""
     if not np.all(w > 0):
         raise RuntimeError(f"eigenvalues not all positive (smallest {w.min():.3e})")
-    orth = np.abs(v.T @ v - np.eye(k)).max()
+    orth = np.abs(v.T @ v - np.eye(len(w))).max()
     if not orth <= 1e-8:
         raise RuntimeError(f"orthonormality residual {orth:.2e} above 1e-8")
     res = np.linalg.norm(S @ v - v * w, axis=0).max()
     if not res <= 1e-6 * max(abs(w[-1]), 1.0):
         raise RuntimeError(f"eigen residual {res:.2e} too large")
-    return w, v
 
 
-def eigendecompose(precision: PrecisionMatrix, k: int, dense_cap: int = DENSE_EIG_CAP) -> SpectralBasis:
-    """k smallest eigenpairs of the h-scaled bilaplacian on R_h.
-
-    Shift-invert iteration against a fresh (uncached) solver of the precision;
-    dense for small systems; gated by `_smallest_eigenpairs`.
-    """
+def eigendecompose(precision: PrecisionMatrix, k: int) -> SpectralBasis:
+    """k smallest eigenpairs of the h-scaled bilaplacian on R_h, by one of the
+    three routes of the module docstring, gated by `_gate_eigenpairs`.  The
+    shift-invert route's solver is cached nowhere."""
     dom = precision.domain
-    if k > precision.n:
-        raise ValueError(f"k={k} exceeds |R_h|={precision.n}")
+    n, d = precision.n, dom.d
+    if k > n:
+        raise ValueError(f"k={k} exceeds |R_h|={n}")
+    S = precision.raw
+    M = centered_box_halfwidth(dom)
+    largest = (M + 1) ** d  # the all-odd sector
+    if M < 0:
+        reason = "not a centred box"
+    elif n <= DENSE_EIG_CAP or (d >= 3 and largest <= DENSE_EIG_CAP):
+        box = CenteredBoxSolver(d, M)
+        reason = box_probe(precision.matrix, box)
+    elif d == 2:
+        reason = "d=2 box above DENSE_EIG_CAP, eigsh over box-direct"
+    else:
+        reason = f"largest parity sector {largest} above DENSE_EIG_CAP"
+    if not reason:
+        route, reason = "box-sectors", f"centred box, largest parity sector {largest}"
+        w, v = _sector_eigenpairs(box, k)
+        w = w * (2 * d) ** 2  # A = S / (2d)^2
+    else:
+        route = "dense" if n <= DENSE_EIG_CAP else "shift-invert"
 
-    def make_solve():
-        solve = _make_solver(precision.matrix, dom)[0]  # S^{-1} = A^{-1} / (2d)^2
-        return lambda x: solve(x) / (2 * dom.d) ** 2
+        def make_solve():
+            solve = _make_solver(precision.matrix, dom)[0]  # S^{-1} = A^{-1} / (2d)^2
+            return lambda x: solve(x) / (2 * d) ** 2
 
-    w, v = _smallest_eigenpairs(precision.raw, k, dense_cap, make_solve)
+        w, v = _smallest_eigenpairs(S, k, make_solve)
+    _gate_eigenpairs(S, w, v)
     # normalize to the discrete L^2 product (vectors come back 2-norm unit)
-    return SpectralBasis(domain=dom, lambdas=w / dom.h**4, vectors=v / dom.h ** (dom.d / 2.0))
+    return SpectralBasis(
+        domain=dom, lambdas=w / dom.h**4, vectors=v / dom.h ** (d / 2.0), route=route, route_reason=reason
+    )
 
 
 def _fit_window(k: int, window: Optional[tuple]) -> slice:
@@ -397,7 +454,6 @@ def pairing_variance_study(
     route that shares no code with the box solver, and report the relative
     gap between the two.
     """
-    from .boxsolve import CenteredBoxSolver
     from .green import assemble_precision
     from .lattice import Box, classify
 
@@ -451,7 +507,8 @@ class GapReport:
 def dirichlet_laplacian_min(domain: GridDomain) -> float:
     """Smallest eigenvalue of -Lap_h with zero condition outside R_h (h^-2 units)."""
     Lap = -assemble(domain, stencil_weights("deltah", domain.d))
-    w, _ = _smallest_eigenpairs(Lap, 1, DENSE_EIG_CAP, lambda: factorize_spd(Lap).solve)
+    w, v = _smallest_eigenpairs(Lap, 1, lambda: factorize_spd(Lap).solve)
+    _gate_eigenpairs(Lap, w, v)
     return float(w[0]) / domain.h**2
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -41,6 +43,31 @@ def test_coefficient_apply_matches_assembled_matrix(d, M, even, seed):
     assert np.abs(solver.operator(u) - ref).max() <= 1e-12 * np.abs(ref).max()
     if d == 2 and not even:
         assert np.abs(DirectBoxSolver(M).operator(u) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@given(d=st.sampled_from([2, 3, 4]), M=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_parity_sector_blocks_apply_the_assembled_matrix(d, M, seed):
+    prec = assemble_precision(classify(unit_box(d), 1.0 / (M + 2)))
+    box = CenteredBoxSolver(d, M)
+    u = np.random.default_rng(seed).standard_normal(box.n)
+    c = box.coefficients(u.reshape((box.L,) * d))
+    out = np.zeros_like(c)
+    sectors = []
+    for rep, members in boxsolve.parity_classes(d):
+        block = box.sector_block(rep)
+        rows = np.arange(len(block)).reshape([len(box.sector_indices(p)) for p in rep])
+        for parity, axes in members:  # the class's blocks are the representative's, axes transposed
+            perm = rows.transpose(axes).reshape(-1)
+            gap = box.sector_block(parity) - block[np.ix_(perm, perm)]
+            assert not gap.size or np.abs(gap).max() <= 1e-14 * np.abs(block).max()
+            sectors.append(parity)
+    assert sorted(sectors) == sorted(itertools.product((0, 1), repeat=d))
+    for parity in sectors:
+        cell = np.ix_(*(box.sector_indices(p) for p in parity))
+        out[cell] = (box.sector_block(parity) @ c[cell].reshape(-1)).reshape(c[cell].shape)
+    ref = prec.raw @ u / (2 * d) ** 2
+    assert np.abs(box.field(out).reshape(-1) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("d,N", [(2, 12), (3, 8), (4, 5)])

@@ -120,6 +120,27 @@ def test_interpolate_recipe(tmp_path):
     assert code == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["passed"]
+    assert man["assertions"][0]["detail"].startswith("289 mesh points on the lattice")
+
+
+def test_interpolate_recipe_checks_every_lattice_point_of_the_mesh(tmp_path, monkeypatch):
+    from membrane import sampler
+
+    args = ["--seed", "3", "interpolate", "--d", "3", "--N", "8", "--mesh", "12"]
+    code, out = run_cli(args, tmp_path, "e3")
+    assert code == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["assertions"][0]["detail"].startswith("125 mesh points on the lattice")  # j = 0, 3, ..., 12
+    evaluate_many = sampler.InterpolatedField.evaluate_many
+
+    def off_at_corner(self, ts):  # wrong at the lattice point (1, 1, 1) alone
+        vals = evaluate_many(self, ts)
+        vals[-1] += 1e-3
+        return vals
+
+    monkeypatch.setattr(sampler.InterpolatedField, "evaluate_many", off_at_corner)
+    code, out = run_cli(args, tmp_path, "e3-off")
+    assert code == 1
 
 
 def test_max_scaling_recipe_quick(tmp_path):
@@ -184,6 +205,17 @@ def test_spectrum_recipe(tmp_path):
     assert len(rows) == 11
 
 
+@pytest.mark.parametrize(
+    "shape,route,reason",
+    [("box", "box-sectors", "centred box, largest parity sector 49"), ("ball", "dense", "not a centred box")],
+)
+def test_spectrum_records_eigensolve_route(tmp_path, shape, route, reason):
+    code, out = run_cli(["spectrum", "--shape", shape, "--d", "2", "--h", "1/8", "--k", "10"], tmp_path, shape)
+    assert code == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["stage_facts"]["eigensolve"] == {"route": route, "route_reason": reason}
+
+
 def test_spectrum_recipe_weyl_ratio(tmp_path):
     code, out = run_cli(["spectrum", "--shape", "box", "--d", "2", "--h", "1/16", "--k", "60"], tmp_path, "w")
     assert code == 0
@@ -208,6 +240,14 @@ def test_infvol_green_recipe_small(tmp_path):
     assert [(a["name"], a["passed"]) for a in man["assertions"]] == [("agree_0", True)]
     header, row = [line.split(",") for line in (out / "infvol_green.csv").read_text().strip().splitlines()]
     assert float(row[header.index("tail_bound")]) == walk_tail_bound(60, 5, 1)
+
+
+def test_infvol_green_rejects_repeated_target(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"targets": [[1, 0, 0, 0, 0], [1, 0, 0, 0, 0]], "max_steps": 20}))
+    code, out = run_cli(["--config", str(cfg), "infvol", "green", "--count", "1000"], tmp_path, "r")
+    assert code == 2
+    assert not (out / "manifest.json").exists()
 
 
 def test_infvol_variance_recipe_small(tmp_path):

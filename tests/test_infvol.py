@@ -132,6 +132,13 @@ def test_walk_zero_length_tally():
     assert est.standard_errors[0] == 0.0
 
 
+def test_walk_rejects_repeated_targets():
+    # a repeated target used to be tallied under one entry, the other reading 0 with SE 0
+    oracle = WalkOracle(d=5, n_walks=20000, max_steps=40, seed=3)
+    with pytest.raises(ValueError, match="twice"):
+        walk_estimate(oracle, [(1, 0, 0, 0, 0), (0, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+
+
 def test_walk_rejects_low_dimension():
     with pytest.raises(ValueError):
         WalkOracle(d=4)
@@ -323,6 +330,10 @@ def test_eta2_trend_full_range():
     assert trend.flatness <= 0.10
     assert np.all(trend.ratios > 0)
     assert trend.quadrature_spread <= 0.01
+    # the limit named in the docstring: (2d)^2 Gamma(d/2-2) / (16 pi^{d/2})
+    riesz = 100 * math.gamma(0.5) / (16 * math.pi**2.5)
+    assert riesz == pytest.approx(0.633257, abs=1e-6)
+    assert abs(trend.ratios[-1] / riesz - 1.0) <= 0.01
 
 
 def test_translation_invariance_via_shifted_walks():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from membrane import green, spectral
 from membrane.green import assemble_precision, green_full
@@ -93,14 +94,82 @@ def test_laplacian_min_gates_fail_on_nan_or_nonpositive(monkeypatch, spoil, gate
 
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
-    # the d=2 box is factorized; with the cap at 0 the d=3 box runs box PCG
+    # three routes: parity sectors (the default), shift-invert eigsh with the
+    # cap at 1 (the d=2 box over box-direct, the d=3 box over box PCG with its
+    # cap at 0), and dense eigh of the assembled S here
     monkeypatch.setattr(green, "BOX_FFT_CAP_3D", 0)
     for d, N in [(2, 10), (3, 6)]:
         prec = assemble_precision(classify(unit_box(d), 1 / N))
-        dense = eigendecompose(prec, 8, dense_cap=10_000)
-        sparse = eigendecompose(prec, 8, dense_cap=1)
-        assert np.allclose(dense.lambdas, sparse.lambdas, rtol=1e-9)
+        sectors = eigendecompose(prec, 8)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "DENSE_EIG_CAP", 1)
+            sparse = eigendecompose(prec, 8)
+        dense = scipy.linalg.eigh(prec.raw.toarray(), eigvals_only=True, subset_by_index=(0, 7))
+        assert (sectors.route, sparse.route) == ("box-sectors", "shift-invert")
+        assert np.allclose(sectors.lambdas, sparse.lambdas, rtol=1e-9)
+        assert np.allclose(sectors.lambdas, dense / prec.domain.h**4, rtol=1e-9)
         assert prec._solver is None  # the eigensolve's own solver is cached nowhere
+
+
+@pytest.mark.parametrize("d,N,k", [(2, 8, 30), (3, 5, 40), (4, 4, 60), (5, 3, 50)])
+def test_sector_eigenpairs_match_dense_eigh(d, N, k):
+    prec = assemble_precision(classify(unit_box(d), 1 / N))
+    w, V = scipy.linalg.eigh(prec.raw.toarray())
+    # end the window at a gap, so both sides hold whole eigenspaces
+    k = max(j for j in range(1, k + 1) if w[j] - w[j - 1] > 1e-8 * w[j])
+    basis = eigendecompose(prec, k)
+    assert basis.route == "box-sectors"
+    h = prec.domain.h
+    assert np.abs(basis.lambdas * h**4 - w[:k]).max() <= 1e-12 * w[k - 1]
+    U = basis.vectors * h ** (d / 2.0)
+    assert np.abs(U @ U.T - V[:, :k] @ V[:, :k].T).max() <= 1e-9
+    again = eigendecompose(prec, k)
+    assert np.array_equal(again.lambdas, basis.lambdas) and np.array_equal(again.vectors, basis.vectors)
+
+
+def test_perturbed_box_matrix_takes_the_general_route():
+    dom = classify(unit_box(3), 1 / 6)
+    raw = assemble_precision(dom).raw.tolil()
+    raw[5, 5] += 1.0
+    raw = raw.tocsr()
+    prec = green.PrecisionMatrix(domain=dom, matrix=(raw / 36.0).tocsr(), raw=raw)
+    basis = eigendecompose(prec, 6)
+    assert basis.route == "dense"
+    assert "probe mismatch" in basis.route_reason
+    dense = scipy.linalg.eigh(raw.toarray(), eigvals_only=True, subset_by_index=(0, 5))
+    assert np.allclose(basis.lambdas * dom.h**4, dense, rtol=1e-12)
+
+
+def test_box_spectra_within_the_cap_need_no_eigsh_or_factorization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no eigsh or factorization on a box within the cap")
+
+    monkeypatch.setattr(spectral.spla, "eigsh", refuse)
+    monkeypatch.setattr(green, "factorize_spd", refuse)
+    # 4,913 and 6,561 unknowns, above DENSE_EIG_CAP; largest sectors 729 and 625
+    for d, N, k in [(3, 10, 60), (4, 6, 20)]:
+        prec = assemble_precision(classify(unit_box(d), 1 / N))
+        assert prec.n > spectral.DENSE_EIG_CAP
+        basis = eigendecompose(prec, k)
+        assert basis.route == "box-sectors"
+        assert basis.route_reason == f"centred box, largest parity sector {(N - 1) ** d}"
+
+
+def test_routes_above_the_cap(monkeypatch):
+    # d=2 boxes above the cap stay on eigsh, over box-direct (the d2-sample spectrum)
+    monkeypatch.setattr(green, "factorize_spd", lambda A: pytest.fail("d=2 boxes are not factorized"))
+    prec = assemble_precision(classify(unit_box(2), 1 / 40))
+    assert prec.n == 5929
+    basis = eigendecompose(prec, 4)
+    assert (basis.route, basis.route_reason) == ("shift-invert", "d=2 box above DENSE_EIG_CAP, eigsh over box-direct")
+    monkeypatch.undo()
+    # a d >= 3 box whose largest sector is above the cap goes to eigsh too
+    monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 100)
+    prec = assemble_precision(classify(unit_box(3), 1 / 6))
+    basis = eigendecompose(prec, 4)
+    assert (basis.route, basis.route_reason) == ("shift-invert", "largest parity sector 125 above DENSE_EIG_CAP")
+    dense = scipy.linalg.eigh(prec.raw.toarray(), eigvals_only=True, subset_by_index=(0, 3))
+    assert np.allclose(basis.lambdas * prec.domain.h**4, dense, rtol=1e-9)
 
 
 def test_k_exceeds_size_raises():
