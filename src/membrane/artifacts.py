@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -60,6 +61,7 @@ class RunManifest:
 
     config: dict
     versions: dict = field(default_factory=dict)
+    threads: dict = field(default_factory=dict)      # thread settings the run saw
     stages: dict = field(default_factory=dict)       # stage -> seconds
     stage_facts: dict = field(default_factory=dict)  # stage -> solver facts of that stage
     assertions: list = field(default_factory=list)   # {name, passed, detail}
@@ -69,6 +71,7 @@ class RunManifest:
         import scipy
 
         from . import __version__
+        from .boxsolve import FFT_WORKERS
 
         self.versions = {
             "membrane": __version__,
@@ -76,6 +79,8 @@ class RunManifest:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         }
+        env = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        self.threads = {v: os.environ.get(v) for v in env} | {"fft_workers": FFT_WORKERS}  # DSTs of boxsolve
         self._stage_start = time.perf_counter()
 
     def stage(self, name: str, **facts) -> None:
@@ -105,6 +110,7 @@ class RunManifest:
         payload = {
             "config": self.config,
             "versions": self.versions,
+            "threads": self.threads,
             "wall_clock_s": self.stages,
             "stage_facts": self.stage_facts,
             "assertions": self.assertions,

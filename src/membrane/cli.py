@@ -462,64 +462,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     sub = p.add_subparsers(dest="cmd")
 
-    def common(sp):
+    def domain_flags(sp):  # recipes that run on a domain of the caller's choice
         sp.add_argument("--domain", help="JSON domain spec file")
         sp.add_argument("--shape", choices=["box", "ball"])
         sp.add_argument("--d", type=int)
 
     sp = sub.add_parser("b2star")
-    common(sp)
+    domain_flags(sp)
     sp.add_argument("--h")
     sp.add_argument("--K", type=int)
     sp.set_defaults(func=run_b2star)
 
     sp = sub.add_parser("green")
-    common(sp)
+    domain_flags(sp)
     sp.add_argument("--h")
     sp.add_argument("--columns", default="all", help='"all" or "x1,y1;x2,y2;..." integer points')
     sp.set_defaults(func=run_green)
 
     sp = sub.add_parser("sample")
-    common(sp)
+    domain_flags(sp)
     sp.add_argument("--h")
     sp.add_argument("--count", type=int)
     sp.set_defaults(func=run_sample)
 
     sp = sub.add_parser("interpolate")
-    common(sp)
+    sp.add_argument("--d", type=int)
     sp.add_argument("--N", dest="N_single", type=int)
     sp.add_argument("--mesh", type=int)
     sp.set_defaults(func=run_interpolate)
 
     sp = sub.add_parser("max-scaling")
-    common(sp)
+    sp.add_argument("--d", type=int)
     sp.add_argument("--N", help="comma list of scales, e.g. 32,64")
     sp.add_argument("--count", type=int)
     sp.set_defaults(func=run_max_scaling)
 
     sp = sub.add_parser("moment-check")
-    common(sp)
+    sp.add_argument("--d", type=int)
     sp.add_argument("--N", dest="N_single", type=int)
     sp.set_defaults(func=run_moment_check)
 
     sp = sub.add_parser("spectrum")
-    common(sp)
+    domain_flags(sp)
     sp.add_argument("--h")
     sp.add_argument("--k", type=int)
     sp.set_defaults(func=run_spectrum)
 
     sp = sub.add_parser("pair")
-    common(sp)
+    sp.add_argument("--d", type=int)
     sp.add_argument("--h-list", dest="h_list", help="comma list like 1/16,1/32,1/64")
     sp.set_defaults(func=run_pair)
 
     sp = sub.add_parser("thomee")
-    common(sp)
+    sp.add_argument("--d", type=int)
     sp.add_argument("--h", help="comma list like 1/8,1/16,1/32,1/64")
     sp.set_defaults(func=run_thomee)
 
     sp = sub.add_parser("infvol")
-    common(sp)
+    sp.add_argument("--d", type=int)
     sp.add_argument("mode", choices=["green", "eta2", "variance"])
     sp.add_argument("--x", help="comma lattice point, e.g. 1,0,0,0,0")
     sp.add_argument("--method", choices=["fourier", "walk", "both"], default="both")

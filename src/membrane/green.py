@@ -13,12 +13,10 @@ precision, and `PrecisionMatrix.route` records its pick:
 
 - "box-direct": every centred box in d = 2, at any size, by the sine-transform
   and capacitance solve of `boxsolve.DirectBoxSolver`;
-- "box-pcg": centred boxes in d >= 3 above BOX_FFT_CAP_3D rows (where
-  factorization fill explodes) or above FACTORIZATION_CAP, by the
-  sine-coefficient box PCG of `boxsolve`; a solve that stops above its
-  tolerance raises;
-- "superlu": every other domain up to FACTORIZATION_CAP rows.  Above the cap
-  a domain that is not a centred box raises.
+- "box-pcg": every centred box in d >= 3, at any size, by the sine-coefficient
+  box PCG of `boxsolve`; a solve that stops above its tolerance raises;
+- "superlu": every other domain up to FACTORIZATION_CAP rows, above which it
+  raises.
 
 A box route builds its operator from the domain, so it is taken only when a
 seeded random probe (`box_probe`, which the box spectra of `spectral` share)
@@ -45,8 +43,6 @@ from .lattice import GridDomain, assemble, stencil_weights
 
 DENSE_TABLE_CAP = 20_000
 FACTORIZATION_CAP = 600_000   # rows; above this only centred boxes are solved
-BOX_FFT_CAP_3D = 40_000       # centred boxes in d >= 3: factorization fill
-                              # explodes, switch to the spectral solver early
 RHS_FLOAT_BUDGET = 16_000_000  # floats in one dense batch of right-hand sides
 PROBE_TOL = 1e-12             # box operator vs matrix, relative to ||A|| ||v||
 
@@ -92,17 +88,15 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain):
 
     n, d = A.shape[0], domain.d
     reason = ""
-    # d=2 boxes always go direct; in d >= 3 a box goes to PCG only where
-    # factorization fill explodes.  Either way the probe must accept A.
-    if d == 2 or n > FACTORIZATION_CAP or n > BOX_FFT_CAP_3D:
-        M = centered_box_halfwidth(domain)
-        if M >= 0:
-            box = DirectBoxSolver(M) if d == 2 else CenteredBoxSolver(d, M)
-            reason = box_probe(A, box)
-            if not reason:
-                if d == 2:
-                    return box.solve, "box-direct", ""
-                return (lambda rhs: box.solve(rhs, tol=1e-11)[0]), "box-pcg", ""
+    # every centred box goes to its box route once the probe accepts A
+    M = centered_box_halfwidth(domain)
+    if M >= 0:
+        box = DirectBoxSolver(M) if d == 2 else CenteredBoxSolver(d, M)
+        reason = box_probe(A, box)
+        if not reason:
+            if d == 2:
+                return box.solve, "box-direct", ""
+            return (lambda rhs: box.solve(rhs, tol=1e-11)[0]), "box-pcg", ""
     if n > FACTORIZATION_CAP:
         raise ValueError(
             f"system size {n} is above the factorization cap {FACTORIZATION_CAP} "

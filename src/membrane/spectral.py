@@ -13,8 +13,8 @@ and `route_reason`: "box-sectors", dense `eigh` of one parity-sector block per
 permutation class (see `boxsolve`), for a centred box that the box probe of
 `green` accepts, when it has at most DENSE_EIG_CAP unknowns or, in d >= 3, its
 largest sector has; "dense" `eigh` for any other matrix up to DENSE_EIG_CAP;
-and "shift-invert" `eigsh` above it (d=2 boxes go there over box-direct).
-Every route is gated against the assembled matrix.
+and "shift-invert" `eigsh` above it, over the precision's solver (box-direct
+or box PCG for boxes).  Every route is gated against the assembled matrix.
 
 Norms on the dual scale: || v ||_{-s}^2 = sum_j lambda_j^{-s/2} (v, u_j)^2.
 The random series  sum_j lambda_j^{-1/2} xi_j u_j  with i.i.d. standard

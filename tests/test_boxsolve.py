@@ -86,7 +86,7 @@ def test_centered_solver_matches_sparse_direct(d, N):
         assert np.abs(x - X[:, j]).max() <= 1e-10 * np.abs(X[:, j]).max()
 
 
-def test_zero_columns_are_solved_by_zero(monkeypatch):
+def test_zero_columns_are_solved_by_zero():
     solver = CenteredBoxSolver(3, 4)
     n = solver.n
     x, info = solver.solve(np.zeros(n))
@@ -105,7 +105,6 @@ def test_zero_columns_are_solved_by_zero(monkeypatch):
     Y, _ = solver.solve(np.stack([b0, np.zeros(n)], axis=1), tol=1e-12)
     assert np.array_equal(Y[:, 0], x0)
     # the same through the box route of the precision solver
-    monkeypatch.setattr(green, "BOX_FFT_CAP_3D", 0)
     prec = assemble_precision(classify(unit_box(3), 1 / 6))
     assert np.array_equal(prec.solve(np.zeros(prec.n)), np.zeros(prec.n))
 
@@ -197,27 +196,37 @@ def test_direct_unit_columns_match_box_pcg_and_single_solves():
         assert np.abs(x - X[:, j]).max() <= 1e-13 * np.abs(x).max()
 
 
-@pytest.mark.parametrize("cap", [green.FACTORIZATION_CAP, 10])
-def test_d2_boxes_are_solved_without_factorization(monkeypatch, cap):
+@pytest.mark.parametrize(
+    "d,N,cap",
+    [(2, 12, green.FACTORIZATION_CAP), (2, 12, 10), (3, 12, green.FACTORIZATION_CAP), (4, 6, green.FACTORIZATION_CAP)],
+)
+def test_centred_boxes_are_solved_without_factorization(monkeypatch, d, N, cap):
+    box = classify(unit_box(d), 1 / N)
+    M = N - 2
+    pts = [(0,) * d, (M // 2, 1 - M) + (0,) * (d - 2)]
+    units = np.zeros((box.n_rh, len(pts)))
+    units[box.rh_indices(pts), np.arange(len(pts))] = 1.0
+    reference = spla.spsolve(assemble_precision(box).matrix.tocsc(), units).T
+
     def no_factorization(*args, **kwargs):
-        raise AssertionError("splu called for a centred d=2 box")
+        raise AssertionError(f"splu called for a centred d={d} box")
 
     monkeypatch.setattr(green, "FACTORIZATION_CAP", cap)
     monkeypatch.setattr(green.spla, "splu", no_factorization)
-    prec = assemble_precision(classify(unit_box(2), 1 / 12))
-    table = green_columns(prec, [(0, 0), (5, -9)])
+    prec = assemble_precision(box)
+    table = green_columns(prec, pts)
     assert table.max_residual <= 1e-8
-    assert prec.route == "box-direct" and prec.route_reason == ""
+    assert np.abs(table.values - reference).max() <= 1e-9 * np.abs(reference).max()
+    assert prec.route == ("box-direct" if d == 2 else "box-pcg") and prec.route_reason == ""
     monkeypatch.undo()
-    for shape in (Ball([0.0, 0.0], 1.0), Box([(-1, 1), (-1, 2)])):
-        other = assemble_precision(classify(shape, 1 / 6))
-        assert green_columns(other, [(0, 0)]).max_residual <= 1e-8
+    for shape in (Ball([0.0] * d, 1.0), Box([(-1, 1)] * (d - 1) + [(-1, 2)])):
+        other = assemble_precision(classify(shape, 1 / 4 if d == 4 else 1 / 6))
+        assert green_columns(other, [(0,) * d]).max_residual <= 1e-8
         assert other.route == "superlu" and other.route_reason == ""
 
 
 @pytest.mark.parametrize("d,N", [(2, 10), (3, 6)])
-def test_box_routes_solve_the_matrix_they_are_given(monkeypatch, d, N):
-    monkeypatch.setattr(green, "BOX_FFT_CAP_3D", 0)
+def test_box_routes_solve_the_matrix_they_are_given(d, N):
     box = assemble_precision(classify(unit_box(d), 1.0 / N))
     perturbed = PrecisionMatrix(domain=box.domain, matrix=(box.matrix * (1.0 + 1e-6)).tocsr(), raw=box.raw)
     pts = [(0,) * d, (1,) * d]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from membrane.cli import RECIPE_CLAIMS, main
+from membrane.cli import EXIT_USAGE, RECIPE_CLAIMS, main
 
 
 def run_cli(args, tmp_path, name):
@@ -85,10 +85,19 @@ def test_green_symmetry_check_reads_the_asymmetry_as_solved(tmp_path, monkeypatc
     assert 0.5e-12 <= float(sym["detail"].split()[3]) <= 2e-12
 
 
-def test_recipes_record_the_solver_route(tmp_path):
+def test_recipes_record_the_solver_route(tmp_path, monkeypatch):
+    from membrane.boxsolve import FFT_WORKERS
+
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
     code, out = run_cli(["sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "1"], tmp_path, "r1")
     assert code == 0
-    assert json.loads((out / "manifest.json").read_text())["stage_facts"]["factorize"] == {"route": "box-direct"}
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["stage_facts"]["factorize"] == {"route": "box-direct"}
+    assert man["threads"] == {
+        "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": "2", "fft_workers": FFT_WORKERS
+    }
     code, out = run_cli(["green", "--shape", "ball", "--d", "2", "--h", "1/8", "--columns", "0,0"], tmp_path, "r2")
     assert code == 0
     assert json.loads((out / "manifest.json").read_text())["stage_facts"]["solve"] == {"route": "superlu"}
@@ -157,7 +166,7 @@ def test_max_scaling_recipe_quick(tmp_path):
 
 
 def test_thomee_recipe(tmp_path):
-    code, out = run_cli(["thomee", "--shape", "ball", "--d", "2", "--h", "1/8,1/16,1/32"], tmp_path, "g")
+    code, out = run_cli(["thomee", "--d", "2", "--h", "1/8,1/16,1/32"], tmp_path, "g")
     assert code == 0
     man = json.loads((out / "manifest.json").read_text())
     names = {a["name"] for a in man["assertions"]}
@@ -167,6 +176,13 @@ def test_thomee_recipe(tmp_path):
 
 def test_unknown_subcommand_usage_error(tmp_path):
     assert main(["frobnicate"]) == 2
+
+
+def test_fixed_domain_recipes_refuse_domain_flags(tmp_path):
+    # interpolate runs on the unit box only, so a shape flag is a usage error
+    code, out = run_cli(["interpolate", "--shape", "ball", "--d", "2", "--N", "4"], tmp_path, "u")
+    assert code == EXIT_USAGE
+    assert not out.exists()
 
 
 def test_no_subcommand_usage_error():

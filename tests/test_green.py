@@ -124,10 +124,9 @@ def test_selected_columns_match_full():
 
 
 def test_box_route_raises_when_pcg_stops_short(monkeypatch):
-    from membrane import boxsolve, green
+    from membrane import boxsolve
 
     solve = boxsolve.CenteredBoxSolver.solve
-    monkeypatch.setattr(green, "BOX_FFT_CAP_3D", 0)
     monkeypatch.setattr(
         boxsolve.CenteredBoxSolver, "solve", lambda self, b, tol: solve(self, b, tol=tol, maxiter=2)
     )
@@ -136,9 +135,7 @@ def test_box_route_raises_when_pcg_stops_short(monkeypatch):
         solve_green_column(prec, (0, 0, 0))
 
 
-def test_residual_gates_fail_on_nan(monkeypatch):
-    from membrane import green
-
+def test_residual_gates_fail_on_nan():
     dom = classify(unit_box(2), 1 / 6)
     prec = assemble_precision(dom)
     prec._solver = lambda rhs: np.full(np.shape(rhs), np.nan)
@@ -148,7 +145,6 @@ def test_residual_gates_fail_on_nan(monkeypatch):
     with pytest.raises(RuntimeError, match="asymmetry"):
         green_full(prec)
     # the box route reports a NaN residual instead of passing it on
-    monkeypatch.setattr(green, "BOX_FFT_CAP_3D", 0)
     box = assemble_precision(classify(unit_box(3), 1 / 6))
     rhs = np.zeros(box.n)
     rhs[0] = np.nan

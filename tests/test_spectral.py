@@ -95,9 +95,8 @@ def test_laplacian_min_gates_fail_on_nan_or_nonpositive(monkeypatch, spoil, gate
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
     # three routes: parity sectors (the default), shift-invert eigsh with the
-    # cap at 1 (the d=2 box over box-direct, the d=3 box over box PCG with its
-    # cap at 0), and dense eigh of the assembled S here
-    monkeypatch.setattr(green, "BOX_FFT_CAP_3D", 0)
+    # cap at 1 (the d=2 box over box-direct, the d=3 box over box PCG), and
+    # dense eigh of the assembled S here
     for d, N in [(2, 10), (3, 6)]:
         prec = assemble_precision(classify(unit_box(d), 1 / N))
         sectors = eigendecompose(prec, 8)
