@@ -1,4 +1,4 @@
-"""Fast solver for the field precision operator on centred box domains.
+"""Fast solvers for the field precision operator: centred boxes, and any d=2 domain.
 
 On a box Lambda = [-M, M]^d of lattice points with zero field outside, the
 precision matrix (the quadratic form of the interface energy) splits exactly
@@ -57,6 +57,29 @@ f_a (x) e_q and e_p (x) f_a (f_- and f_+ the face vectors along one axis),
 with K symmetric positive definite, 4L x 4L and Cholesky-factored once
 (O(L^3) = O(n^1.5) work, 16 n floats).  A solve is two orthonormal DST-Is
 (`scipy.fft`) and O(n + L^2) further work per right-hand side.
+
+Any other R_h (a disk, an off-centre box) is solved directly by
+`TorusCapacitanceSolver`, the capacitance-matrix method of Buzbee, Dorr,
+George and Golub (1971) and of Proskurowski and Widlund (Math. Comp. 30,
+1976) on a periodic torus.  With P_i >= extent_i + 4 points per axis
+(`scipy.fft.next_fast_len`), A is exactly the principal submatrix on R_h of
+the periodic operator T = kappa^2 S_T, whose FFT symbol is
+kappa^2 (sum_i 4 sin^2(theta_i/2))^2.  T is singular on the constants; G+
+is its pseudo-inverse.  Let Gamma be the m torus points outside R_h that
+the 13-point stencil couples to R_h (about twice the perimeter).  Then
+C = G+[Gamma, Gamma], gathered from one inverse FFT of the pseudo-inverse
+symbol, is symmetric positive definite (no vector supported on Gamma is
+constant), and is Cholesky-factored once.  A solve extends b by zero,
+computes x0 = G+ b, and finds w on Gamma and a constant c with
+
+    C w + c 1 = -x0|Gamma,    1^T w = -sum(b),
+
+by one Cholesky solve and a rank-1 border (C^{-1} 1 is stored).  Then
+x = G+(b + w) + c vanishes on Gamma and T x = b + w, so x restricted to
+R_h solves A x = b.  In d = 2 the build is O(m^3) = O(n^1.5) work and m^2
+floats, and a solve is two FFT pairs on the torus plus O(m^2).  The class
+works in any d, but `green` routes only d = 2 domains to it: in d = 3, m
+grows like n^(2/3), and SuperLU is faster on a ball.
 """
 
 from __future__ import annotations
@@ -312,6 +335,95 @@ class DirectBoxSolver:
         y -= self._inv_lam * (F @ s[:, :2] + s[:, 2:].transpose(0, 2, 1) @ F.T)
         out = self._dst(y).reshape(k, -1).T
         return out[:, 0] if single else out
+
+
+class TorusCapacitanceSolver:
+    """Direct solver for A u = b on any R_h, embedded in a periodic torus
+    (capacitance method).
+
+    Right-hand sides are flat over R_h in its row order, (n,) or (n, k).
+    `operator` needs only the torus; `factorize` builds the capacitance
+    factor, which `solve` uses.
+    """
+
+    def __init__(self, domain):
+        from .lattice import neighborhood_offsets
+
+        d = domain.d
+        pts = domain.rh_points
+        self.n = len(pts)
+        lo = pts.min(axis=0)
+        ext = pts.max(axis=0) - lo + 1
+        self.shape = tuple(scipy.fft.next_fast_len(int(e) + 4, real=True) for e in ext)
+        self._axes = tuple(range(-d, 0))
+        self._inside = np.ravel_multi_index(tuple((pts - lo + 2).T), self.shape)
+        mask = np.zeros(self.shape, dtype=bool)
+        mask.flat[self._inside] = True
+        near = np.zeros_like(mask)
+        for off in neighborhood_offsets(d):
+            near |= np.roll(mask, off, axis=self._axes)
+        self._gamma = np.flatnonzero(near & ~mask)  # the boundary layer
+        self.m = len(self._gamma)
+        freq = [np.arange(P) for P in self.shape[:-1]] + [np.arange(self.shape[-1] // 2 + 1)]
+        lap = sum(
+            (4.0 * np.sin(np.pi * f / P) ** 2).reshape((-1,) + (1,) * (d - 1 - ax))
+            for ax, (f, P) in enumerate(zip(freq, self.shape))
+        )
+        self._symbol = (lap / (2 * d)) ** 2  # kappa^2 times the squared Laplacian symbol
+        self._pinv = np.divide(1.0, self._symbol, out=np.zeros_like(self._symbol), where=self._symbol > 0)
+        self._chol = None
+
+    def _fft(self, grid: np.ndarray) -> np.ndarray:
+        return scipy.fft.rfftn(grid, axes=self._axes, workers=FFT_WORKERS)
+
+    def _ifft(self, coef: np.ndarray) -> np.ndarray:
+        return scipy.fft.irfftn(coef, s=self.shape, axes=self._axes, workers=FFT_WORKERS)
+
+    def _embed(self, values: np.ndarray, where: np.ndarray) -> np.ndarray:
+        """Torus grids (k,) + shape that hold values (k, len(where)) at flat
+        positions where and zero elsewhere."""
+        grid = np.zeros((len(values), int(np.prod(self.shape))))
+        grid[:, where] = values
+        return grid.reshape((len(values),) + self.shape)
+
+    def operator(self, u: np.ndarray) -> np.ndarray:
+        """A u for a flat field u: the torus operator on u extended by zero,
+        restricted to R_h."""
+        grid = self._embed(u[None, :], self._inside)
+        return self._ifft(self._fft(grid) * self._symbol).reshape(-1)[self._inside]
+
+    def factorize(self) -> "TorusCapacitanceSolver":
+        """Cholesky-factor C = G+[Gamma, Gamma], gathered from G+(x - y) over
+        the torus, and store C^{-1} 1."""
+        g = self._ifft(self._pinv).reshape(-1)
+        idx = np.zeros((self.m, self.m), dtype=np.int64)  # flat torus index of x - y
+        stride = 1
+        for c, P in reversed(list(zip(np.unravel_index(self._gamma, self.shape), self.shape))):
+            diff = np.subtract.outer(c, c)
+            diff %= P
+            diff *= stride
+            idx += diff
+            stride *= P
+        del diff  # one m x m temporary fewer while C is gathered
+        self._chol = scipy.linalg.cho_factor(g[idx], overwrite_a=True, check_finite=False)
+        self._ones = scipy.linalg.cho_solve(self._chol, np.ones(self.m), check_finite=False)
+        return self
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with A x = b for flat right-hand sides (n,) or (n, k), x of b's shape."""
+        b = np.asarray(b, dtype=float)
+        single = b.ndim == 1
+        B = b[None, :] if single else b.T
+        coef = self._fft(self._embed(B, self._inside))
+        x0 = self._ifft(coef * self._pinv).reshape(len(B), -1)[:, self._gamma]
+        # C w + c 1 = -x0 on Gamma and 1^T w = -sum(b): x then vanishes on
+        # Gamma, and the torus operator gives back b on R_h
+        z = scipy.linalg.cho_solve(self._chol, x0.T, check_finite=False)
+        c = (B.sum(axis=1) - z.sum(axis=0)) / self._ones.sum()
+        w = -(z + np.outer(self._ones, c))
+        coef += self._fft(self._embed(w.T, self._gamma))
+        x = self._ifft(coef * self._pinv).reshape(len(B), -1)[:, self._inside] + c[:, None]
+        return x[0] if single else x.T
 
 
 def centered_box_halfwidth(domain) -> int:

@@ -77,8 +77,9 @@ def _outdir(args) -> Path:
 
 
 def _route_facts(prec) -> dict:
-    """The solver route a precision took, and why a box route was refused."""
-    facts = {"route": prec.route}
+    """The solver route a precision took, the entries of the factor it built,
+    and why a box or torus route was refused."""
+    facts = {"route": prec.route, "factor_fill": prec.factor_fill}
     if prec.route_reason:
         facts["route_reason"] = prec.route_reason
     return facts

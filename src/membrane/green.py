@@ -9,21 +9,30 @@ dropped (the zero boundary).  The covariance G solves
     Delta_1^2 G(x, .) = delta_x     on R_h,     G(x, .) = 0 outside.
 
 `PrecisionMatrix.solver()` is the one place that picks how to invert the
-precision, and `PrecisionMatrix.route` records its pick:
+precision, and `PrecisionMatrix.route` records its pick, by dimension and
+domain:
 
 - "box-direct": every centred box in d = 2, at any size, by the sine-transform
   and capacitance solve of `boxsolve.DirectBoxSolver`;
 - "box-pcg": every centred box in d >= 3, at any size, by the sine-coefficient
   box PCG of `boxsolve`; a solve that stops above its tolerance raises;
-- "superlu": every other domain up to FACTORIZATION_CAP rows, above which it
-  raises.
+- "torus-capacitance": every other d = 2 domain, by the periodic-torus
+  embedding and capacitance solve of `boxsolve.TorusCapacitanceSolver`;
+- "superlu": every other domain in d >= 3.
 
-A box route builds its operator from the domain, so it is taken only when a
-seeded random probe (`box_probe`, which the box spectra of `spectral` share)
-shows that the matrix given is that operator; otherwise the domain is solved
-like any other, and `route_reason` says why.  The d=4 log-correlation study
-solves for the centre column with the even variant of the box solver, on the
-sector |x_i| of the box.
+Every domain that is not a centred box is bounded by FACTORIZATION_CAP rows,
+above which it raises.  A box or torus route builds its operator from the
+domain, so it is taken only when a seeded random probe (`operator_probe`,
+which the box spectra of `spectral` share) shows that the matrix given is
+that operator; the torus probe runs before its factor is built.  Otherwise
+the matrix goes to SuperLU, and `route_reason` says why.
+`PrecisionMatrix.factor_fill` records the entries of the factor built:
+SuperLU's stored entries of L and U (`SuperLU.nnz`; building L and U to
+count them would copy the factor), m^2 for a torus capacitance matrix on m
+boundary points, (4L)^2 for the d=2 box capacitance matrix and 0 for box
+PCG.  The
+d=4 log-correlation study solves for the centre column with the even variant
+of the box solver, on the sector |x_i| of the box.
 
 `factorize_spd`, the one call of SuperLU, uses its symmetric mode: minimum-
 degree ordering of A^T + A and diagonal pivots, the choice for SPD matrices
@@ -44,7 +53,7 @@ from .lattice import GridDomain, assemble, stencil_weights
 DENSE_TABLE_CAP = 20_000
 FACTORIZATION_CAP = 600_000   # rows; above this only centred boxes are solved
 RHS_FLOAT_BUDGET = 16_000_000  # floats in one dense batch of right-hand sides
-PROBE_TOL = 1e-12             # box operator vs matrix, relative to ||A|| ||v||
+PROBE_TOL = 1e-12             # route operator vs matrix, relative to ||A|| ||v||
 
 
 @dataclass
@@ -57,7 +66,8 @@ class PrecisionMatrix:
 
     _solver: Optional[object] = field(default=None, repr=False)
     route: Optional[str] = field(default=None, init=False)  # set by solver()
-    route_reason: str = field(default="", init=False)       # why a box route was refused
+    route_reason: str = field(default="", init=False)       # why a box or torus route was refused
+    factor_fill: int = field(default=0, init=False)         # entries of the factor the route built
 
     @property
     def n(self) -> int:
@@ -65,7 +75,7 @@ class PrecisionMatrix:
 
     def solver(self):
         if self._solver is None:
-            self._solver, self.route, self.route_reason = _make_solver(self.matrix, self.domain)
+            self._solver, self.route, self.route_reason, self.factor_fill = _make_solver(self.matrix, self.domain)
         return self._solver
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -82,37 +92,46 @@ def assemble_precision(domain: GridDomain) -> PrecisionMatrix:
 
 
 def _make_solver(A: sp.csr_matrix, domain: GridDomain):
-    """(solve, route, reason): a solver for A, the route's name, and why a
-    box route was refused ("" when it was not)."""
-    from .boxsolve import CenteredBoxSolver, DirectBoxSolver, centered_box_halfwidth
+    """(solve, route, reason, fill): a solver for A, the route's name, why a
+    box or torus route was refused ("" when it was not), and the entries of
+    the factor built."""
+    from .boxsolve import CenteredBoxSolver, DirectBoxSolver, TorusCapacitanceSolver, centered_box_halfwidth
 
     n, d = A.shape[0], domain.d
     reason = ""
-    # every centred box goes to its box route once the probe accepts A
+    # by dimension and domain: a centred box goes to its box route, every
+    # other d=2 domain to the torus capacitance solve, the rest to SuperLU;
+    # each of the first two only once the probe accepts A
     M = centered_box_halfwidth(domain)
     if M >= 0:
         box = DirectBoxSolver(M) if d == 2 else CenteredBoxSolver(d, M)
-        reason = box_probe(A, box)
+        reason = operator_probe(A, box)
         if not reason:
             if d == 2:
-                return box.solve, "box-direct", ""
-            return (lambda rhs: box.solve(rhs, tol=1e-11)[0]), "box-pcg", ""
+                return box.solve, "box-direct", "", (4 * box.L) ** 2
+            return (lambda rhs: box.solve(rhs, tol=1e-11)[0]), "box-pcg", "", 0
     if n > FACTORIZATION_CAP:
         raise ValueError(
             f"system size {n} is above the factorization cap {FACTORIZATION_CAP} "
             f"and {reason or 'the domain is not a centred box'}"
         )
-    return factorize_spd(A).solve, "superlu", reason
+    if d == 2 and M < 0:
+        torus = TorusCapacitanceSolver(domain)
+        reason = operator_probe(A, torus)
+        if not reason:
+            return torus.factorize().solve, "torus-capacitance", "", torus.m**2
+    lu = factorize_spd(A)
+    return lu.solve, "superlu", reason, lu.nnz
 
 
-def box_probe(A: sp.spmatrix, box) -> str:
-    """"" when a seeded random probe shows that A is the box's `operator`,
-    else why the box route is refused."""
+def operator_probe(A: sp.spmatrix, route) -> str:
+    """"" when a seeded random probe shows that A is the route's `operator`,
+    else why the route is refused."""
     v = np.random.default_rng(0).standard_normal(A.shape[0])
-    mismatch = np.abs(A @ v - box.operator(v)).max() / (abs(A).sum(axis=1).max() * np.abs(v).max())
+    mismatch = np.abs(A @ v - route.operator(v)).max() / (abs(A).sum(axis=1).max() * np.abs(v).max())
     if mismatch <= PROBE_TOL:
         return ""
-    return f"matrix is not the box operator (probe mismatch {mismatch:.1e})"
+    return f"matrix is not the {type(route).__name__} operator (probe mismatch {mismatch:.1e})"
 
 
 def factorize_spd(A: sp.spmatrix) -> spla.SuperLU:

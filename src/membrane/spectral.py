@@ -14,7 +14,8 @@ permutation class (see `boxsolve`), for a centred box that the box probe of
 `green` accepts, when it has at most DENSE_EIG_CAP unknowns or, in d >= 3, its
 largest sector has; "dense" `eigh` for any other matrix up to DENSE_EIG_CAP;
 and "shift-invert" `eigsh` above it, over the precision's solver (box-direct
-or box PCG for boxes).  Every route is gated against the assembled matrix.
+or box PCG for boxes, torus capacitance for other d = 2 domains, SuperLU
+otherwise).  Every route is gated against the assembled matrix.
 
 Norms on the dual scale: || v ||_{-s}^2 = sum_j lambda_j^{-s/2} (v, u_j)^2.
 The random series  sum_j lambda_j^{-1/2} xi_j u_j  with i.i.d. standard
@@ -43,7 +44,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .boxsolve import CenteredBoxSolver, centered_box_halfwidth, parity_classes
-from .green import GreenTable, PrecisionMatrix, _make_solver, box_probe, factorize_spd
+from .green import GreenTable, PrecisionMatrix, _make_solver, factorize_spd, operator_probe
 from .lattice import GridDomain, assemble, stencil_weights, unit_ball_volume
 
 DENSE_EIG_CAP = 4000
@@ -145,7 +146,7 @@ def eigendecompose(precision: PrecisionMatrix, k: int) -> SpectralBasis:
         reason = "not a centred box"
     elif n <= DENSE_EIG_CAP or (d >= 3 and largest <= DENSE_EIG_CAP):
         box = CenteredBoxSolver(d, M)
-        reason = box_probe(precision.matrix, box)
+        reason = operator_probe(precision.matrix, box)
     elif d == 2:
         reason = "d=2 box above DENSE_EIG_CAP, eigsh over box-direct"
     else:

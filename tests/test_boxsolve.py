@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from membrane import boxsolve, green, spectral
-from membrane.boxsolve import CenteredBoxSolver, DirectBoxSolver
+from membrane.boxsolve import CenteredBoxSolver, DirectBoxSolver, TorusCapacitanceSolver
 from membrane.green import PrecisionMatrix, assemble_precision, green_columns
 from membrane.lattice import Ball, Box, classify, unit_box
 from membrane.thomee import backward_error
@@ -222,20 +222,97 @@ def test_centred_boxes_are_solved_without_factorization(monkeypatch, d, N, cap):
     for shape in (Ball([0.0] * d, 1.0), Box([(-1, 1)] * (d - 1) + [(-1, 2)])):
         other = assemble_precision(classify(shape, 1 / 4 if d == 4 else 1 / 6))
         assert green_columns(other, [(0,) * d]).max_residual <= 1e-8
-        assert other.route == "superlu" and other.route_reason == ""
+        assert other.route == ("torus-capacitance" if d == 2 else "superlu") and other.route_reason == ""
 
 
 @pytest.mark.parametrize("d,N", [(2, 10), (3, 6)])
-def test_box_routes_solve_the_matrix_they_are_given(d, N):
-    box = assemble_precision(classify(unit_box(d), 1.0 / N))
-    perturbed = PrecisionMatrix(domain=box.domain, matrix=(box.matrix * (1.0 + 1e-6)).tocsr(), raw=box.raw)
-    pts = [(0,) * d, (1,) * d]
-    table = green_columns(perturbed, pts)
-    assert perturbed.route == "superlu"
-    assert "probe mismatch" in perturbed.route_reason
+def test_box_routes_solve_the_matrix_they_are_given(monkeypatch, d, N):
+    # a box, and in d=2 a disk: the probe refuses a perturbed matrix, which is factorized
+    shapes = [(unit_box(d), "box-direct" if d == 2 else "box-pcg")]
+    if d == 2:
+        shapes.append((Ball([0.0, 0.0], 1.0), "torus-capacitance"))
+    for shape, route in shapes:
+        prec = assemble_precision(classify(shape, 1.0 / N))
+        perturbed = PrecisionMatrix(domain=prec.domain, matrix=(prec.matrix * (1.0 + 1e-6)).tocsr(), raw=prec.raw)
+        pts = [(0,) * d, (1,) * d]
+        with monkeypatch.context() as m:  # the torus probe runs before the capacitance factor is built
+            m.setattr(TorusCapacitanceSolver, "factorize", lambda self: pytest.fail("refused matrix was factorized"))
+            table = green_columns(perturbed, pts)
+        assert perturbed.route == "superlu"
+        assert "probe mismatch" in perturbed.route_reason
+        assert table.max_residual <= 1e-8
+        units = np.zeros((prec.n, len(pts)))
+        units[prec.domain.rh_indices(pts), np.arange(len(pts))] = 1.0
+        assert np.abs(prec.matrix @ table.values.T - units).max() > 1e-8
+        assert green_columns(prec, pts).max_residual <= 1e-8
+        assert prec.route == route
+
+
+# ---------------------------------------------------------------------------
+# the torus capacitance solver of every other d=2 domain
+
+
+def _torus_mismatch(dom) -> float:
+    """Probe-normalized gap between the torus operator on R_h and the assembled matrix."""
+    A = assemble_precision(dom).matrix
+    v = np.random.default_rng(dom.n_rh).standard_normal(dom.n_rh)
+    gap = np.abs(A @ v - TorusCapacitanceSolver(dom).operator(v)).max()
+    return gap / (abs(A).sum(axis=1).max() * np.abs(v).max())
+
+
+@given(
+    ball=st.booleans(),
+    centre=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    size=st.tuples(st.floats(0.05, 1.5), st.floats(0.05, 1.5)),
+    inv_h=st.integers(2, 24),
+)
+@example(ball=True, centre=(0.0, 0.0), size=(0.25, 0.25), inv_h=8)  # R_h = {0}
+@settings(max_examples=40, deadline=None)
+def test_torus_operator_applies_the_assembled_matrix(ball, centre, size, inv_h):
+    if ball:
+        shape = Ball(centre, size[0])
+    else:
+        shape = Box([(c - s, c + s) for c, s in zip(centre, size)])
+    try:
+        dom = classify(shape, 1.0 / inv_h)
+    except ValueError:  # no grid point in the shape
+        reject()
+    assume(dom.n_rh > 0)
+    assert _torus_mismatch(dom) <= green.PROBE_TOL
+
+
+def test_torus_operator_on_a_single_point():
+    dom = classify(Ball([0.0, 0.0], 0.25), 1 / 8)
+    assert dom.n_rh == 1
+    assert _torus_mismatch(dom) <= green.PROBE_TOL
+    a = assemble_precision(dom).matrix.toarray()[0, 0]
+    assert TorusCapacitanceSolver(dom).factorize().solve(np.ones(1))[0] == pytest.approx(1.0 / a, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape,h",
+    [
+        (Ball([0.0, 0.0], 1.0), 1 / 8),
+        (Ball([0.0, 0.0], 1.0), 1 / 16),
+        (Ball([0.0, 0.0], 1.0), 1 / 64),
+        (Box([(-1, 1), (-1, 2)]), 1 / 12),
+        (Ball([0.3, -0.2], 0.7), 1 / 16),
+    ],
+    ids=["disk-8", "disk-16", "disk-64", "offcentre-box-12", "offcentre-ball-16"],
+)
+def test_other_d2_domains_are_solved_without_factorization(monkeypatch, shape, h):
+    dom = classify(shape, h)
+    pts = dom.rh_points[np.random.default_rng(dom.n_rh).choice(dom.n_rh, size=3, replace=False)]
+    units = np.zeros((dom.n_rh, len(pts)))
+    units[dom.rh_indices(pts), np.arange(len(pts))] = 1.0
+    reference = spla.spsolve(assemble_precision(dom).matrix.tocsc(), units).T
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("splu called for a d=2 domain")
+
+    monkeypatch.setattr(green.spla, "splu", no_factorization)
+    prec = assemble_precision(dom)
+    table = green_columns(prec, pts)
+    assert (prec.route, prec.route_reason) == ("torus-capacitance", "")
     assert table.max_residual <= 1e-8
-    units = np.zeros((box.n, len(pts)))
-    units[box.domain.rh_indices(pts), np.arange(len(pts))] = 1.0
-    assert np.abs(box.matrix @ table.values.T - units).max() > 1e-8
-    assert green_columns(box, pts).max_residual <= 1e-8
-    assert box.route == ("box-direct" if d == 2 else "box-pcg")
+    assert np.abs(table.values - reference).max() <= 1e-9 * np.abs(reference).max()

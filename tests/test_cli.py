@@ -67,14 +67,14 @@ def test_green_symmetry_check_reads_the_asymmetry_as_solved(tmp_path, monkeypatc
     make = green._make_solver
 
     def skewed(A, domain):
-        solve, route, reason = make(A, domain)
+        solve, *facts = make(A, domain)
 
         def solve_skewed(rhs):
             x = solve(rhs)
             x[0] += 1e-12 * np.abs(x).max() * rhs[1]  # G(0, 1) alone moves
             return x
 
-        return solve_skewed, route, reason
+        return (solve_skewed, *facts)
 
     monkeypatch.setattr(green, "_make_solver", skewed)
     code, out = run_cli(["green", "--shape", "box", "--d", "2", "--h", "1/4", "--columns", "all"], tmp_path, "s")
@@ -86,7 +86,9 @@ def test_green_symmetry_check_reads_the_asymmetry_as_solved(tmp_path, monkeypatc
 
 
 def test_recipes_record_the_solver_route(tmp_path, monkeypatch):
-    from membrane.boxsolve import FFT_WORKERS
+    from membrane.boxsolve import FFT_WORKERS, TorusCapacitanceSolver
+    from membrane.green import assemble_precision, factorize_spd
+    from membrane.lattice import Ball, classify
 
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -94,13 +96,23 @@ def test_recipes_record_the_solver_route(tmp_path, monkeypatch):
     code, out = run_cli(["sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "1"], tmp_path, "r1")
     assert code == 0
     man = json.loads((out / "manifest.json").read_text())
-    assert man["stage_facts"]["factorize"] == {"route": "box-direct"}
+    assert man["stage_facts"]["factorize"] == {"route": "box-direct", "factor_fill": (4 * 13) ** 2}  # L = 2M+1 = 13
     assert man["threads"] == {
         "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": "2", "fft_workers": FFT_WORKERS
     }
+    # the factor fill read back: m^2 for the d=2 disk, SuperLU's stored entries for the d=3 ball
+    disk = classify(Ball([0.0, 0.0], 1.0), 1 / 8)
     code, out = run_cli(["green", "--shape", "ball", "--d", "2", "--h", "1/8", "--columns", "0,0"], tmp_path, "r2")
     assert code == 0
-    assert json.loads((out / "manifest.json").read_text())["stage_facts"]["solve"] == {"route": "superlu"}
+    facts = json.loads((out / "manifest.json").read_text())["stage_facts"]["solve"]
+    assert facts == {"route": "torus-capacitance", "factor_fill": TorusCapacitanceSolver(disk).m ** 2}
+    assert facts["factor_fill"] > 0
+    ball = assemble_precision(classify(Ball([0.0] * 3, 1.0), 1 / 6))
+    code, out = run_cli(["sample", "--shape", "ball", "--d", "3", "--h", "1/6", "--count", "1"], tmp_path, "r3")
+    assert code == 0
+    facts = json.loads((out / "manifest.json").read_text())["stage_facts"]["factorize"]
+    assert facts == {"route": "superlu", "factor_fill": factorize_spd(ball.matrix).nnz}
+    assert facts["factor_fill"] > ball.matrix.nnz
 
 
 def test_green_selected_columns(tmp_path):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from membrane import green, spectral
+from membrane import boxsolve, green, spectral
 from membrane.green import assemble_precision, green_full
-from membrane.lattice import Box, classify, unit_box
+from membrane.lattice import Ball, Box, classify, unit_box
 from membrane.spectral import (
     SpectralBasis,
     WienerSeries,
@@ -161,6 +161,15 @@ def test_routes_above_the_cap(monkeypatch):
     assert prec.n == 5929
     basis = eigendecompose(prec, 4)
     assert (basis.route, basis.route_reason) == ("shift-invert", "d=2 box above DENSE_EIG_CAP, eigsh over box-direct")
+    # a d=2 disk above the cap goes to eigsh over torus-capacitance, not SuperLU
+    built = []
+    factorize = boxsolve.TorusCapacitanceSolver.factorize
+    monkeypatch.setattr(boxsolve.TorusCapacitanceSolver, "factorize", lambda self: built.append(self.m) or factorize(self))
+    prec = assemble_precision(classify(Ball([0.0, 0.0], 1.0), 1 / 40))
+    assert spectral.DENSE_EIG_CAP < prec.n < 5000
+    basis = eigendecompose(prec, 4)  # the eigen gates run inside
+    assert (basis.route, basis.route_reason) == ("shift-invert", "not a centred box")
+    assert len(built) == 1 and prec._solver is None
     monkeypatch.undo()
     # a d >= 3 box whose largest sector is above the cap goes to eigsh too
     monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 100)
