@@ -35,7 +35,7 @@ RECIPE_CLAIMS = {
     "pair": "variance of the grid pairing against a test function converges under h-refinement",
     "thomee": "finite-difference biharmonic errors decrease within the h^(1/2) bound curve",
     "infvol-green": "walk representation of the infinite-volume covariance matches the singular Fourier integral within 3 SE + quadrature error + the rigorous tail bound past max_steps",
-    "infvol-eta2": "the covariance ratio against |x|^(4-d) flattens at large distance",
+    "infvol-eta2": "the covariance ratio G(0, r e_1) r^(d-4) flattens at large distance; ratio_over_limit reports it against the Riesz constant (2d)^2 Gamma(d/2-2) / (16 pi^(d/2)), its limit",
     "infvol-variance": "rescaled test-function variances approach the inverse-Laplacian norm of the test function",
 }
 
@@ -414,8 +414,11 @@ def run_infvol(args, cfg) -> int:
         man.wrote(write_csv(
             out,
             "eta2_trend",
-            ["r", "green", "ratio"],
-            [[int(r), float(g), float(q)] for r, g, q in zip(trend.radii, trend.greens, trend.ratios)],
+            ["r", "green", "ratio", "ratio_over_limit"],
+            [
+                [int(r), float(g), float(q), float(q / trend.limit)]
+                for r, g, q in zip(trend.radii, trend.greens, trend.ratios)
+            ],
         ))
         man.check("flatness", trend.flatness <= 0.1, f"spread {trend.flatness:.4f}")
         man.check("positive", bool(np.all(trend.ratios > 0)))

@@ -12,7 +12,10 @@ the integrand is smooth; recursing on the sub-cube gives shells whose
 contribution scales like (2^-k rho)^(d-4), so a few dozen levels push the
 unresolved centre below any tolerance.  Evenness in every coordinate folds
 the domain to the positive orthant (factor 2^d) and replaces the exponential
-by a product of cosines.
+by a product of cosines.  The integrands are symmetric under swaps of axes
+that carry the same Gauss rule (the cosine product once those axes share
+one frequency set), so each level evaluates one box per permutation class
+and adds the rest of the class as transposes (`shell_quadrature`).
 
 The independent check is Monte Carlo over simple random walks:
 
@@ -20,7 +23,10 @@ The independent check is Monte Carlo over simple random walks:
 
 truncated at m <= M; the tail past M is bounded in closed form by the
 return-probability envelope P[S_m = x] <= 2 i0e(2 floor(m/2) / d)^d (see
-`walk_tail_bound`), which needs nothing from the walks.
+`walk_tail_bound`), which needs nothing from the walks.  A walk carries a
+running key of its position in the target box and a count of its
+coordinates outside it, so a step costs the same whatever the box size
+(`walk_estimate`).
 
 The rescaled test-function variance uses the same symbol:
 
@@ -36,12 +42,12 @@ excess, with the Riemann-sum and truncation terms carried in an error budget.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import i0e
 
 TWO_PI = 2.0 * np.pi
@@ -68,6 +74,26 @@ def _gauss(a: float, b: float, rule: Tuple[np.ndarray, np.ndarray]):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+def _orbits(d: int, first: int) -> List[List[Tuple[int, ...]]]:
+    """Axis permutations that carry each class representative onto its orbit.
+
+    Axes first..d-1 share one Gauss rule; the representative of class j
+    takes the upper half on axes first..first+j-1.  For every set S of j of
+    those axes, the box whose upper axes are S is the representative under
+    the order (0..first-1, S, the rest), so its tensor is
+    np.transpose(T_rep, sigma) with sigma the inverse of that order: its
+    entry at f is T_rep[g] with g[sigma[i]] = f[i].
+    """
+    free = range(first, d)
+    return [
+        [
+            tuple(np.argsort([*range(first), *upper, *(ax for ax in free if ax not in upper)]))
+            for upper in itertools.combinations(free, j)
+        ]
+        for j in range(d - first + 1)
+    ]
+
+
 def shell_quadrature(
     d: int,
     outer: float,
@@ -86,9 +112,21 @@ def shell_quadrature(
     integrand(nodes, weights) gets each axis's Gauss nodes and weights as 1-D
     arrays shaped to broadcast along that axis, (1, .., p, .., 1), so it builds
     d-dimensional tensors from per-axis tables (sum factorization) instead of a
-    mesh; its results, scalar or array, are summed.
+    mesh.  It returns a scalar or an array with one dimension per axis.
+
+    Class sum.  The integrand must be invariant under a swap of two axes that
+    carry the same rule, up to the matching transpose of an array result
+    (which needs the same table, e.g. one frequency set, on those axes).  All
+    axes share a rule, or with order_axis0 axes 1..d-1 do; a box is then
+    fixed up to permutation by the number j of those axes on their upper half
+    (and, with order_axis0, the half of axis 0).  Each level evaluates one
+    box per class, d boxes (2d - 1 with order_axis0) in place of 2^d - 1,
+    and adds its orbit: C(d', j) times a scalar, or the sum of the C(d', j)
+    transposes of an array, d' the number of permuting axes.
     """
     rules = {p: np.polynomial.legendre.leggauss(p) for p in (order, order_axis0) if p}
+    first = 1 if order_axis0 else 0
+    orbits = _orbits(d, first)
     total = 0.0
     for k in range(levels):
         a = outer * (0.5**k)
@@ -100,9 +138,17 @@ def shell_quadrature(
             halves.append(
                 [[v.reshape(shape) for v in _gauss(lo, hi, rule)] for lo, hi in ((0.0, a / 2), (a / 2, a))]
             )
-        for combo in range(1, 2**d):
-            box = [halves[ax][(combo >> ax) & 1] for ax in range(d)]
-            total = total + integrand([x for x, _ in box], [w for _, w in box])
+        for top0 in range(first + 1):
+            for j, perms in enumerate(orbits):
+                if not (top0 or j):
+                    continue  # the sub-cube [0, a/2]^d, resolved at level k + 1
+                upper = [top0] * first + [1] * j + [0] * (d - first - j)
+                box = [halves[ax][upper[ax]] for ax in range(d)]
+                value = integrand([x for x, _ in box], [w for _, w in box])
+                if np.ndim(value) == 0:
+                    total = total + len(perms) * value
+                else:
+                    total = total + sum(np.transpose(value, sigma) for sigma in perms)
     return total
 
 
@@ -164,21 +210,27 @@ class FourierValue:
         return self.quadrature_error + self.center_bound
 
 
-def _green_integrand(targets: np.ndarray, d: int):
-    """Weighted sums of mu^-2 prod_i cos(x_i theta_i) over one box, all targets at once.
+def _green_integrand(targets: np.ndarray, d: int, order_axis0: Optional[int]):
+    """Weighted sums of mu^-2 prod_i cos(f_i theta_i) over one box, on a frequency grid.
 
     The kernel tensor w / mu^2 is contracted axis by axis against the table
-    cos(j theta_i) over the distinct |x_i| on axis i; each target is read
-    from the resulting table of prod_i |F_i| entries.
+    cos(f theta_i) over one frequency set F, the distinct |x_i| of all
+    targets, on every axis that shares a Gauss rule (axis 0 keeps its own set
+    under order_axis0), so the F^d result transposes with the axes as
+    `shell_quadrature`'s class sum needs.  Returns the integrand and the
+    index of each target in that result.
     """
-    freqs, index = zip(*(np.unique(np.abs(col), return_inverse=True) for col in np.asarray(targets).T))
+    cols = np.abs(np.asarray(targets)).T
+    first = 1 if order_axis0 else 0
+    freqs = [np.unique(cols[0])] * first + [np.unique(cols[first:])] * (d - first)
+    index = tuple(np.searchsorted(f, col) for f, col in zip(freqs, cols))
 
     def integrand(nodes, weights):
         mu = sum(2.0 * np.sin(0.5 * t) ** 2 for t in nodes) / d
         tables = [w.reshape(-1, 1) * np.cos(t.reshape(-1, 1) * f) for t, w, f in zip(nodes, weights, freqs)]
-        return _contract(1.0 / (mu * mu), tables)[index]
+        return _contract(1.0 / (mu * mu), tables)
 
-    return integrand
+    return integrand, index
 
 
 def green_infinite_fourier(
@@ -204,7 +256,7 @@ def green_infinite_fourier_many(
         plan = FourierCovariance(d=d)
     d = plan.d
     targets = np.asarray(targets, dtype=np.int64)
-    integ = _green_integrand(targets, d)
+    integ, index = _green_integrand(targets, d, order_axis0)
     coarse = shell_quadrature(
         d, plan.rho0, plan.levels, integ, order=plan.order, order_axis0=order_axis0
     )
@@ -216,7 +268,7 @@ def green_infinite_fourier_many(
     scale = 2.0**d / TWO_PI**d
     center = fine_plan.center_cube_bound() * 2.0**d / TWO_PI**d
     out = []
-    for v1, v2 in zip(np.atleast_1d(coarse), np.atleast_1d(fine)):
+    for v1, v2 in zip(coarse[index], fine[index]):
         out.append(
             FourierValue(
                 value=float(v2) * scale,
@@ -227,6 +279,19 @@ def green_infinite_fourier_many(
     return out
 
 
+def riesz_constant(d: int) -> float:
+    """lim G(0, x) |x|^{d-4} = (2d)^2 Gamma(d/2 - 2) / (16 pi^{d/2}), d >= 5.
+
+    Gamma(d/2 - 2) / (16 pi^{d/2}) |x|^{4-d} is the Riesz kernel of Delta^2
+    on R^d (Stein, *Singular Integrals*, 1970, ch. V §1); the factor (2d)^2
+    comes from Delta_1 = Delta / (2d).  For d = 5 it is 100 / (16 pi^2) =
+    0.633257.
+    """
+    if d <= 4:
+        raise ValueError("the Riesz kernel of Delta^2 needs d >= 5")
+    return (2 * d) ** 2 * math.gamma(d / 2.0 - 2.0) / (16.0 * math.pi ** (d / 2.0))
+
+
 @dataclass
 class Eta2Trend:
     radii: np.ndarray
@@ -234,15 +299,15 @@ class Eta2Trend:
     ratios: np.ndarray         # G(0, r e_1) * r^{d-4}
     flatness: float            # max relative spread over the top half of radii
     quadrature_spread: float   # max relative change under refinement
+    limit: float               # riesz_constant(d), the limit of the ratios
 
 
 def eta2_trend(radii: Sequence[int], d: int = 5, plan: Optional[FourierCovariance] = None) -> Eta2Trend:
     """Ratio G(0, r e_1) r^{d-4} along increasing radii.
 
-    Its limit is (2d)^2 Gamma(d/2 - 2) / (16 pi^{d/2}), which is
-    100 / (16 pi^2) = 0.633257 for d = 5: the constant of the Riesz kernel
-    of Delta^2 (Stein, *Singular Integrals*, 1970, ch. V §1), times (2d)^2
-    because Delta_1 = Delta / (2d).
+    Its limit is `riesz_constant(d)`, 0.633257 for d = 5; the ratio
+    approaches it from above, with r^2 (ratio / limit - 1) near 0.5-0.6 for
+    r = 5..15 in d = 5.
     """
     radii = np.asarray(sorted(radii), dtype=int)
     targets = [[r] + [0] * (d - 1) for r in radii]
@@ -260,7 +325,8 @@ def eta2_trend(radii: Sequence[int], d: int = 5, plan: Optional[FourierCovarianc
     if not np.all(qerr <= 0.1 * np.abs(g)):
         raise RuntimeError("quadrature error exceeds 10% of the ratio scale")
     return Eta2Trend(
-        radii=radii, greens=g, ratios=ratios, flatness=flat, quadrature_spread=spread
+        radii=radii, greens=g, ratios=ratios, flatness=flat, quadrature_spread=spread,
+        limit=riesz_constant(d),
     )
 
 
@@ -348,6 +414,14 @@ def walk_estimate(
     Walks start at `start` (origin by default); with a nonzero start this
     estimates G(start, x), which by translation invariance equals
     G(0, x - start).  A target listed twice raises ValueError.
+
+    Each step costs O(1) array work per walk.  Every walk carries its key in
+    base 2 span + 1 (span = the largest |coordinate| of the targets and the
+    start), moved by a table entry per move, and the count of its
+    coordinates with |x_i| > span, moved when a step crosses +-span.  A walk
+    is in the target box exactly when that count is 0; the keys of those
+    walks are looked up among the sorted target keys.  The random stream is
+    one rng.integers(0, 2d) draw per step and batch, from (seed, batch).
     """
     d = oracle.d
     M = oracle.max_steps
@@ -360,8 +434,11 @@ def walk_estimate(
         raise ValueError("a walk target is listed twice")
     order = np.argsort(tkey)
     tkey_sorted = tkey[order]
-    r2_start = int(np.dot(start_vec.astype(np.int64), start_vec))
-    home = order[tkey_sorted == _encode(start_vec[None, :].astype(np.int64), span, d)[0]][:1]
+    start_key = _encode(start_vec[None, :].astype(np.int64), span, d)[0]
+    home = order[tkey_sorted == start_key][:1]
+    # move k steps axis k >> 1 by step_of[k] and the running key by key_of[k]
+    step_of = np.tile(np.array([-1, 1], dtype=np.int16), d)
+    key_of = step_of * np.repeat((2 * span + 1) ** np.arange(d - 1, -1, -1), 2)
 
     sums = np.zeros(ntar)
     sqs = np.zeros(ntar)
@@ -372,30 +449,28 @@ def walk_estimate(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=oracle.seed, spawn_key=(batch_index,))
         )
-        pos = np.tile(start_vec, (nw, 1))
-        flat = pos.reshape(-1)
+        flat = np.tile(start_vec, nw)
         rows = np.arange(0, nw * d, d)
-        # running ||pos||^2: ||pos||_inf <= span needs ||pos||^2 <= d span^2,
-        # so the exact test runs on those walks alone
-        r2 = np.full(nw, r2_start, dtype=np.int64)
+        key = np.full(nw, start_key, dtype=np.int64)
+        out = np.zeros(nw, dtype=np.int8)  # coordinates with |x_i| > span; the start is inside
         tally = np.zeros((nw, ntar), dtype=np.float64)
         tally[:, home] += 1.0  # m = 0, when the start is a target
         for m in range(1, M + 1):
             move = rng.integers(0, 2 * d, size=nw)
+            step = step_of.take(move)
             cell = rows + (move >> 1)
-            sgn = (2 * (move & 1) - 1).astype(np.int16)
-            old = flat[cell]
-            flat[cell] = old + sgn
-            r2 += 2 * sgn * old + 1
-            cand = np.flatnonzero(r2 <= d * span * span)
-            idx = cand[np.max(np.abs(pos[cand]), axis=1) <= span]
-            if idx.size:
-                key = _encode(pos[idx], span, d)
-                j = np.searchsorted(tkey_sorted, key)
-                j = np.clip(j, 0, ntar - 1)
-                ok = tkey_sorted[j] == key
-                if ok.any():
-                    np.add.at(tally, (idx[ok], order[j[ok]]), float(m + 1))
+            old = flat.take(cell)
+            flat[cell] = old + step
+            edge = old * step  # span: the step leaves [-span, span]; -span - 1: it re-enters
+            out += edge == span
+            out -= edge == -span - 1
+            key += key_of.take(move)
+            idx = np.flatnonzero(out == 0)
+            here = key[idx]
+            j = np.searchsorted(tkey_sorted, here).clip(0, ntar - 1)
+            hit = tkey_sorted[j] == here
+            # a walk is at one point, so no (walk, target) pair repeats
+            tally[idx[hit], order[j[hit]]] += m + 1
         sums += tally.sum(axis=0)
         sqs += np.sum(tally * tally, axis=0)
         done += nw
@@ -418,8 +493,6 @@ def walk_estimate(
 
 def symmetry_classes(span: int, d: int):
     """Representatives (sorted |x|) and class members for all ||x||_inf <= span."""
-    import itertools
-
     reps = {}
     for x in itertools.product(range(-span, span + 1), repeat=d):
         key = tuple(sorted(abs(v) for v in x))
@@ -476,6 +549,8 @@ def gaussian_test(d: int = 5, sigma: float = 1.0) -> SchwartzTest:
 
 def inv_laplacian_norm(test: SchwartzTest, rel_tol: float = 1e-12) -> float:
     """|| (-Lap)^{-1} f ||_{L^2}^2 = int ||theta||^-4 |fhat|^2 dtheta by radial quadrature."""
+    from scipy.integrate import quad
+
     d = test.d
     if d <= 4:
         raise ValueError("needs d >= 5")
@@ -546,6 +621,8 @@ def scaling_variance(
             N=N, value=0.0, radial_part=0.0, kernel_excess=0.0, error_budget=0.0,
             budget_detail={},
         )
+    from scipy.integrate import quad
+
     radial = inv_laplacian_norm(test)
 
     theta_max = min(N * np.pi, test.fhat_radius(1e-34))

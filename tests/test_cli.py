@@ -283,3 +283,16 @@ def test_infvol_variance_recipe_small(tmp_path):
     assert code == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["passed"]
+
+
+def test_infvol_eta2_recipe_reports_the_riesz_limit(tmp_path):
+    from membrane.infvol import riesz_constant
+
+    code, out = run_cli(["infvol", "eta2", "--d", "5", "--radii", "6..9"], tmp_path, "e")
+    assert code == 0
+    header, *rows = [line.split(",") for line in (out / "eta2_trend.csv").read_text().strip().splitlines()]
+    assert header == ["r", "green", "ratio", "ratio_over_limit"]
+    assert [int(row[0]) for row in rows] == [6, 7, 8, 9]
+    for row in rows:
+        assert float(row[3]) == pytest.approx(float(row[2]) / riesz_constant(5), rel=1e-12)
+    assert "Riesz constant" in RECIPE_CLAIMS["infvol-eta2"]

@@ -1,5 +1,8 @@
 import itertools
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from membrane.infvol import (
     inv_laplacian_norm,
     mu_symbol,
     riemann_sum_error,
+    riesz_constant,
     scaling_variance,
     sine_bound_check,
     sphere_area,
@@ -101,12 +105,8 @@ def dense_shell_sum(d, outer, levels, order, integrand, order_axis0=None):
     return total
 
 
-@pytest.mark.parametrize("order_axis0", [None, 6])
-def test_fourier_matches_dense_mesh_reference(order_axis0):
-    d = 5
-    targets = [list(x) for x in sorted(symmetry_classes(2, d))]
-    targets += [[3, 0, 0, 0, 0], [0, 0, 0, 0, -5], [0, 2, -1, 0, 1], [4, 1, 0, 0, 0]]
-    plan = FourierCovariance(d=d, levels=9, order=3)  # refined: 13 levels, past the 12 of order_axis0
+def check_fourier_against_dense_mesh(d, targets, levels, order, order_axis0):
+    plan = FourierCovariance(d=d, levels=levels, order=order)
     got = green_infinite_fourier_many(targets, plan=plan, order_axis0=order_axis0)
 
     def integrand(theta, wt):
@@ -114,12 +114,29 @@ def test_fourier_matches_dense_mesh_reference(order_axis0):
         return np.array([np.sum(ker * np.prod(np.cos(theta * np.abs(x)), axis=-1)) for x in targets])
 
     scale = 2.0**d / (2 * np.pi) ** d
-    coarse = dense_shell_sum(d, np.pi, 9, 3, integrand, order_axis0) * scale
-    fine = dense_shell_sum(d, np.pi, 13, 5, integrand, order_axis0 and order_axis0 + 2) * scale
+    coarse = dense_shell_sum(d, np.pi, levels, order, integrand, order_axis0) * scale
+    fine = dense_shell_sum(d, np.pi, levels + 4, order + 2, integrand, order_axis0 and order_axis0 + 2) * scale
     values = np.array([v.value for v in got])
     assert np.all(np.abs(values - fine) <= 1e-13 * np.abs(fine))
     qerr = np.array([v.quadrature_error for v in got])
     assert np.all(np.abs(qerr - np.abs(fine - coarse)) <= 1e-13 * np.abs(fine))
+
+
+@pytest.mark.parametrize("order_axis0", [None, 6])
+def test_fourier_matches_dense_mesh_reference(order_axis0):
+    d = 5
+    targets = [list(x) for x in sorted(symmetry_classes(2, d))]
+    targets += [[3, 0, 0, 0, 0], [0, 0, 0, 0, -5], [0, 2, -1, 0, 1], [4, 1, 0, 0, 0]]
+    # refined: 13 levels, past the 12 of order_axis0
+    check_fourier_against_dense_mesh(d, targets, levels=9, order=3, order_axis0=order_axis0)
+
+
+@pytest.mark.parametrize("order_axis0", [None, 4])
+def test_fourier_matches_dense_mesh_reference_d6(order_axis0):
+    # unsorted, repeated coordinates: each box of a class reads the class
+    # tensor through its own transpose, which these targets tell apart
+    targets = [(1, 0, 2, 0, 0, 1), (0, 0, 1, 2, 1, 0), (2, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 2), (0, 3, 0, 1, 0, 0)]
+    check_fourier_against_dense_mesh(6, targets, levels=5, order=2, order_axis0=order_axis0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +184,12 @@ def test_walk_agrees_with_fourier_within_budget():
         assert abs(four[i].value - est.estimates[i]) <= tol
 
 
-def test_walk_matches_per_walk_reference_loop():
+def check_walks_against_per_walk_loop(start, targets, M):
     # the same (seed, batch) streams and rng.integers calls, one walk at a time
-    oracle = WalkOracle(d=5, n_walks=300, max_steps=30, seed=12, batch=200)
-    start = (1, 0, -1, 0, 0)
-    targets = [(1, 0, -1, 0, 0), (2, 0, -1, 0, 0), (0, 0, 0, 0, 0), (1, 1, 0, 0, 0), (-1, 0, -1, 1, 0)]
+    oracle = WalkOracle(d=5, n_walks=300, max_steps=M, seed=12, batch=200)
     est = walk_estimate(oracle, targets, start=start)
 
-    d, M = oracle.d, oracle.max_steps
+    d = oracle.d
     tallies = []
     done = batch = 0
     while done < oracle.n_walks:
@@ -201,6 +216,35 @@ def test_walk_matches_per_walk_reference_loop():
     for i, x in enumerate(targets):
         parity = sum(abs(a - b) for a, b in zip(x, start)) % 2
         assert est.tail_bounds[i] == walk_tail_bound(M, d, parity)
+    return tallies
+
+
+def test_walk_matches_per_walk_reference_loop():
+    start = (1, 0, -1, 0, 0)
+    targets = [(1, 0, -1, 0, 0), (2, 0, -1, 0, 0), (0, 0, 0, 0, 0), (1, 1, 0, 0, 0), (-1, 0, -1, 1, 0)]
+    check_walks_against_per_walk_loop(start, targets, 30)
+
+
+def test_walk_matches_per_walk_reference_loop_leaving_the_box():
+    # span 3 and a start off the origin: walks leave the target box and come
+    # back, so the out-of-box count moves both ways
+    start = (2, -1, 0, 1, 0)
+    targets = [(3, 0, 0, 0, 0), (2, -1, 0, 1, 0), (0, 0, -3, 0, 0), (2, 0, 0, 1, 1), (1, -1, 0, 2, 0)]
+    tallies = check_walks_against_per_walk_loop(start, targets, 40)
+    assert np.all(tallies.sum(axis=0) > 0)
+
+
+def test_walk_memory_does_not_grow_with_the_target_box():
+    # span 15 in d=5: a dense table over the (2 span + 1)^d box would take 229 MB
+    oracle = WalkOracle(d=5, n_walks=2000, max_steps=20, seed=8)
+    tracemalloc.start()
+    try:
+        est = walk_estimate(oracle, [(15, 0, 0, 0, 0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert est.estimates[0] == 0.0  # no walk takes 15 of its 20 steps along +e_1
 
 
 def exact_walk_probabilities(x, M):
@@ -324,16 +368,39 @@ def test_eta2_trend_quick():
     assert diffs[-1] <= diffs[0]
 
 
-def test_eta2_trend_full_range():
+@pytest.fixture(scope="module")
+def full_trend():
+    return eta2_trend(range(5, 16), d=5)
+
+
+def test_eta2_trend_full_range(full_trend):
     # the asymptotic-constant ratio over r = 5..15: top-half spread within 10%
-    trend = eta2_trend(range(5, 16), d=5)
+    trend = full_trend
     assert trend.flatness <= 0.10
     assert np.all(trend.ratios > 0)
     assert trend.quadrature_spread <= 0.01
-    # the limit named in the docstring: (2d)^2 Gamma(d/2-2) / (16 pi^{d/2})
-    riesz = 100 * math.gamma(0.5) / (16 * math.pi**2.5)
-    assert riesz == pytest.approx(0.633257, abs=1e-6)
-    assert abs(trend.ratios[-1] / riesz - 1.0) <= 0.01
+    assert abs(trend.ratios[-1] / riesz_constant(5) - 1.0) <= 0.01
+
+
+def test_riesz_constant_closed_form():
+    # (2d)^2 Gamma(d/2-2) / (16 pi^{d/2}): 100 / (16 pi^2) in d=5, 9 / pi^3 in d=6
+    assert riesz_constant(5) == pytest.approx(100 / (16 * math.pi**2), rel=1e-15)
+    assert riesz_constant(5) == pytest.approx(0.633257, abs=1e-6)
+    assert riesz_constant(6) == pytest.approx(9 / math.pi**3, rel=1e-15)
+    with pytest.raises(ValueError):
+        riesz_constant(4)
+
+
+def approach_in_band(trend, c):
+    # r^2 (ratio / c - 1) read 0.60 at r=5 and 0.51 at r=15
+    excess = trend.radii.astype(float) ** 2 * (trend.ratios / c - 1.0)
+    return bool(np.all((excess >= 0.45) & (excess <= 0.65)))
+
+
+def test_eta2_ratio_approaches_the_riesz_constant(full_trend):
+    assert full_trend.limit == riesz_constant(5)
+    assert approach_in_band(full_trend, full_trend.limit)
+    assert not approach_in_band(full_trend, 1.02 * full_trend.limit)
 
 
 def test_translation_invariance_via_shifted_walks():
@@ -426,8 +493,7 @@ def test_scaling_variance_sequence_decreases_to_limit():
     assert abs(v8.value - limit) <= 0.05 * limit
 
 
-def test_scaling_variance_excess_matches_dense_mesh_reference():
-    d, N, levels, order = 5, 4, 4, 3
+def check_excess_against_dense_mesh(d, N, levels, order, rel):
     test = gaussian_test(d)
     sv = scaling_variance(test, N, levels=levels, order=order, budget_cap=1.0)
     kappa2 = 1.0 / (2 * d) ** 2
@@ -439,8 +505,16 @@ def test_scaling_variance_excess_matches_dense_mesh_reference():
 
     outer = min(N * np.pi, test.fhat_radius(1e-34))
     ref = 2.0**d * dense_shell_sum(d, outer, levels + 4, order + 2, excess)
-    assert abs(sv.kernel_excess - ref) <= 1e-12 * ref
+    assert abs(sv.kernel_excess - ref) <= rel * ref
     assert sv.value == sv.radial_part + sv.kernel_excess
+
+
+def test_scaling_variance_excess_matches_dense_mesh_reference():
+    check_excess_against_dense_mesh(5, N=4, levels=4, order=3, rel=1e-12)
+
+
+def test_scaling_variance_excess_matches_dense_mesh_reference_d6():
+    check_excess_against_dense_mesh(6, N=4, levels=3, order=2, rel=1e-13)
 
 
 def test_quadrature_and_budget_gates_fail_on_nan(monkeypatch):
@@ -459,6 +533,13 @@ def test_quadrature_and_budget_gates_fail_on_nan(monkeypatch):
     monkeypatch.setattr(infvol, "shell_quadrature", lambda *args, **kwargs: float("nan"))
     with pytest.raises(RuntimeError, match="error budget"):
         scaling_variance(gaussian_test(5), 4)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # quad is imported where it is used, so importing infvol stays cheap
+    code = "import sys, membrane.infvol; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_scaling_variance_rejects_small_N():
