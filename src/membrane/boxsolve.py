@@ -43,20 +43,29 @@ unknowns for a odd axes (the even-frequency sets are empty when M = 0).
 Sectors that differ by a permutation of the axes have the same block up to
 that permutation.  `parity_classes` groups the sectors by class, and
 `CenteredBoxSolver.sector_block` assembles one sector's dense block; the box
-spectra of `spectral.eigendecompose` come from these blocks.
+spectra of `spectral.eigendecompose` in d >= 3 (and of small classes in
+d = 2) come from these blocks.
 
-In d = 2 the face term has rank only 4L for L = 2M+1 points per side, so
-`DirectBoxSolver` solves exactly instead of iterating, by the capacitance
-(Woodbury) method of Buzbee, Dorr, George and Golub (SIAM J. Numer. Anal. 8,
-1971).  Writing A_hat = Lambda + U U^T, with U the 4L columns
-f_a (x) e_q and e_p (x) f_a (f_- and f_+ the face vectors along one axis),
+In d = 2 each sector's face term has rank only n_p0 + n_p1 (about L, for
+L = 2M+1 points per side), so `DirectBoxSolver` solves exactly instead of
+iterating, by the capacitance (Woodbury) method of Buzbee, Dorr, George and
+Golub (SIAM J. Numer. Anal. 8, 1971) applied to each sector.  Writing the
+sector block as Lambda_s + U_s U_s^T with U_s = [w_p0 (x) I, I (x) w_p1] and
+w_p = sqrt(2) u on the frequencies of parity p,
 
-    A_hat^{-1} c = Lambda^{-1} c - Lambda^{-1} U K^{-1} U^T Lambda^{-1} c,
-    K = I + U^T Lambda^{-1} U,
+    A_s^{-1} c = Lambda_s^{-1} c - Lambda_s^{-1} U_s K_s^{-1} U_s^T Lambda_s^{-1} c,
+    K_s = I + U_s^T Lambda_s^{-1} U_s.
 
-with K symmetric positive definite, 4L x 4L and Cholesky-factored once
-(O(L^3) = O(n^1.5) work, 16 n floats).  A solve is two orthonormal DST-Is
-(`scipy.fft`) and O(n + L^2) further work per right-hand side.
+K_s has two diagonal blocks and one cross block, and is factored through
+the Cholesky factor of its Schur complement on one axis (M+1 or M rows).
+Sectors (0,1) and (1,0) are transposes of each other, so three factors are
+built: O(M^3) work and about 3 M^2 floats in all.  A solve is two
+orthonormal DST-Is (`scipy.fft`) of the whole box; between them each
+sector is solved on a strided view of the coefficients (odd frequencies sit
+at even indices), in O(n + M^2) work per right-hand side.
+`DirectBoxSolver.sector_solve` is that solve on one sector's coefficients;
+the d = 2 box spectra of `spectral.eigendecompose` run their shift-invert
+eigensolves on it.
 
 Any other R_h (a disk, an off-centre box) is solved directly by
 `TorusCapacitanceSolver`, the capacitance-matrix method of Buzbee, Dorr,
@@ -291,29 +300,37 @@ def parity_classes(d: int) -> list:
 
 
 class DirectBoxSolver:
-    """Direct solver for A u = b on the d=2 box [-M, M]^2 (capacitance method).
+    """Direct solver for A u = b on the d=2 box [-M, M]^2 (capacitance method
+    per parity sector).
 
     Uses the symbol and face vectors of `CenteredBoxSolver(2, M)`; right-hand
-    sides are flat over the box, (n,) or (n, k).
+    sides are flat over the box, (n,) or (n, k).  `sector_solve` and
+    `sector_apply` act on the sine coefficients of one sector, named by the
+    representative of its class in `parity_classes(2)`.
     """
 
     def __init__(self, M: int):
         box = CenteredBoxSolver(2, M)
         self.L, self.n = box.L, box.n
         self._apply = box.apply
-        self._faces = F = box._faces        # (L, 2): f_-, f_+ along one axis
-        self._inv_lam = inv_lam = box._inv_lam
-        L = self.L
-        # K in the order (axis, face, line): f_a (x) e_q for axis 0, then
-        # e_p (x) f_a for axis 1.  Lambda is symmetric in (p, q), so the two
-        # same-axis blocks are equal: 2 x 2 per grid line.
-        lines = np.arange(L)
-        same = np.zeros((2, L, 2, L))
-        same[:, lines, :, lines] = np.einsum("pa,pb,pq->qab", F, F, inv_lam) + np.eye(2)
-        same = same.reshape(2 * L, 2 * L)
-        cross = np.einsum("pa,qb,pq->aqbp", F, F, inv_lam).reshape(2 * L, 2 * L)
-        K = np.block([[same, cross], [cross.T, same]])
-        self._chol = scipy.linalg.cho_factor(K, check_finite=False)
+        self._classes = parity_classes(2)
+        # along an axis, the frequencies of parity p sit at indices 1-p, 3-p, ...
+        self._lines = {p: slice(1 - p, None, 2) for p in (0, 1)}
+        self._sectors = {}
+        for rep, _ in self._classes:
+            inv_lam = box._inv_lam[self._lines[rep[0]], self._lines[rep[1]]]
+            if not inv_lam.size:
+                continue  # the even sectors of M = 0
+            w0, w1 = (np.sqrt(2.0) * box._faces[self._lines[p], 0] for p in rep)
+            # K = [[D0, C], [C^T, D1]] over the axis-0 terms (one per column q)
+            # and the axis-1 terms (one per row p), D0 and D1 diagonal: K is
+            # factored through its Schur complement on the axis-1 terms
+            d0 = 1.0 + (w0 * w0) @ inv_lam
+            d1 = 1.0 + inv_lam @ (w1 * w1)
+            C = (inv_lam * w0[:, None] * w1).T  # C[q, p] = w0[p] inv_lam[p, q] w1[q]
+            schur = np.diag(d1) - C.T @ (C / d0[:, None])
+            self._sectors[rep] = (inv_lam, w0, w1, d0, C, scipy.linalg.cho_factor(schur, check_finite=False))
+        self.fill = sum(len(f[-1][0]) ** 2 for f in self._sectors.values())  # entries of the factors
 
     @staticmethod
     def _dst(a: np.ndarray) -> np.ndarray:
@@ -324,15 +341,37 @@ class DirectBoxSolver:
         """A u for a flat field u, through the coefficient-space apply."""
         return self._dst(self._apply(self._dst(u.reshape(self.L, self.L)))).reshape(-1)
 
+    def sector_apply(self, rep: tuple, c: np.ndarray) -> np.ndarray:
+        """A_hat on the sector rep, Lambda_s + w0 w0^T (x) I + I (x) w1 w1^T,
+        for coefficients c of shape (n0, n1) or (k, n0, n1)."""
+        inv_lam, w0, w1 = self._sectors[rep][:3]
+        return c / inv_lam + w0[:, None] * (w0 @ c)[..., None, :] + (c @ w1)[..., :, None] * w1
+
+    def sector_solve(self, rep: tuple, c: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """A_hat^{-1} c on the sector rep, for coefficients c of shape
+        (n0, n1) or (k, n0, n1), by Woodbury with U = [w0 (x) I, I (x) w1];
+        out may be c."""
+        inv_lam, w0, w1, d0, C, chol = self._sectors[rep]
+        y = c * inv_lam
+        r0 = (w0 @ y) / d0
+        b = scipy.linalg.cho_solve(chol, (y @ w1 - r0 @ C).T, check_finite=False).T
+        a = r0 - (b @ C.T) / d0
+        # U [a; b] = w0 a^T + b w1^T, a product of rank 2 per right-hand side
+        corr = np.matmul(np.stack(np.broadcast_arrays(w0, b), axis=-1), np.stack(np.broadcast_arrays(a, w1), axis=-2))
+        corr *= inv_lam
+        return np.subtract(y, corr, out=out)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b for flat right-hand sides (n,) or (n, k), x of b's shape."""
         b = np.asarray(b, dtype=float)
         single = b.ndim == 1
-        k, L, F = (1 if single else b.shape[1]), self.L, self._faces
-        y = self._dst((b[None, :] if single else b.T).reshape(k, L, L)) * self._inv_lam
-        t = np.concatenate([F.T @ y, (y @ F).transpose(0, 2, 1)], axis=1).reshape(k, 4 * L)
-        s = scipy.linalg.cho_solve(self._chol, t.T, check_finite=False).T.reshape(k, 4, L)
-        y -= self._inv_lam * (F @ s[:, :2] + s[:, 2:].transpose(0, 2, 1) @ F.T)
+        k, L = (1 if single else b.shape[1]), self.L
+        y = self._dst((b[None, :] if single else b.T).reshape(k, L, L))
+        for rep, sectors in self._classes:
+            for parity, axes in sectors:
+                if rep in self._sectors:  # a strided view, in the representative's axis order
+                    view = y[:, self._lines[parity[0]], self._lines[parity[1]]].transpose(0, *(1 + a for a in axes))
+                    self.sector_solve(rep, view, out=view)
         out = self._dst(y).reshape(k, -1).T
         return out[:, 0] if single else out
 

@@ -13,7 +13,7 @@ precision, and `PrecisionMatrix.route` records its pick, by dimension and
 domain:
 
 - "box-direct": every centred box in d = 2, at any size, by the sine-transform
-  and capacitance solve of `boxsolve.DirectBoxSolver`;
+  and per-sector capacitance solve of `boxsolve.DirectBoxSolver`;
 - "box-pcg": every centred box in d >= 3, at any size, by the sine-coefficient
   box PCG of `boxsolve`; a solve that stops above its tolerance raises;
 - "torus-capacitance": every other d = 2 domain, by the periodic-torus
@@ -29,14 +29,15 @@ the matrix goes to SuperLU, and `route_reason` says why.
 `PrecisionMatrix.factor_fill` records the entries of the factor built:
 SuperLU's stored entries of L and U (`SuperLU.nnz`; building L and U to
 count them would copy the factor), m^2 for a torus capacitance matrix on m
-boundary points, (4L)^2 for the d=2 box capacitance matrix and 0 for box
-PCG.  The
-d=4 log-correlation study solves for the centre column with the even variant
-of the box solver, on the sector |x_i| of the box.
+boundary points, 2(M+1)^2 + M^2 for the three sector factors of the d=2 box
+[-M, M]^2 and 0 for box PCG.  The d=4 log-correlation study solves for the
+centre column with the even variant of the box solver, on the sector |x_i|
+of the box.
 
 `factorize_spd`, the one call of SuperLU, uses its symmetric mode: minimum-
 degree ordering of A^T + A and diagonal pivots, the choice for SPD matrices
-(George & Liu 1981).  The shift-invert eigensolves of `spectral` use it too.
+(George & Liu 1981).  The shift-invert eigensolves of `spectral` use it on
+the domains that reach SuperLU.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain):
         reason = operator_probe(A, box)
         if not reason:
             if d == 2:
-                return box.solve, "box-direct", "", (4 * box.L) ** 2
+                return box.solve, "box-direct", "", box.fill
             return (lambda rhs: box.solve(rhs, tol=1e-11)[0]), "box-pcg", "", 0
     if n > FACTORIZATION_CAP:
         raise ValueError(

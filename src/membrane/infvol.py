@@ -251,11 +251,14 @@ def green_infinite_fourier_many(
     d: int = 5,
     order_axis0: Optional[int] = None,
 ) -> List[FourierValue]:
-    """G(0, x) for every target from one pass of the shell quadrature."""
+    """G(0, x) for every target from one pass of the shell quadrature; an
+    empty target list raises ValueError."""
     if plan is None:
         plan = FourierCovariance(d=d)
     d = plan.d
     targets = np.asarray(targets, dtype=np.int64)
+    if not len(targets):
+        raise ValueError("no targets")
     integ, index = _green_integrand(targets, d, order_axis0)
     coarse = shell_quadrature(
         d, plan.rho0, plan.levels, integ, order=plan.order, order_axis0=order_axis0
@@ -413,7 +416,8 @@ def walk_estimate(
 
     Walks start at `start` (origin by default); with a nonzero start this
     estimates G(start, x), which by translation invariance equals
-    G(0, x - start).  A target listed twice raises ValueError.
+    G(0, x - start).  An empty target list, or a target listed twice,
+    raises ValueError.
 
     Each step costs O(1) array work per walk.  Every walk carries its key in
     base 2 span + 1 (span = the largest |coordinate| of the targets and the
@@ -426,9 +430,11 @@ def walk_estimate(
     d = oracle.d
     M = oracle.max_steps
     targets = np.asarray(targets, dtype=np.int64)
+    if not len(targets):
+        raise ValueError("no targets")
     start_vec = np.asarray(start if start is not None else [0] * d, dtype=np.int16)
     ntar = len(targets)
-    span = int(max(np.abs(targets).max() if targets.size else 0, np.abs(start_vec).max()))
+    span = int(max(np.abs(targets).max(), np.abs(start_vec).max()))
     tkey = _encode(targets, span, d)
     if len(np.unique(tkey)) < ntar:
         raise ValueError("a walk target is listed twice")
@@ -472,7 +478,7 @@ def walk_estimate(
             # a walk is at one point, so no (walk, target) pair repeats
             tally[idx[hit], order[j[hit]]] += m + 1
         sums += tally.sum(axis=0)
-        sqs += np.sum(tally * tally, axis=0)
+        sqs += np.einsum("ij,ij->j", tally, tally)  # integers, so exact in any order
         done += nw
         batch_index += 1
 

@@ -9,13 +9,18 @@ eigenvalues: the zero extension clamps two layers, which raises the bottom of
 the spectrum strictly.
 
 `eigendecompose` takes one of three routes, recorded as `SpectralBasis.route`
-and `route_reason`: "box-sectors", dense `eigh` of one parity-sector block per
-permutation class (see `boxsolve`), for a centred box that the box probe of
-`green` accepts, when it has at most DENSE_EIG_CAP unknowns or, in d >= 3, its
-largest sector has; "dense" `eigh` for any other matrix up to DENSE_EIG_CAP;
-and "shift-invert" `eigsh` above it, over the precision's solver (box-direct
-or box PCG for boxes, torus capacitance for other d = 2 domains, SuperLU
-otherwise).  Every route is gated against the assembled matrix.
+and `route_reason`.  "box-sectors" computes one parity sector per
+permutation class (see `boxsolve`) for a centred box that the box probe of
+`green` accepts: every d = 2 box, at any size, and a box in d >= 3 whose
+largest sector has at most DENSE_EIG_CAP unknowns.  In d >= 3 a class is
+dense `eigh` of its block; in d = 2 it is shift-invert `eigsh` on the
+class's own unknowns over the sector solve of `boxsolve.DirectBoxSolver`
+(dense `eigh` when the class is small).  "dense" is `eigh` for any other
+matrix up to DENSE_EIG_CAP, and "shift-invert" `eigsh` above it, over the
+precision's solver (torus capacitance for other d = 2 domains, box PCG for
+d >= 3 boxes above the sector cap, SuperLU otherwise).  Every `eigsh` starts
+from a fixed vector, so a repeated call repeats its result bit for bit.
+Every route is gated against the assembled matrix.
 
 Norms on the dual scale: || v ||_{-s}^2 = sum_j lambda_j^{-s/2} (v, u_j)^2.
 The random series  sum_j lambda_j^{-1/2} xi_j u_j  with i.i.d. standard
@@ -43,7 +48,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .boxsolve import CenteredBoxSolver, centered_box_halfwidth, parity_classes
+from .boxsolve import CenteredBoxSolver, DirectBoxSolver, centered_box_halfwidth, parity_classes
 from .green import GreenTable, PrecisionMatrix, _make_solver, factorize_spd, operator_probe
 from .lattice import GridDomain, assemble, stencil_weights, unit_ball_volume
 
@@ -74,36 +79,66 @@ class SpectralBasis:
         return h**self.domain.d * (self.vectors.T @ values_rh)
 
 
-def _smallest_eigenpairs(S, k: int, make_solve: Callable[[], Callable]):
-    """k smallest eigenpairs (ascending) of the sparse SPD matrix S.
-
-    Dense `eigh` of the first k pairs up to DENSE_EIG_CAP unknowns; above it
-    shift-invert `eigsh` about 0 with OPinv = make_solve(), built only there.
-    """
-    n = S.shape[0]
-    if n <= DENSE_EIG_CAP:
-        return scipy.linalg.eigh(S.toarray(), subset_by_index=(0, k - 1))
-    OPinv = spla.LinearOperator((n, n), matvec=make_solve(), dtype=float)
+def _shift_invert(A, k: int, OPinv):
+    """k smallest eigenpairs (ascending) of the SPD operator A by `eigsh` about
+    0, from a fixed start vector, so that a repeated call repeats its result."""
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
-        w, v = spla.eigsh(S, k=k, sigma=0, which="LM", tol=0, OPinv=OPinv)
+        w, v = spla.eigsh(A, k=k, sigma=0, which="LM", tol=0, OPinv=OPinv, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(w)
     return w[order], v[:, order]
 
 
+def _smallest_eigenpairs(S, k: int, make_solve: Callable[[], Callable]):
+    """k smallest eigenpairs (ascending) of the sparse SPD matrix S.
+
+    Dense `eigh` of the first k pairs up to DENSE_EIG_CAP unknowns; above it
+    `_shift_invert` with OPinv = make_solve(), built only there.
+    """
+    n = S.shape[0]
+    if n <= DENSE_EIG_CAP:
+        return scipy.linalg.eigh(S.toarray(), subset_by_index=(0, k - 1))
+    return _shift_invert(S, k, spla.LinearOperator((n, n), matvec=make_solve(), dtype=float))
+
+
 def _sector_eigenpairs(box, k: int):
     """k smallest eigenpairs (ascending) of the box operator A_hat, mapped to
-    the box: dense `eigh` of one block per permutation class of parity
-    sectors, the class's other sectors by transposing axes.  Candidates are
-    ordered stably by value and then by sector order."""
-    cands = []  # (values, parity, vectors over the sector's frequencies)
+    the box, from one eigensolve per permutation class of parity sectors; the
+    class's other sectors come from transposing axes.  Candidates are ordered
+    stably by value and then by sector order.
+
+    In d >= 3 every class takes dense `eigh` of min(k, n_c) pairs of its
+    block.  In d = 2 a class of n_c unknowns first asks for k_c pairs
+    (`_first_count`), and doubles k_c until its largest value lies above the
+    k-th smallest candidate overall or it holds min(k, n_c) pairs.  A class with 2 k_c + 1 >= n_c takes dense `eigh` of
+    min(k, n_c) pairs; every other class runs `_shift_invert` on its n_c sine
+    coefficients, with the sector solve of `DirectBoxSolver` as OPinv, and no
+    transform runs inside the eigensolve.
+    """
+    classes = []  # (representative, sectors, shape) of each nonempty class
     for rep, sectors in parity_classes(box.d):
-        block = box.sector_block(rep)
-        if not len(block):
-            continue
-        w, V = scipy.linalg.eigh(block, subset_by_index=(0, min(k, len(block)) - 1))
-        V = V.T.reshape((len(w),) + tuple(len(box.sector_indices(p)) for p in rep))
+        shape = tuple(len(box.sector_indices(p)) for p in rep)
+        if math.prod(shape):  # the even sectors of M = 0 are empty
+            classes.append((rep, sectors, shape))
+    full = [min(k, math.prod(shape)) for _, _, shape in classes]
+    direct = DirectBoxSolver(box.M) if box.d == 2 else None
+    want = full if direct is None else [_first_count(k, math.prod(shape), box.n) for _, _, shape in classes]
+    pairs = [None] * len(classes)
+    while True:
+        for i, (rep, _, shape) in enumerate(classes):
+            if pairs[i] is None or len(pairs[i][0]) < want[i]:
+                pairs[i] = _class_eigenpairs(box, direct, rep, shape, full[i], want[i])
+        values = np.concatenate([pairs[i][0] for i, (_, sectors, _) in enumerate(classes) for _ in sectors])
+        kth = np.partition(values, k - 1)[k - 1] if len(values) >= k else np.inf
+        grow = [i for i, (w, _) in enumerate(pairs) if len(w) < full[i] and not w[-1] > kth]
+        if not grow:
+            break
+        for i in grow:
+            want[i] = min(2 * want[i], k)
+    cands = []  # (values, parity, vectors over the sector's frequencies)
+    for (_, sectors, _), (w, V) in zip(classes, pairs):
         for parity, axes in sectors:
             cands.append((w, parity, V.transpose((0,) + tuple(a + 1 for a in axes))))
     values = np.concatenate([w for w, _, _ in cands])
@@ -116,6 +151,29 @@ def _sector_eigenpairs(box, k: int):
         coef[np.ix_(rows, *(box.sector_indices(p) for p in parity))] = V[pick[rows] - lo]
         lo += len(w)
     return values[pick], box.field(coef).reshape(k, -1).T
+
+
+def _first_count(k: int, n_c: int, n: int) -> int:
+    """The pairs a d=2 sector class of n_c of the n unknowns asks for first:
+    its share of k plus 8, which on square boxes up to h=1/80 holds the
+    class's part of the k smallest for every k tried (1..60 at h=1/16, 100
+    at h=1/40 and 1/80)."""
+    return min(k, -(-k * n_c // n) + 8)
+
+
+def _class_eigenpairs(box, direct, rep: tuple, shape: tuple, full: int, want: int):
+    """The smallest eigenpairs (ascending) of A_hat on the sector rep, vectors
+    as (pairs,) + shape: `full` of them by dense `eigh`, or `want` by
+    `_shift_invert` over the sector solve of `direct`."""
+    n_c = math.prod(shape)
+    if direct is None or 2 * want + 1 >= n_c:
+        w, V = scipy.linalg.eigh(box.sector_block(rep), subset_by_index=(0, full - 1))
+    else:
+        def operator(apply):
+            return spla.LinearOperator((n_c, n_c), matvec=lambda x: apply(rep, x.reshape(shape)).reshape(-1), dtype=float)
+
+        w, V = _shift_invert(operator(direct.sector_apply), want, operator(direct.sector_solve))
+    return w, V.T.reshape((len(w),) + shape)
 
 
 def _gate_eigenpairs(S, w: np.ndarray, v: np.ndarray) -> None:
@@ -144,11 +202,9 @@ def eigendecompose(precision: PrecisionMatrix, k: int) -> SpectralBasis:
     largest = (M + 1) ** d  # the all-odd sector
     if M < 0:
         reason = "not a centred box"
-    elif n <= DENSE_EIG_CAP or (d >= 3 and largest <= DENSE_EIG_CAP):
+    elif d == 2 or largest <= DENSE_EIG_CAP:
         box = CenteredBoxSolver(d, M)
         reason = operator_probe(precision.matrix, box)
-    elif d == 2:
-        reason = "d=2 box above DENSE_EIG_CAP, eigsh over box-direct"
     else:
         reason = f"largest parity sector {largest} above DENSE_EIG_CAP"
     if not reason:

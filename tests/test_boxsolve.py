@@ -175,6 +175,28 @@ def test_direct_solve_matches_dense_solve(M, k, seed):
     assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@given(M=st.integers(0, 16), seed=st.integers(0, 2**32 - 1))
+@example(M=0, seed=1)  # the even sectors are empty
+@example(M=1, seed=2)
+@example(M=2, seed=3)
+@settings(max_examples=25, deadline=None)
+def test_direct_solve_matches_spsolve(M, seed):
+    A = assemble_precision(classify(unit_box(2), 1.0 / (M + 2))).matrix
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((A.shape[0], 3))
+    ref = spla.spsolve(A.tocsc(), B)
+    direct = DirectBoxSolver(M)
+    assert np.abs(direct.solve(B) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert direct.fill == 2 * (M + 1) ** 2 + M**2 - (M == 0)  # the (1,0) class has no unknowns at M = 0
+    # each sector solve inverts its sector apply, on 2 coefficient arrays at once
+    for rep, sectors in boxsolve.parity_classes(2):
+        shape = [M + p for p in rep]
+        if M or rep == (1, 1):
+            c = rng.standard_normal([2] + shape)
+            back = direct.sector_apply(rep, direct.sector_solve(rep, c))
+            assert np.abs(back - c).max() <= 1e-12 * np.abs(c).max()
+
+
 @pytest.mark.parametrize("N", [40, 96, 160])
 def test_direct_solve_is_backward_stable(N):
     A = assemble_precision(classify(unit_box(2), 1.0 / N)).matrix

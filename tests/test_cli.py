@@ -96,7 +96,7 @@ def test_recipes_record_the_solver_route(tmp_path, monkeypatch):
     code, out = run_cli(["sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "1"], tmp_path, "r1")
     assert code == 0
     man = json.loads((out / "manifest.json").read_text())
-    assert man["stage_facts"]["factorize"] == {"route": "box-direct", "factor_fill": (4 * 13) ** 2}  # L = 2M+1 = 13
+    assert man["stage_facts"]["factorize"] == {"route": "box-direct", "factor_fill": 2 * 7**2 + 6**2}  # M = 6: sector factors of M+1, M+1 and M rows
     assert man["threads"] == {
         "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": "2", "fft_workers": FFT_WORKERS
     }

@@ -51,6 +51,11 @@ def test_fourier_rejects_low_dimension():
         FourierCovariance(d=4)
 
 
+def test_fourier_rejects_an_empty_target_list():
+    with pytest.raises(ValueError, match="no targets"):
+        green_infinite_fourier_many([], FourierCovariance(d=5))
+
+
 def bessel_reference(x, d=5):
     # independent 1-D representation: G(0,x) = int_0^inf t e^{-t} prod_i I_{x_i}(t/d) dt
     from scipy.special import ive
@@ -154,6 +159,11 @@ def test_walk_rejects_repeated_targets():
     oracle = WalkOracle(d=5, n_walks=20000, max_steps=40, seed=3)
     with pytest.raises(ValueError, match="twice"):
         walk_estimate(oracle, [(1, 0, 0, 0, 0), (0, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+
+
+def test_walk_rejects_an_empty_target_list():
+    with pytest.raises(ValueError, match="no targets"):
+        walk_estimate(WalkOracle(d=5, n_walks=10, max_steps=5, seed=3), [])
 
 
 def test_walk_rejects_low_dimension():

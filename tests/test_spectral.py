@@ -6,7 +6,7 @@ import scipy.linalg
 
 from membrane import boxsolve, green, spectral
 from membrane.green import assemble_precision, green_full
-from membrane.lattice import Ball, Box, classify, unit_box
+from membrane.lattice import Ball, Box, assemble, classify, stencil_weights, unit_box
 from membrane.spectral import (
     SpectralBasis,
     WienerSeries,
@@ -56,10 +56,9 @@ def test_eigendecompose_contracts(basis16):
 def test_eigendecompose_gates_fail_on_nan_or_nonpositive(monkeypatch, spoil, gate):
     import scipy.linalg
 
-    eigh = scipy.linalg.eigh
+    eigh, eigsh = scipy.linalg.eigh, spectral.spla.eigsh
 
-    def spoiled(*args, **kwargs):
-        w, v = eigh(*args, **kwargs)
+    def spoiled(w, v):
         if spoil == "value":
             w[3] = np.nan
         elif spoil == "vector":
@@ -68,7 +67,14 @@ def test_eigendecompose_gates_fail_on_nan_or_nonpositive(monkeypatch, spoil, gat
             w[0] = -w[0]
         return w, v
 
-    monkeypatch.setattr(scipy.linalg, "eigh", spoiled)
+    def spoiled_eigsh(*args, **kwargs):  # spoiled in ascending order, as eigh
+        w, v = eigsh(*args, **kwargs)
+        order = np.argsort(w)
+        return spoiled(w[order], v[:, order])
+
+    # the d=2 box sectors run eigsh, or eigh where a class is small
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *args, **kwargs: spoiled(*eigh(*args, **kwargs)))
+    monkeypatch.setattr(spectral.spla, "eigsh", spoiled_eigsh)
     prec = assemble_precision(classify(unit_box(2), 1 / 8))
     with pytest.raises(RuntimeError, match=gate):
         eigendecompose(prec, 6)
@@ -95,8 +101,8 @@ def test_laplacian_min_gates_fail_on_nan_or_nonpositive(monkeypatch, spoil, gate
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
     # three routes: parity sectors (the default), shift-invert eigsh with the
-    # cap at 1 (the d=2 box over box-direct, the d=3 box over box PCG), and
-    # dense eigh of the assembled S here
+    # cap at 1 (the d=3 box over box PCG; d=2 boxes keep the sectors at any
+    # size), and dense eigh of the assembled S here
     for d, N in [(2, 10), (3, 6)]:
         prec = assemble_precision(classify(unit_box(d), 1 / N))
         sectors = eigendecompose(prec, 8)
@@ -104,7 +110,7 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
             m.setattr(spectral, "DENSE_EIG_CAP", 1)
             sparse = eigendecompose(prec, 8)
         dense = scipy.linalg.eigh(prec.raw.toarray(), eigvals_only=True, subset_by_index=(0, 7))
-        assert (sectors.route, sparse.route) == ("box-sectors", "shift-invert")
+        assert (sectors.route, sparse.route) == ("box-sectors", "box-sectors" if d == 2 else "shift-invert")
         assert np.allclose(sectors.lambdas, sparse.lambdas, rtol=1e-9)
         assert np.allclose(sectors.lambdas, dense / prec.domain.h**4, rtol=1e-9)
         assert prec._solver is None  # the eigensolve's own solver is cached nowhere
@@ -124,6 +130,74 @@ def test_sector_eigenpairs_match_dense_eigh(d, N, k):
     assert np.abs(U @ U.T - V[:, :k] @ V[:, :k].T).max() <= 1e-9
     again = eigendecompose(prec, k)
     assert np.array_equal(again.lambdas, basis.lambdas) and np.array_equal(again.vectors, basis.vectors)
+
+
+def _refined_box_spectrum(prec, k):
+    """The k smallest eigenvalues of S on a d=2 box to a few ulps: on a box
+    S = L^2 + diag(c), with L the Dirichlet Laplacian and c >= 0, so the
+    Rayleigh quotients of the dense eigenvectors can be summed as squares.
+    The dense eigenvalues alone are off by up to eps ||S|| / w_1 (1e-11
+    relative at w_1 for h=1/16)."""
+    lap = assemble(prec.domain, stencil_weights("deltah", 2))
+    c = (prec.raw - lap @ lap).toarray()
+    assert np.array_equal(c, np.diag(np.diag(c))) and np.diag(c).min() >= 0
+    V = scipy.linalg.eigh(prec.raw.toarray(), subset_by_index=(0, k - 1))[1]
+    return np.sort(np.linalg.norm(lap @ V, axis=0) ** 2 + np.diag(c) @ V**2)
+
+
+@pytest.mark.parametrize("N,kmax", [(4, 25), (16, 60)])
+def test_d2_box_spectrum_matches_dense_eigh_for_every_k(monkeypatch, N, kmax):
+    # every k ends somewhere, also inside degenerate (0,1)/(1,0) pairs; at
+    # h=1/4 (classes of 9, 6 and 4 unknowns) classes go to dense eigh
+    prec = assemble_precision(classify(unit_box(2), 1 / N))
+    w = _refined_box_spectrum(prec, kmax)
+    h4 = prec.domain.h**4
+    for k in range(1, kmax + 1):
+        basis = eigendecompose(prec, k)
+        assert basis.route == "box-sectors"
+        assert np.abs(basis.lambdas * h4 - w[:k]).max() <= 1e-12 * w[k - 1]
+    # the first counts hold every class's part here, so the growth of the
+    # counts is run from a first count of 1
+    calls = []
+    eigsh = spectral.spla.eigsh
+    monkeypatch.setattr(spectral, "_first_count", lambda k, n_c, n: 1)
+    monkeypatch.setattr(spectral.spla, "eigsh", lambda *args, **kwargs: calls.append(kwargs["k"]) or eigsh(*args, **kwargs))
+    for k in (2, 9, 22, 41, 60):
+        basis = eigendecompose(prec, min(k, kmax))
+        assert np.abs(basis.lambdas * h4 - w[: min(k, kmax)]).max() <= 1e-12 * w[min(k, kmax) - 1]
+    assert calls.count(1) == 15 and max(calls) > 1  # three classes start at 1 for each k, and grow
+
+
+@pytest.mark.parametrize("N", [40, 80])
+def test_d2_box_spectra_run_eigsh_on_sectors_only(monkeypatch, N):
+    prec = assemble_precision(classify(unit_box(2), 1 / N))
+    # the whole-box shift-invert over box-direct, the route d=2 boxes took before
+    solve = boxsolve.DirectBoxSolver(N - 2).solve
+    full = spectral._shift_invert(prec.raw, 100, spectral.spla.LinearOperator(prec.raw.shape, matvec=lambda x: solve(x) / 16.0))[0]  # S = 16 A
+    sizes = []
+    eigsh = spectral.spla.eigsh
+
+    def sector_eigsh(A, *args, **kwargs):
+        if A.shape[0] == prec.n:
+            pytest.fail("eigsh was handed every unknown of the box")
+        sizes.append(A.shape[0])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", sector_eigsh)
+    basis = eigendecompose(prec, 100)
+    M = N - 2
+    assert basis.route == "box-sectors" and sorted(set(sizes)) == [M * M, M * (M + 1), (M + 1) ** 2]
+    assert np.abs(basis.lambdas * prec.domain.h**4 / full - 1).max() <= 1e-12
+
+
+def test_shift_invert_repeats_bit_for_bit():
+    # a d=2 box (eigsh per sector class) and a d=2 disk above the cap (eigsh
+    # over the torus solve), each twice in one process
+    for shape, k in [(unit_box(2), 20), (Ball([0.0, 0.0], 1.0), 4)]:
+        prec = assemble_precision(classify(shape, 1 / 40))
+        first, again = eigendecompose(prec, k), eigendecompose(prec, k)
+        assert first.route == ("box-sectors" if k == 20 else "shift-invert")
+        assert np.array_equal(first.lambdas, again.lambdas) and np.array_equal(first.vectors, again.vectors)
 
 
 def test_perturbed_box_matrix_takes_the_general_route():
@@ -155,12 +229,12 @@ def test_box_spectra_within_the_cap_need_no_eigsh_or_factorization(monkeypatch):
 
 
 def test_routes_above_the_cap(monkeypatch):
-    # d=2 boxes above the cap stay on eigsh, over box-direct (the d2-sample spectrum)
+    # d=2 boxes above the cap take the sectors too (the d2-sample spectrum)
     monkeypatch.setattr(green, "factorize_spd", lambda A: pytest.fail("d=2 boxes are not factorized"))
     prec = assemble_precision(classify(unit_box(2), 1 / 40))
     assert prec.n == 5929
     basis = eigendecompose(prec, 4)
-    assert (basis.route, basis.route_reason) == ("shift-invert", "d=2 box above DENSE_EIG_CAP, eigsh over box-direct")
+    assert (basis.route, basis.route_reason) == ("box-sectors", "centred box, largest parity sector 1521")
     # a d=2 disk above the cap goes to eigsh over torus-capacitance, not SuperLU
     built = []
     factorize = boxsolve.TorusCapacitanceSolver.factorize
