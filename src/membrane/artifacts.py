@@ -8,6 +8,7 @@ import json
 import os
 import platform
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -23,42 +24,14 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_array(outdir: Path, name: str, arr: np.ndarray, meta: Optional[dict] = None) -> list:
-    """Raw little-endian float64 (C order) plus a JSON sidecar describing layout."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    data = np.ascontiguousarray(arr, dtype="<f8")
-    raw = outdir / f"{name}.f64"
-    data.tofile(raw)
-    side = {
-        "dtype": "float64",
-        "byte_order": "little",
-        "order": "C",
-        "shape": list(data.shape),
-    }
-    if meta:
-        side.update(meta)
-    sidecar = outdir / f"{name}.json"
-    sidecar.write_text(json.dumps(side, indent=2, sort_keys=True) + "\n")
-    return [raw, sidecar]
-
-
-def write_csv(outdir: Path, name: str, header: list, rows: list) -> list:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{name}.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in rows:
-            w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in r])
-    return [path]
-
-
 @dataclass
 class RunManifest:
-    """Record of one experiment run: config echo, timings, assertions, files."""
+    """Record of one experiment run: config echo, timings, assertions, and the
+    files it wrote into `outdir`.  Every file goes through `file`, so the
+    manifest lists exactly the files of this run; the directory is made on
+    the first write."""
 
+    outdir: Path
     config: dict
     versions: dict = field(default_factory=dict)
     threads: dict = field(default_factory=dict)      # thread settings the run saw
@@ -91,22 +64,39 @@ class RunManifest:
         if facts:
             self.stage_facts[name] = facts
 
-    def wrote(self, paths: list) -> None:
-        """Book files this run wrote; the manifest lists these and no others."""
-        for p in paths:
-            self.files[Path(p).name] = _sha256(Path(p))
+    @contextmanager
+    def file(self, name: str):
+        """Yield the path of `name` in the output directory; the file written
+        there is booked with its SHA-256 when the block ends."""
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        path = self.outdir / name
+        yield path
+        self.files[name] = _sha256(path)
 
-    def check(self, name: str, passed: bool, detail: str = "") -> bool:
+    def csv(self, name: str, header: list, rows: list) -> None:
+        with self.file(f"{name}.csv") as path, open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for r in rows:
+                w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in r])
+
+    def array(self, name: str, arr: np.ndarray, meta: Optional[dict] = None) -> None:
+        """Raw little-endian float64 (C order) plus a JSON sidecar describing layout."""
+        data = np.ascontiguousarray(arr, dtype="<f8")
+        with self.file(f"{name}.f64") as path:
+            data.tofile(path)
+        side = {"dtype": "float64", "byte_order": "little", "order": "C", "shape": list(data.shape)}
+        with self.file(f"{name}.json") as path:
+            path.write_text(json.dumps(side | (meta or {}), indent=2, sort_keys=True) + "\n")
+
+    def check(self, name: str, passed: bool, detail: str = "") -> None:
         self.assertions.append({"name": name, "passed": bool(passed), "detail": detail})
-        return bool(passed)
 
     @property
     def all_passed(self) -> bool:
         return all(a["passed"] for a in self.assertions)
 
-    def finalize(self, outdir: Path) -> Path:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
+    def finalize(self) -> None:
         payload = {
             "config": self.config,
             "versions": self.versions,
@@ -117,6 +107,5 @@ class RunManifest:
             "passed": self.all_passed,
             "files": self.files,
         }
-        path = outdir / "manifest.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        (self.outdir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -207,14 +207,12 @@ def solve_block(precision: PrecisionMatrix, W: sp.csc_matrix, take) -> float:
     return worst
 
 
-def solve_green_column(
-    precision: PrecisionMatrix, x: Sequence[int], residual_tol: float = 1e-8
-) -> np.ndarray:
-    """One covariance column G(x, .) on R_h; asserts the BVP residual post-solve."""
+def solve_green_column(precision: PrecisionMatrix, x: Sequence[int]) -> np.ndarray:
+    """One covariance column G(x, .) on R_h; asserts the BVP residual (1e-8) post-solve."""
     table = green_columns(precision, [x])
-    if not table.max_residual <= residual_tol:
+    if not table.max_residual <= 1e-8:
         raise RuntimeError(
-            f"BVP residual {table.max_residual:.3e} above {residual_tol:.1e}; "
+            f"BVP residual {table.max_residual:.3e} above 1e-8; "
             f"condition may be too poor for this solver"
         )
     return table.values[0]

@@ -51,6 +51,7 @@ import numpy as np
 from scipy.special import i0e
 
 TWO_PI = 2.0 * np.pi
+RHO0 = np.pi  # outer edge of the folded Brillouin zone [0, pi]^d
 
 
 def mu_symbol(theta: np.ndarray, d: Optional[int] = None) -> np.ndarray:
@@ -173,20 +174,17 @@ class FourierCovariance:
     d: int
     levels: int = 30
     order: int = 6
-    rho0: float = np.pi
 
     def __post_init__(self):
         if self.d <= 4:
             raise ValueError("integral diverges for d <= 4; defined only for d >= 5")
 
     def refined(self) -> "FourierCovariance":
-        return FourierCovariance(
-            d=self.d, levels=self.levels + 4, order=self.order + 2, rho0=self.rho0
-        )
+        return FourierCovariance(d=self.d, levels=self.levels + 4, order=self.order + 2)
 
     def center_cube_bound(self) -> float:
         """Bound on the unresolved centre-cube mass: integrand <= 4 d^2 ||theta||^-4."""
-        eps = self.rho0 * 0.5**self.levels
+        eps = RHO0 * 0.5**self.levels
         d = self.d
         # int_{[0,eps]^d} ||theta||^-4 <= surf/(2^d) * int_0^{eps sqrt(d)} r^{d-5} dr
         return (
@@ -233,41 +231,40 @@ def _green_integrand(targets: np.ndarray, d: int, order_axis0: Optional[int]):
     return integrand, index
 
 
-def green_infinite_fourier(
-    x: Sequence[int], plan: Optional[FourierCovariance] = None, d: int = 5
-) -> FourierValue:
+def green_infinite_fourier(x: Sequence[int], plan: Optional[FourierCovariance] = None) -> FourierValue:
     """G(0, x) by dyadic-shell quadrature; returns value with an error estimate.
 
     The integrand is even in every coordinate, so the imaginary part vanishes
     identically and the value depends only on |x| componentwise.
     """
-    vals = green_infinite_fourier_many([x], plan=plan, d=d)
+    vals = green_infinite_fourier_many([x], plan=plan)
     return vals[0]
 
 
 def green_infinite_fourier_many(
     targets: Sequence[Sequence[int]],
     plan: Optional[FourierCovariance] = None,
-    d: int = 5,
     order_axis0: Optional[int] = None,
 ) -> List[FourierValue]:
-    """G(0, x) for every target from one pass of the shell quadrature; an
-    empty target list raises ValueError."""
-    if plan is None:
-        plan = FourierCovariance(d=d)
-    d = plan.d
+    """G(0, x) for every target from one pass of the shell quadrature.
+
+    d is the length of the targets; the default plan is FourierCovariance(d).
+    An empty target list, or targets whose length is not plan.d, raises
+    ValueError before any quadrature.
+    """
     targets = np.asarray(targets, dtype=np.int64)
     if not len(targets):
         raise ValueError("no targets")
+    if plan is None:
+        plan = FourierCovariance(d=targets.shape[-1])
+    d = plan.d
+    if targets.ndim != 2 or targets.shape[1] != d:
+        raise ValueError(f"targets of shape {targets.shape} are not points of Z^{d}")
     integ, index = _green_integrand(targets, d, order_axis0)
-    coarse = shell_quadrature(
-        d, plan.rho0, plan.levels, integ, order=plan.order, order_axis0=order_axis0
-    )
+    coarse = shell_quadrature(d, RHO0, plan.levels, integ, order=plan.order, order_axis0=order_axis0)
     fine_plan = plan.refined()
     p0 = order_axis0 + 2 if order_axis0 else None
-    fine = shell_quadrature(
-        d, fine_plan.rho0, fine_plan.levels, integ, order=fine_plan.order, order_axis0=p0
-    )
+    fine = shell_quadrature(d, RHO0, fine_plan.levels, integ, order=fine_plan.order, order_axis0=p0)
     scale = 2.0**d / TWO_PI**d
     center = fine_plan.center_cube_bound() * 2.0**d / TWO_PI**d
     out = []
@@ -317,8 +314,8 @@ def eta2_trend(radii: Sequence[int], d: int = 5, plan: Optional[FourierCovarianc
     if plan is None:
         plan = FourierCovariance(d=d, order=8, levels=30)
     # oscillation cos(r theta_1) needs extra nodes along the first axis
-    p0 = max(plan.order, int(2 * radii.max() * plan.rho0 / np.pi / 2) + 8)
-    vals = green_infinite_fourier_many(targets, plan=plan, d=d, order_axis0=p0)
+    p0 = max(plan.order, int(2 * radii.max() * RHO0 / np.pi / 2) + 8)
+    vals = green_infinite_fourier_many(targets, plan=plan, order_axis0=p0)
     g = np.array([v.value for v in vals])
     qerr = np.array([v.error for v in vals])
     ratios = g * radii.astype(float) ** (d - 4)
@@ -416,8 +413,9 @@ def walk_estimate(
 
     Walks start at `start` (origin by default); with a nonzero start this
     estimates G(start, x), which by translation invariance equals
-    G(0, x - start).  An empty target list, or a target listed twice,
-    raises ValueError.
+    G(0, x - start).  An empty target list, a target listed twice, or a
+    target or start whose length is not oracle.d raises ValueError before
+    any walk.
 
     Each step costs O(1) array work per walk.  Every walk carries its key in
     base 2 span + 1 (span = the largest |coordinate| of the targets and the
@@ -433,6 +431,8 @@ def walk_estimate(
     if not len(targets):
         raise ValueError("no targets")
     start_vec = np.asarray(start if start is not None else [0] * d, dtype=np.int16)
+    if targets.ndim != 2 or targets.shape[1] != d or start_vec.shape != (d,):
+        raise ValueError(f"targets of shape {targets.shape} and start {start_vec.tolist()} are not points of Z^{d}")
     ntar = len(targets)
     span = int(max(np.abs(targets).max(), np.abs(start_vec).max()))
     tkey = _encode(targets, span, d)
@@ -538,9 +538,9 @@ class SchwartzTest:
         theta = np.asarray(theta, dtype=float)
         return self.fhat_radial(np.sqrt(np.sum(theta * theta, axis=-1)))
 
-    def support_radius(self, floor: float = 1e-16) -> float:
-        """|f_1d| < floor beyond this radius."""
-        return self.sigma * math.sqrt(-2.0 * math.log(floor))
+    def support_radius(self) -> float:
+        """|f_1d| < 1e-16 beyond this radius."""
+        return self.sigma * math.sqrt(-2.0 * math.log(1e-16))
 
     def fhat_radius(self, floor: float = 1e-30) -> float:
         amp = abs(self.amplitude)
@@ -553,7 +553,7 @@ def gaussian_test(d: int = 5, sigma: float = 1.0) -> SchwartzTest:
     return SchwartzTest(name=f"gaussian(sigma={sigma})", d=d, sigma=sigma)
 
 
-def inv_laplacian_norm(test: SchwartzTest, rel_tol: float = 1e-12) -> float:
+def inv_laplacian_norm(test: SchwartzTest) -> float:
     """|| (-Lap)^{-1} f ||_{L^2}^2 = int ||theta||^-4 |fhat|^2 dtheta by radial quadrature."""
     from scipy.integrate import quad
 
@@ -566,7 +566,7 @@ def inv_laplacian_norm(test: SchwartzTest, rel_tol: float = 1e-12) -> float:
         return r ** (d - 5) * test.fhat_radial(r) ** 2
 
     hi = test.fhat_radius() * 1.2
-    v, err = quad(radial, 0.0, hi, epsabs=0.0, epsrel=rel_tol, limit=400)
+    v, err = quad(radial, 0.0, hi, epsabs=0.0, epsrel=1e-12, limit=400)
     return area * v
 
 

@@ -35,7 +35,6 @@ and `assemble` builds its sparse matrix on R_h with zero extension.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,8 +42,6 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-
-KAPPA_DENOM = 2  # kappa = 1 / (2 d)
 
 Offset = Tuple[int, ...]
 Stencil = Dict[Offset, Fraction]

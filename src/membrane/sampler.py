@@ -56,6 +56,8 @@ def sample(
     Streams are keyed by (seed, stream, sample index), so samples are
     reproducible independent of scheduling.
     """
+    if count < 0:
+        raise ValueError(f"count={count} is negative")
     dom = precision.domain
     st1 = stencil_weights("delta1", dom.d)
     rh_loc = tuple((dom.rh_points - dom.origin).T)

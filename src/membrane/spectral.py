@@ -195,8 +195,8 @@ def eigendecompose(precision: PrecisionMatrix, k: int) -> SpectralBasis:
     shift-invert route's solver is cached nowhere."""
     dom = precision.domain
     n, d = precision.n, dom.d
-    if k > n:
-        raise ValueError(f"k={k} exceeds |R_h|={n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} is outside 1..|R_h|={n}")
     S = precision.raw
     M = centered_box_halfwidth(dom)
     largest = (M + 1) ** d  # the all-odd sector
@@ -499,10 +499,9 @@ def pairing_variance_study(
     d: int,
     h_list: Sequence[float],
     f: Callable[[np.ndarray], np.ndarray],
-    half_width: float = 0.5,
     cross_check_cap: int = 40_000,
 ) -> PairingStudy:
-    """Var(psi_h, f) along a refinement sequence on the centred box.
+    """Var(psi_h, f) along a refinement sequence on the centred box (-1/2, 1/2)^d.
 
     Every grid runs the even box solver (sine-coefficient PCG to 1e-12 on the
     exact operator); the variance is the plain dot product of the
@@ -515,12 +514,12 @@ def pairing_variance_study(
     from .lattice import Box, classify
 
     hs = sorted(h_list, reverse=True)
-    box = Box([(-half_width, half_width)] * d)
+    box = Box([(-0.5, 0.5)] * d)
     kappa2 = 1.0 / (2 * d) ** 2
     variances = []
     checks = []
     for h in hs:
-        Mv = int(round(half_width / h))
+        Mv = int(round(0.5 / h))
         M = Mv - 2
         solver = CenteredBoxSolver(d, M, even=True)
         axis = np.arange(0, M + 1) * h

@@ -265,15 +265,13 @@ class ConvergenceStudy:
     within_bound: bool
 
 
-def convergence_study(
-    problem: ManufacturedProblem, h_list: Sequence[float], bound_slack: float = 1.05
-) -> ConvergenceStudy:
+def convergence_study(problem: ManufacturedProblem, h_list: Sequence[float]) -> ConvergenceStudy:
     """Solve at each h, report || R_h e_h ||_{h,grid} against the error bound.
 
     Asserown checks: errors strictly decreasing along decreasing h and the
     fitted order (log-log slope) at least 1/2.  The bound check fits the
     constant at the coarsest h and requires every finer h to stay below
-    C * bound * slack.
+    C * bound * 1.05.
     """
     if len(h_list) < 3:
         raise ValueError("need at least 3 grid spacings")
@@ -290,7 +288,7 @@ def convergence_study(
     order = float(np.polyfit(np.log(hsv), np.log(errs), 1)[0])
     monotone = bool(np.all(np.diff(errs) < 0))
     C = rows[0].error ** 2 / rows[0].bound
-    within = all(r.error**2 <= C * r.bound * bound_slack for r in rows)
+    within = all(r.error**2 <= C * r.bound * 1.05 for r in rows)
     return ConvergenceStudy(
         problem=problem.name,
         rows=rows,

@@ -296,3 +296,61 @@ def test_infvol_eta2_recipe_reports_the_riesz_limit(tmp_path):
     for row in rows:
         assert float(row[3]) == pytest.approx(float(row[2]) / riesz_constant(5), rel=1e-12)
     assert "Riesz constant" in RECIPE_CLAIMS["infvol-eta2"]
+
+
+def test_a_given_flag_beats_the_config_key_even_at_zero(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": 3}))
+    args = ["--config", str(cfg), "sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "0"]
+    code, out = run_cli(args, tmp_path, "z")
+    assert code == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"]["count"] == 0
+    assert json.loads((out / "samples.json").read_text())["shape"][0] == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["b2star", "--shape", "box", "--d", "2", "--h", "1/8", "--K", "0"],
+        ["spectrum", "--shape", "box", "--d", "2", "--h", "1/8", "--k", "0"],
+        ["interpolate", "--d", "2", "--N", "8", "--mesh", "0"],
+        ["sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "-1"],
+    ],
+)
+def test_zero_or_negative_sizes_are_usage_errors(tmp_path, args):
+    code, out = run_cli(args, tmp_path, "n")
+    assert code == EXIT_USAGE
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["infvol", "eta2", "--x", "1,0"],
+        ["infvol", "eta2", "--count", "3"],
+        ["infvol", "variance", "--radii", "5..6"],
+        ["infvol", "green", "--N", "4,8"],
+    ],
+)
+def test_infvol_modes_refuse_the_flags_of_other_modes(tmp_path, args):
+    code, out = run_cli(args, tmp_path, "m")
+    assert code == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_infvol_green_default_target_is_e1_in_d_dimensions(tmp_path):
+    code, out = run_cli(["infvol", "green", "--d", "6", "--method", "fourier"], tmp_path, "six")
+    assert code == 0
+    header, row = [line.split(",") for line in (out / "infvol_green.csv").read_text().strip().splitlines()]
+    assert row[header.index("x")] == "1;0;0;0;0;0"
+    assert float(row[header.index("fourier")]) > 0
+
+
+def test_every_recipe_claim_names_a_parser_path():
+    from membrane.cli import build_parser
+
+    for name in RECIPE_CLAIMS:
+        path = name.replace("infvol-", "infvol ").split()
+        args = build_parser().parse_args(path)
+        assert args.func.__name__ == "run_" + name.replace("-", "_")

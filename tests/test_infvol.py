@@ -56,6 +56,25 @@ def test_fourier_rejects_an_empty_target_list():
         green_infinite_fourier_many([], FourierCovariance(d=5))
 
 
+def test_targets_of_the_wrong_length_are_rejected_before_any_work(monkeypatch):
+    from membrane import infvol
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on targets of the wrong length")
+
+    monkeypatch.setattr(infvol, "shell_quadrature", no_work)
+    monkeypatch.setattr(infvol, "_encode", no_work)
+    with pytest.raises(ValueError, match="not points of Z\\^5"):
+        green_infinite_fourier_many([[1, 0, 0, 0, 0, 7]], plan=FourierCovariance(d=5))
+    with pytest.raises(ValueError, match="not points of Z\\^6"):
+        green_infinite_fourier([1, 0, 0, 0, 0], plan=FourierCovariance(d=6))
+    oracle = WalkOracle(d=5, n_walks=10**9, max_steps=200, seed=3)
+    with pytest.raises(ValueError, match="not points of Z\\^5"):
+        walk_estimate(oracle, [(1, 0, 0, 0, 0, 7)])
+    with pytest.raises(ValueError, match="not points of Z\\^5"):
+        walk_estimate(oracle, [(1, 0, 0, 0, 0)], start=(0, 0, 0, 0))
+
+
 def bessel_reference(x, d=5):
     # independent 1-D representation: G(0,x) = int_0^inf t e^{-t} prod_i I_{x_i}(t/d) dt
     from scipy.special import ive
