@@ -19,13 +19,14 @@ B is diagonalized by products of sines.  In the orthonormal sine basis
 
     A_hat = Lambda + kappa^2 * sum_i (v_- v_-^T + v_+ v_+^T) along axis i,
 
-with Lambda the diagonal B^2 symbol and v_-, v_+ the 1-D sine basis at the
-two end points -M and M.  `CenteredBoxSolver` transforms the right-hand side
-to coefficients once, runs conjugate gradients there with the diagonal
-preconditioner 1/Lambda (a few dozen iterations regardless of size), and
-transforms back once.  An iteration costs O(d n) for n unknowns: the face
-term is a rank-2 contraction and expansion along each axis, with no
-transform inside the loop.
+with Lambda = mu^2 the diagonal B^2 symbol (`lattice.mu_symbol` at the
+angles theta_i = pi f_i / (2M+2) of the sine frequencies f) and v_-, v_+
+the 1-D sine basis at the two end points -M and M.  `CenteredBoxSolver`
+transforms the right-hand side to coefficients once, runs conjugate
+gradients there with the diagonal preconditioner 1/Lambda (a few dozen
+iterations regardless of size), and transforms back once.  An iteration
+costs O(d n) for n unknowns: the face term is a rank-2 contraction and
+expansion along each axis, with no transform inside the loop.
 
 Functions that are even in every coordinate (a delta at the centre, symmetric
 test functions) are spanned by the odd-frequency sine modes.  With
@@ -72,14 +73,15 @@ Any other R_h (a disk, an off-centre box) is solved directly by
 George and Golub (1971) and of Proskurowski and Widlund (Math. Comp. 30,
 1976) on a periodic torus.  With P_i >= extent_i + 4 points per axis
 (`scipy.fft.next_fast_len`), A is exactly the principal submatrix on R_h of
-the periodic operator T = kappa^2 S_T, whose FFT symbol is
-kappa^2 (sum_i 4 sin^2(theta_i/2))^2.  T is singular on the constants; G+
-is its pseudo-inverse.  Let Gamma be the m torus points outside R_h that
-the 13-point stencil couples to R_h (about twice the perimeter).  Then
-C = G+[Gamma, Gamma], gathered from one inverse FFT of the pseudo-inverse
-symbol, is symmetric positive definite (no vector supported on Gamma is
-constant), and is Cholesky-factored once.  A solve extends b by zero,
-computes x0 = G+ b, and finds w on Gamma and a constant c with
+the periodic operator T = kappa^2 S_T, whose FFT symbol is mu(theta)^2
+(`lattice.mu_symbol` at theta_i = 2 pi f_i / P_i).  T is singular on the
+constants; G+ is its pseudo-inverse.  Let Gamma be the m torus points
+outside R_h that the 13-point stencil couples to R_h (about twice the
+perimeter).  Then C = G+[Gamma, Gamma], gathered from one inverse FFT of
+the pseudo-inverse symbol, is symmetric positive definite (no vector
+supported on Gamma is constant), and is Cholesky-factored once.  A solve
+extends b by zero, computes x0 = G+ b, and finds w on Gamma and a constant
+c with
 
     C w + c 1 = -x0|Gamma,    1^T w = -sum(b),
 
@@ -101,6 +103,8 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
+from .lattice import Box, kappa, mu_symbol, neighborhood_offsets
+
 # Threads of the DSTs: the cores this process may use.  A batch of right-hand
 # sides splits across them, each line transformed alike, so the results do
 # not depend on the count.
@@ -111,14 +115,6 @@ FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") e
 class SolveInfo:
     iterations: int
     relative_residual: float
-
-
-def _axis_sum(a: np.ndarray, d: int) -> np.ndarray:
-    """sum_i a[x_i] on the grid (len(a),)^d, one broadcast term per axis."""
-    total = np.zeros((len(a),) * d)
-    for ax in range(d):
-        total = total + a.reshape((-1,) + (1,) * (d - 1 - ax))
-    return total
 
 
 def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,10 +207,8 @@ class CenteredBoxSolver:
         basis = sines(x)
         self._fwd = np.ascontiguousarray(basis * mult)
         self._inv = np.ascontiguousarray(basis.T)
-        kappa = 1.0 / (2 * d)
-        self._faces = kappa * sines(np.array([-M, M]))  # (modes, 2)
-        symbol = _axis_sum(2.0 * np.sin(np.pi * freq / (2 * period)) ** 2, self.d) / self.d
-        self._lam = symbol**2  # B^2 in the sine basis, the sin^2 form stable near zero
+        self._faces = kappa(d) * sines(np.array([-M, M]))  # (modes, 2)
+        self._lam = mu_symbol(np.ix_(*[np.pi * freq / period] * d)) ** 2  # B^2 in the sine basis
         self._inv_lam = 1.0 / self._lam
 
     def _transform(self, a: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -386,8 +380,6 @@ class TorusCapacitanceSolver:
     """
 
     def __init__(self, domain):
-        from .lattice import neighborhood_offsets
-
         d = domain.d
         pts = domain.rh_points
         self.n = len(pts)
@@ -404,11 +396,7 @@ class TorusCapacitanceSolver:
         self._gamma = np.flatnonzero(near & ~mask)  # the boundary layer
         self.m = len(self._gamma)
         freq = [np.arange(P) for P in self.shape[:-1]] + [np.arange(self.shape[-1] // 2 + 1)]
-        lap = sum(
-            (4.0 * np.sin(np.pi * f / P) ** 2).reshape((-1,) + (1,) * (d - 1 - ax))
-            for ax, (f, P) in enumerate(zip(freq, self.shape))
-        )
-        self._symbol = (lap / (2 * d)) ** 2  # kappa^2 times the squared Laplacian symbol
+        self._symbol = mu_symbol(np.ix_(*(2 * np.pi * f / P for f, P in zip(freq, self.shape)))) ** 2
         self._pinv = np.divide(1.0, self._symbol, out=np.zeros_like(self._symbol), where=self._symbol > 0)
         self._chol = None
 
@@ -467,8 +455,6 @@ class TorusCapacitanceSolver:
 
 def centered_box_halfwidth(domain) -> int:
     """M such that R_h of the domain is exactly [-M, M]^d, or -1."""
-    from .lattice import Box
-
     shape = domain.shape
     if not isinstance(shape, Box) or not shape.is_symmetric():
         return -1

@@ -34,7 +34,7 @@ RECIPE_CLAIMS = {
     "green": "covariance columns solve the discrete biharmonic problem with zero boundary (residual, symmetry, positivity)",
     "sample": "writes the requested number of exact draws of the field on R_h (only the count is checked)",
     "interpolate": "the simplex extension equals the rescaled field at every mesh point that is a lattice point",
-    "max-scaling": "the law of the rescaled field maximum stabilizes across scales",
+    "max-scaling": "the rescaled field maximum has one law across scales: KS distance of the first N to the last",
     "moment-check": "squared increments of the interpolated field scale with the expected Holder exponent",
     "spectrum": "bilaplacian eigenvalues are ascending and positive; with k >= 60, weyl.csv gives the two-term Weyl coefficient A against A_W",
     "pair": "variance of the grid pairing against a test function converges under h-refinement",
@@ -50,7 +50,10 @@ RECIPE_CLAIMS = {
 
 def _h(v) -> float:
     """A grid spacing, "1/16" or 0.0625."""
-    return float(Fraction(v))
+    try:
+        return float(Fraction(v))
+    except ZeroDivisionError:
+        raise ValueError(f"{v!r} divides by zero") from None
 
 
 def _h_list(v) -> list:
@@ -315,16 +318,17 @@ def run_infvol_green(args, cfg) -> RunManifest:
     d = _option(args, cfg, "d", 5, positive)
     targets = _option(args, cfg, "targets", [[1] + [0] * (d - 1)], _targets)
     man = RunManifest(args.out, {"recipe": "infvol-green", "d": d, "targets": targets, "method": args.method})
-    four = walk = None
-    if args.method != "walk":
-        four = green_infinite_fourier_many(targets, plan=FourierCovariance(d=d))
-    if args.method != "fourier":
+    four = walk = oracle = None
+    if args.method != "fourier":  # the plan is checked before any quadrature
         oracle = WalkOracle(
             d=d,
             n_walks=_option(args, cfg, "walks", 200_000, positive),
             max_steps=int(cfg.get("max_steps", 200)),
             seed=_option(args, cfg, "seed", 2024, int),
         )
+    if args.method != "walk":
+        four = green_infinite_fourier_many(targets, plan=FourierCovariance(d=d))
+    if oracle is not None:
         walk = walk_estimate(oracle, targets)
     man.stage("estimate")
     rows = []

@@ -88,8 +88,7 @@ def assemble_precision(domain: GridDomain) -> PrecisionMatrix:
     if domain.n_rh == 0:
         raise ValueError("R_h is empty; nothing to assemble")
     raw = assemble(domain, stencil_weights("bilaplacian", domain.d))
-    kappa2 = 1.0 / (2 * domain.d) ** 2
-    return PrecisionMatrix(domain=domain, matrix=(kappa2 * raw).tocsr(), raw=raw)
+    return PrecisionMatrix(domain=domain, matrix=(domain.kappa**2 * raw).tocsr(), raw=raw)
 
 
 def _make_solver(A: sp.csr_matrix, domain: GridDomain):

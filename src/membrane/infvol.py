@@ -3,19 +3,20 @@
 The translation-invariant covariance of the interface on the full lattice is
 
     G(0, x) = (2 pi)^-d  int_{[-pi,pi]^d}  mu(theta)^-2 exp(-i <x, theta>) dtheta,
-    mu(theta) = (1/d) sum_i (1 - cos theta_i) = (2/d) sum_i sin^2(theta_i / 2),
 
-whose integrand has a ||theta||^-4 singularity at the origin, integrable only
-for d >= 5.  Quadrature uses dyadic shells toward the origin: the cube
-[0, rho]^d splits into the sub-cube [0, rho/2]^d and 2^d - 1 boxes on which
-the integrand is smooth; recursing on the sub-cube gives shells whose
-contribution scales like (2^-k rho)^(d-4), so a few dozen levels push the
-unresolved centre below any tolerance.  Evenness in every coordinate folds
-the domain to the positive orthant (factor 2^d) and replaces the exponential
-by a product of cosines.  The integrands are symmetric under swaps of axes
-that carry the same Gauss rule (the cosine product once those axes share
-one frequency set), so each level evaluates one box per permutation class
-and adds the rest of the class as transposes (`shell_quadrature`).
+with mu = (2/d) sum_i sin^2(theta_i / 2) the symbol of -Delta_1, defined in
+`lattice.mu_symbol`.  The integrand has a ||theta||^-4 singularity at the
+origin, integrable only for d >= 5.  Quadrature uses dyadic shells toward the
+origin: the cube [0, rho]^d splits into the sub-cube [0, rho/2]^d and 2^d - 1
+boxes on which the integrand is smooth; recursing on the sub-cube gives
+shells whose contribution scales like (2^-k rho)^(d-4), so a few dozen levels
+push the unresolved centre below any tolerance.  Evenness in every coordinate
+folds the domain to the positive orthant (factor 2^d) and replaces the
+exponential by a product of cosines.  The integrands are symmetric under
+swaps of axes that carry the same Gauss rule (the cosine product once those
+axes share one frequency set), so each level evaluates one box per
+permutation class and adds the rest of the class as transposes
+(`shell_quadrature`).
 
 The independent check is Monte Carlo over simple random walks:
 
@@ -50,21 +51,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import i0e
 
+from .lattice import kappa, mu_symbol, unit_ball_volume
+
 TWO_PI = 2.0 * np.pi
 RHO0 = np.pi  # outer edge of the folded Brillouin zone [0, pi]^d
 
 
-def mu_symbol(theta: np.ndarray, d: Optional[int] = None) -> np.ndarray:
-    """mu(theta) = (2/d) sum_i sin^2(theta_i/2); 0 <= mu <= 2, zero only at 0."""
-    theta = np.asarray(theta, dtype=float)
-    if d is None:
-        d = theta.shape[-1]
-    return (2.0 / d) * np.sum(np.sin(0.5 * theta) ** 2, axis=-1)
-
-
 def sphere_area(d: int) -> float:
-    """Surface measure of the unit sphere in R^d."""
-    return 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    """Surface measure of the unit sphere in R^d, d omega_d."""
+    return d * unit_ball_volume(d)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +219,7 @@ def _green_integrand(targets: np.ndarray, d: int, order_axis0: Optional[int]):
     index = tuple(np.searchsorted(f, col) for f, col in zip(freqs, cols))
 
     def integrand(nodes, weights):
-        mu = sum(2.0 * np.sin(0.5 * t) ** 2 for t in nodes) / d
+        mu = mu_symbol(nodes)
         tables = [w.reshape(-1, 1) * np.cos(t.reshape(-1, 1) * f) for t, w, f in zip(nodes, weights, freqs)]
         return _contract(1.0 / (mu * mu), tables)
 
@@ -280,16 +275,16 @@ def green_infinite_fourier_many(
 
 
 def riesz_constant(d: int) -> float:
-    """lim G(0, x) |x|^{d-4} = (2d)^2 Gamma(d/2 - 2) / (16 pi^{d/2}), d >= 5.
+    """lim G(0, x) |x|^{d-4} = kappa^-2 Gamma(d/2 - 2) / (16 pi^{d/2}), d >= 5.
 
     Gamma(d/2 - 2) / (16 pi^{d/2}) |x|^{4-d} is the Riesz kernel of Delta^2
-    on R^d (Stein, *Singular Integrals*, 1970, ch. V §1); the factor (2d)^2
-    comes from Delta_1 = Delta / (2d).  For d = 5 it is 100 / (16 pi^2) =
-    0.633257.
+    on R^d (Stein, *Singular Integrals*, 1970, ch. V §1); the factor
+    kappa^-2 = (2d)^2 comes from Delta_1 = kappa Delta.  For d = 5 it is
+    100 / (16 pi^2) = 0.633257.
     """
     if d <= 4:
         raise ValueError("the Riesz kernel of Delta^2 needs d >= 5")
-    return (2 * d) ** 2 * math.gamma(d / 2.0 - 2.0) / (16.0 * math.pi ** (d / 2.0))
+    return math.gamma(d / 2.0 - 2.0) / (16.0 * math.pi ** (d / 2.0) * kappa(d) ** 2)
 
 
 @dataclass
@@ -335,7 +330,8 @@ def eta2_trend(radii: Sequence[int], d: int = 5, plan: Optional[FourierCovarianc
 
 @dataclass
 class WalkOracle:
-    """Monte Carlo plan for the walk representation, truncated at M steps."""
+    """Monte Carlo plan for the walk representation, truncated at M steps; a
+    plan of no walks, an empty batch or a negative M raises ValueError."""
 
     d: int = 5
     n_walks: int = 1_000_000
@@ -346,6 +342,8 @@ class WalkOracle:
     def __post_init__(self):
         if self.d <= 4:
             raise ValueError("the infinite-volume field needs d >= 5")
+        if self.n_walks < 1 or self.batch < 1 or self.max_steps < 0:
+            raise ValueError(f"{self}: n_walks and batch must be >= 1, max_steps >= 0")
 
 
 @dataclass
@@ -621,7 +619,7 @@ def scaling_variance(
         raise ValueError("needs d >= 5")
     if N < 2:
         raise ValueError("N must be >= 2")
-    kappa2 = 1.0 / (2 * d) ** 2
+    kappa2 = kappa(d) ** 2
     if test.amplitude == 0.0:
         return ScalingVariance(
             N=N, value=0.0, radial_part=0.0, kernel_excess=0.0, error_budget=0.0,
@@ -634,7 +632,7 @@ def scaling_variance(
     theta_max = min(N * np.pi, test.fhat_radius(1e-34))
 
     def excess(nodes, weights):
-        mu = sum(2.0 * np.sin(0.5 * t / N) ** 2 for t in nodes) / d
+        mu = mu_symbol([t / N for t in nodes])
         r2 = sum(t * t for t in nodes)
         ker = kappa2 / (N**4 * mu * mu) - 1.0 / (r2 * r2)
         fh = test.fhat_radial(np.sqrt(r2))

@@ -18,18 +18,21 @@ The discrete field lives on R_h with zero values outside, which is exactly
 the support needed so that the 13/25/41-point bilaplacian stencil applied at
 any point of R_h never reads values outside V_h.
 
-Operators are stored as integer stencils (offset -> coefficient); the caller
-scales by the appropriate power of h:
+Operators are stored as exact rational stencils (offset -> coefficient);
+the caller scales by the appropriate power of h:
 
-    delta1        (1/2d) * nearest-neighbour difference, dimensionless
-    deltah        h^-2   * nearest-neighbour difference
-    bilaplacian   h^-4   * squared stencil (center 4d^2+2d, axis -4d,
-                  diagonals +2, double steps +1)
+    delta1        kappa * nearest-neighbour difference, dimensionless
+    deltah        h^-2  * nearest-neighbour difference
+    bilaplacian   h^-4  * deltah composed with itself (center 4d^2+2d,
+                  axis -4d, diagonals +2, double steps +1)
     bilap1        delta1 composed with itself = kappa^2 h^4 * bilaplacian
 
-with kappa = 1/(2d) throughout.  This module is the one place where a
-stencil meets the lattice: `apply_stencil_array` applies it to a grid array
-and `assemble` builds its sparse matrix on R_h with zero extension.
+This module owns the operator: the stencils, kappa = 1/(2d) (`kappa`) and
+the Fourier symbol mu of -Delta_1 (`mu_symbol`), whose square is the symbol
+of the precision on the torus, on Z^d and, in sine coefficients, of the
+box part B^2.  It is also the one place where a stencil meets the lattice:
+`apply_stencil_array` applies it to a grid array and `assemble` builds its
+sparse matrix on R_h with zero extension.
 """
 
 from __future__ import annotations
@@ -54,7 +57,18 @@ CLASS_NAMES = {CLASS_BH: "B_h", CLASS_BHSTAR: "B_h*", CLASS_RHSTAR: "R_h*"}
 
 
 def kappa(d: int) -> float:
+    """kappa = 1/(2d), the normalization Delta_1 = kappa * Delta of the Laplacian."""
     return 1.0 / (2 * d)
+
+
+def mu_symbol(angles) -> np.ndarray:
+    """mu(theta) = (2/d) sum_i sin^2(theta_i/2), the Fourier symbol of -Delta_1,
+    from d per-axis angle arrays that broadcast; 0 <= mu <= 2, zero only at 0.
+
+    The sin^2 form keeps full relative accuracy near theta = 0, where the
+    equal form (1/d) sum_i (1 - cos theta_i) cancels.
+    """
+    return (2.0 / len(angles)) * sum(np.sin(0.5 * t) ** 2 for t in angles)
 
 
 # ---------------------------------------------------------------------------
@@ -338,45 +352,30 @@ def classify(shape: ShapePredicate, h: float) -> GridDomain:
 # stencils
 
 def stencil_weights(variant: str, d: int) -> Stencil:
-    """Integer/rational stencil for the named operator variant, before h-scaling.
+    """Exact rational stencil for the named operator variant, before h-scaling.
 
-    bilaplacian: collected coefficients of the expanded squared difference,
-    center 4d^2+2d, +-e_i -> -4d, +-2e_i -> +1, +-e_i+-e_j (i != j) -> +2.
+    deltah is the nearest-neighbour difference (centre -2d, +-e_i -> 1) and
+    delta1 is kappa times it; bilaplacian and bilap1 compose each with itself
+    (offsets add, coefficients multiply).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if variant in ("delta1", "deltah"):
-        st: Stencil = {(0,) * d: Fraction(-2 * d)}
-        for i in range(d):
-            for s in (1, -1):
-                e = [0] * d
-                e[i] = s
-                st[tuple(e)] = Fraction(1)
-        if variant == "delta1":
-            st = {o: c / (2 * d) for o, c in st.items()}
-        return st
     if variant in ("bilaplacian", "bilap1"):
-        st = {(0,) * d: Fraction(4 * d * d + 2 * d)}
-        for i in range(d):
-            for s in (1, -1):
-                e = [0] * d
-                e[i] = s
-                st[tuple(e)] = Fraction(-4 * d)
-                e = [0] * d
-                e[i] = 2 * s
-                st[tuple(e)] = Fraction(1)
-        for i in range(d):
-            for j in range(i + 1, d):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        e = [0] * d
-                        e[i] = si
-                        e[j] = sj
-                        st[tuple(e)] = Fraction(2)
-        if variant == "bilap1":
-            st = {o: c / (4 * d * d) for o, c in st.items()}
+        half = stencil_weights("deltah" if variant == "bilaplacian" else "delta1", d)
+        st: Stencil = {}
+        for oa, ca in half.items():
+            for ob, cb in half.items():
+                o = tuple(x + y for x, y in zip(oa, ob))
+                st[o] = st.get(o, 0) + ca * cb
         return st
-    raise ValueError(f"unknown operator variant: {variant!r}")
+    if variant not in ("delta1", "deltah"):
+        raise ValueError(f"unknown operator variant: {variant!r}")
+    unit = Fraction(1, 2 * d) if variant == "delta1" else Fraction(1)
+    st = {(0,) * d: -2 * d * unit}
+    for i in range(d):
+        for s in (1, -1):
+            st[tuple(s * (k == i) for k in range(d))] = unit
+    return st
 
 
 def apply_stencil_array(field: np.ndarray, stencil: Stencil, scale: float = 1.0) -> np.ndarray:

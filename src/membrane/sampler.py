@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .green import GreenTable, PrecisionMatrix, solve_block
-from .lattice import GridDomain, field_on_grid, stencil_weights, apply_stencil_array
+from .lattice import GridDomain, apply_stencil_array, field_on_grid, kappa, stencil_weights
 
 
 @dataclass
@@ -76,7 +76,7 @@ def sample(
 
 def field_prefactor(d: int, N: int) -> float:
     """kappa N^{(d-4)/2}, the scale that turns phi into Psi_N."""
-    return (1.0 / (2 * d)) * float(N) ** ((d - 4) / 2.0)
+    return kappa(d) * float(N) ** ((d - 4) / 2.0)
 
 
 def simplex_weights(t: np.ndarray, N: int, d: int):
@@ -292,15 +292,17 @@ class MaxScalingReport:
 
 
 def max_scaling(d: int, Ns: Sequence[int], count: int, seed: int) -> MaxScalingReport:
-    """Empirical distributions of the rescaled maximum at several scales."""
+    """Empirical distributions of the rescaled maximum at two or more distinct
+    scales, and the KS distance between the first and the last."""
     from .green import assemble_precision
     from .lattice import classify, unit_box
 
+    if len(Ns) < 2 or len(set(Ns)) < len(Ns):
+        raise ValueError(f"N={list(Ns)}: give two or more distinct scales")
     maxima = {}
     for stream, N in enumerate(Ns):
         dom = classify(unit_box(d), 1.0 / N)
         prec = assemble_precision(dom)
         samples = sample(prec, seed=seed, count=count, stream=stream)
         maxima[N] = np.array([rescaled_max(s, d, N) for s in samples])
-    ks = ks_distance(maxima[Ns[0]], maxima[Ns[-1]]) if len(Ns) >= 2 else 0.0
-    return MaxScalingReport(d=d, Ns=tuple(Ns), maxima=maxima, ks=ks)
+    return MaxScalingReport(d=d, Ns=tuple(Ns), maxima=maxima, ks=ks_distance(maxima[Ns[0]], maxima[Ns[-1]]))

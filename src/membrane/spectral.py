@@ -50,7 +50,7 @@ import scipy.sparse.linalg as spla
 
 from .boxsolve import CenteredBoxSolver, DirectBoxSolver, centered_box_halfwidth, parity_classes
 from .green import GreenTable, PrecisionMatrix, _make_solver, factorize_spd, operator_probe
-from .lattice import GridDomain, assemble, stencil_weights, unit_ball_volume
+from .lattice import GridDomain, assemble, kappa, stencil_weights, unit_ball_volume
 
 DENSE_EIG_CAP = 4000
 
@@ -210,13 +210,13 @@ def eigendecompose(precision: PrecisionMatrix, k: int) -> SpectralBasis:
     if not reason:
         route, reason = "box-sectors", f"centred box, largest parity sector {largest}"
         w, v = _sector_eigenpairs(box, k)
-        w = w * (2 * d) ** 2  # A = S / (2d)^2
+        w = w / dom.kappa**2  # A = kappa^2 S
     else:
         route = "dense" if n <= DENSE_EIG_CAP else "shift-invert"
 
         def make_solve():
-            solve = _make_solver(precision.matrix, dom)[0]  # S^{-1} = A^{-1} / (2d)^2
-            return lambda x: solve(x) / (2 * d) ** 2
+            solve = _make_solver(precision.matrix, dom)[0]  # S^{-1} = kappa^2 A^{-1}
+            return lambda x: solve(x) * dom.kappa**2
 
         w, v = _smallest_eigenpairs(S, k, make_solve)
     _gate_eigenpairs(S, w, v)
@@ -515,7 +515,7 @@ def pairing_variance_study(
 
     hs = sorted(h_list, reverse=True)
     box = Box([(-0.5, 0.5)] * d)
-    kappa2 = 1.0 / (2 * d) ** 2
+    kappa2 = kappa(d) ** 2
     variances = []
     checks = []
     for h in hs:

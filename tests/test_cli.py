@@ -354,3 +354,26 @@ def test_every_recipe_claim_names_a_parser_path():
         path = name.replace("infvol-", "infvol ").split()
         args = build_parser().parse_args(path)
         assert args.func.__name__ == "run_" + name.replace("-", "_")
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["sample", "--shape", "box", "--d", "2", "--h", "1/0"], None),
+        (["sample", "--shape", "box", "--d", "2"], {"h": "1/0"}),
+        (["thomee", "--d", "2", "--h", "1/8,1/0,1/32"], None),
+        (["max-scaling", "--N", "8", "--count", "5"], None),
+        (["max-scaling", "--N", "8,8", "--count", "5"], None),
+        (["infvol", "green"], {"max_steps": -1}),
+    ],
+    ids=["h-flag", "h-config", "thomee-h", "one-scale", "repeated-scale", "negative-max_steps"],
+)
+def test_values_a_recipe_cannot_use_are_usage_errors(tmp_path, args, config):
+    """A spacing of 1/0, one max-scaling scale, or a negative walk length exits 2 with no manifest."""
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = ["--config", str(cfg)] + args
+    code, out = run_cli(args, tmp_path, "v")
+    assert code == EXIT_USAGE
+    assert not out.exists()

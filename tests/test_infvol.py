@@ -37,13 +37,13 @@ def test_mu_properties_exact():
     assert mu_symbol(np.full(d, np.pi)) == pytest.approx(2.0, abs=1e-15)
     rng = np.random.default_rng(0)
     th = rng.uniform(-np.pi, np.pi, size=(50, d))
-    assert np.all(mu_symbol(th) >= 0.0)
-    assert np.all(mu_symbol(th) <= 2.0)
-    assert np.allclose(mu_symbol(th), mu_symbol(-th))
+    assert np.all(mu_symbol(th.T) >= 0.0)
+    assert np.all(mu_symbol(th.T) <= 2.0)
+    assert np.allclose(mu_symbol(th.T), mu_symbol(-th.T))
     for ax in range(d):
         flip = th.copy()
         flip[:, ax] *= -1
-        assert np.allclose(mu_symbol(th), mu_symbol(flip))
+        assert np.allclose(mu_symbol(th.T), mu_symbol(flip.T))
 
 
 def test_fourier_rejects_low_dimension():
@@ -134,7 +134,7 @@ def check_fourier_against_dense_mesh(d, targets, levels, order, order_axis0):
     got = green_infinite_fourier_many(targets, plan=plan, order_axis0=order_axis0)
 
     def integrand(theta, wt):
-        ker = wt / mu_symbol(theta) ** 2
+        ker = wt / mu_symbol(np.moveaxis(theta, -1, 0)) ** 2
         return np.array([np.sum(ker * np.prod(np.cos(theta * np.abs(x)), axis=-1)) for x in targets])
 
     scale = 2.0**d / (2 * np.pi) ** d
@@ -529,7 +529,7 @@ def check_excess_against_dense_mesh(d, N, levels, order, rel):
 
     def excess(theta, wt):
         r2 = np.sum(theta * theta, axis=-1)
-        ker = kappa2 / (N**4 * mu_symbol(theta / N) ** 2) - 1.0 / r2**2
+        ker = kappa2 / (N**4 * mu_symbol(np.moveaxis(theta / N, -1, 0)) ** 2) - 1.0 / r2**2
         return np.sum(wt * ker * test.fhat(theta) ** 2)
 
     outer = min(N * np.pi, test.fhat_radius(1e-34))
@@ -574,3 +574,11 @@ def test_import_leaves_scipy_integrate_unloaded():
 def test_scaling_variance_rejects_small_N():
     with pytest.raises(ValueError):
         scaling_variance(gaussian_test(5), 1)
+
+
+@pytest.mark.parametrize("plan", [{"n_walks": 0}, {"batch": 0}, {"max_steps": -1}, {"max_steps": -3}])
+def test_walk_oracle_rejects_an_empty_or_negative_plan(plan):
+    """batch=0 would loop forever in walk_estimate and n_walks=0 would divide 0 by 0, so the plan is refused first."""
+    with pytest.raises(ValueError):
+        WalkOracle(d=5, **plan)
+    assert WalkOracle(d=5, n_walks=1, batch=1, max_steps=0).max_steps == 0

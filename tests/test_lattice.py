@@ -347,3 +347,23 @@ def test_export_csv(tmp_path):
     assert lines[0] == "x_1,x_2,class"
     assert len(lines) == 26
     assert sum(1 for ln in lines[1:] if ln.endswith("B_h*")) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_composed_stencils_have_the_symbol_mu(d):
+    """The stencils are Delta_1 and its square: sum_o c_o cos(o . theta) is -mu
+    for delta1, mu^2 for bilap1 and (2d)^2 mu^2 for bilaplacian, to rounding
+    of the cosine sum (a few ulps of sum_o |c_o|)."""
+    from membrane.lattice import mu_symbol
+
+    theta = np.random.default_rng(d).uniform(-np.pi, np.pi, size=(64, d))
+    mu = mu_symbol(theta.T)
+    for variant, count, expect in (
+        ("delta1", 2 * d + 1, -mu),
+        ("bilap1", 2 * d * d + 2 * d + 1, mu**2),
+        ("bilaplacian", 2 * d * d + 2 * d + 1, (2 * d) ** 2 * mu**2),
+    ):
+        st = stencil_weights(variant, d)
+        assert len(st) == count
+        value = sum(float(c) * np.cos(theta @ np.array(o)) for o, c in st.items())
+        assert np.abs(value - expect).max() <= 1e-14 * sum(abs(float(c)) for c in st.values())

@@ -411,3 +411,11 @@ def test_d3_increment_bound_constant_stable():
     consts = [_d3_increment_constant(N) for N in (8, 16, 32)]
     assert all(np.isfinite(consts)) and all(c > 0 for c in consts)
     assert max(consts) / min(consts) <= 2.0
+
+
+@pytest.mark.parametrize("Ns", [[], [8], [8, 8], [8, 12, 8], [8, 12, 12]])
+def test_max_scaling_needs_distinct_scales(Ns):
+    """The KS distance compares the first scale with the last, so one scale would read 0 by construction;
+    the maxima are kept per scale, so a repeated scale would overwrite the draws of its first stream."""
+    with pytest.raises(ValueError, match="distinct"):
+        max_scaling(2, Ns, count=5, seed=1)

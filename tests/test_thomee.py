@@ -246,3 +246,21 @@ def test_finite_volume_scaling_identity():
     g_h = solve_dirichlet(dom, rhs).u_h
     pred = 4 * d * d * dom.h ** (d - 4) * g_h
     assert np.abs(g_cov - pred).max() <= 1e-9 * np.abs(g_cov).max()
+
+
+@pytest.mark.parametrize("d, M2, M5", [(2, 81, 201), (3, 160, 376), (4, 265, 601)])
+def test_manufactured_disk_budgets_and_closed_form(d, M2, M5):
+    """The budgets are exact sums of |coefficients|, and the closed-form u is
+    the coefficient array the budgets differentiate."""
+    from numpy.polynomial.polynomial import polyval2d, polyval3d
+
+    from membrane.thomee import _ball_poly
+
+    prob = manufactured_disk(d)
+    assert (prob.M2, prob.M5) == (M2, M5)
+    x = np.random.default_rng(d).uniform(-1.2, 1.2, size=(100, d))
+    c = _ball_poly(d)
+    if d == 2:
+        assert np.allclose(prob.u(x), polyval2d(x[:, 0], x[:, 1], c), rtol=1e-13, atol=1e-14)
+    if d == 3:
+        assert np.allclose(prob.u(x), polyval3d(x[:, 0], x[:, 1], x[:, 2], c), rtol=1e-13, atol=1e-14)
