@@ -44,29 +44,58 @@ unknowns for a odd axes (the even-frequency sets are empty when M = 0).
 Sectors that differ by a permutation of the axes have the same block up to
 that permutation.  `parity_classes` groups the sectors by class, and
 `CenteredBoxSolver.sector_block` assembles one sector's dense block; the box
-spectra of `spectral.eigendecompose` in d >= 3 (and of small classes in
-d = 2) come from these blocks.
+spectra of `spectral.eigendecompose` in d >= 4 (and of small classes in
+d = 2 and 3) come from these blocks.
 
-In d = 2 each sector's face term has rank only n_p0 + n_p1 (about L, for
-L = 2M+1 points per side), so `DirectBoxSolver` solves exactly instead of
+In d = 2 and 3 each sector's face term has rank only about d L^(d-1)/2^(d-1)
+(L = 2M+1 points per side), so `DirectBoxSolver` solves exactly instead of
 iterating, by the capacitance (Woodbury) method of Buzbee, Dorr, George and
-Golub (SIAM J. Numer. Anal. 8, 1971) applied to each sector.  Writing the
-sector block as Lambda_s + U_s U_s^T with U_s = [w_p0 (x) I, I (x) w_p1] and
-w_p = sqrt(2) u on the frequencies of parity p,
+Golub (SIAM J. Numer. Anal. 8, 1971) applied to each sector.  Write the
+sector block, of shape (n0, n1[, n2]), as Lambda_s + sum_a U_a U_a^T with
+U_0 = w_0 (x) I, U_1 the same along axis 1 (and U_2 along axis 2), and
+w_a = sqrt(2) u on the frequencies of axis a's parity.  Three eliminations
+follow, each exact:
 
-    A_s^{-1} c = Lambda_s^{-1} c - Lambda_s^{-1} U_s K_s^{-1} U_s^T Lambda_s^{-1} c,
-    K_s = I + U_s^T Lambda_s^{-1} U_s.
+- Axis 0.  P = Lambda_s + U_0 U_0^T is one n0 x n0 block per line (q, r),
+  diag(lam) + w_0 w_0^T, whose inverse E_qr = diag(1/lam) - a a^T / d0 is
+  closed form (Sherman-Morrison).  By Woodbury about P, with V the axis-1
+  and axis-2 terms, A_s^{-1} c = P^{-1} c - P^{-1} V K^{-1} V^T P^{-1} c and
+  K = I + V^T P^{-1} V.
+- Axis 1.  K's axis-1 block is block diagonal in r: B_r = I + sum_q
+  w1_q^2 E_qr, n2 blocks of n0 x n0 (one block in d = 2, where K = B and
+  nothing is left).  They are small and well conditioned (eigenvalues
+  from 1 to about M/4: 25 at M = 94 in d = 2, 10 at M = 46 in d = 3), and
+  are stored inverted.
+- Axis 2 (d = 3).  The Schur complement S = C - X^T B^{-1} X on the n0 n1
+  axis-2 terms is dense, with C_q = I + sum_r w2_r^2 E_qr and cross block
+  X[(p, r), (s, q)] = w1_q w2_r E_qr[p, s]; it is Cholesky-factored.
 
-K_s has two diagonal blocks and one cross block, and is factored through
-the Cholesky factor of its Schur complement on one axis (M+1 or M rows).
-Sectors (0,1) and (1,0) are transposes of each other, so three factors are
-built: O(M^3) work and about 3 M^2 floats in all.  A solve is two
-orthonormal DST-Is (`scipy.fft`) of the whole box; between them each
-sector is solved on a strided view of the coefficients (odd frequencies sit
-at even indices), in O(n + M^2) work per right-hand side.
-`DirectBoxSolver.sector_solve` is that solve on one sector's coefficients;
-the d = 2 box spectra of `spectral.eigendecompose` run their shift-invert
-eigensolves on it.
+Every block of K is a closed-form contraction of (w_a, 1/Lambda_s, d0), and
+so is each product with V or P^{-1} in a solve: O(n) work per right-hand
+side besides the B and S solves.  One factor set serves a whole permutation
+class: 3 in d = 2 and 4 in d = 3, not 4 and 8.  The factors hold
+sum n0^2 entries in d = 2 (about 3 M^2) and sum n2 n0^2 + (n0 n1)^2 in
+d = 3 (about 4 (M+1)^4; 0.41 M entries at M = 17, 3.6 M at M = 30), built
+in O(M^6) work by one symmetric product (`dsyrk`) and one Cholesky per
+class.  A solve is two orthonormal DST-Is (`scipy.fft`) of the whole box;
+between them each sector is solved on a strided view of the coefficients
+(odd frequencies sit at even indices), transposed into its
+representative's axis order.  That transpose is the inverse of the
+sector's `axes`: in d = 3 a class holds sectors whose axes are a 3-cycle of
+the representative's (sector (0,1,1) of class (1,1,0) has axes (2,0,1)),
+and a 3-cycle is not its own inverse.
+`DirectBoxSolver.sector_solve` is the solve on one sector's coefficients;
+the d = 2 and d = 3 box spectra of `spectral.eigendecompose` run their
+shift-invert eigensolves on it.
+
+A sector solve touches one BLAS library.  numpy and scipy each link their
+own OpenBLAS, with a thread pool each, and with 2 threads a switch between
+the two pools costs a few milliseconds.  On a 2-core machine, four
+alternations of a scipy `cho_solve` (648 x 648 factor, 8 columns) with a
+numpy product of the same shape took 32 ms with 2 threads against 5.1 ms
+with 1, and 9.5 ms with scipy's `dgemm` in place of the numpy product.  So
+the contractions are `einsum` (no BLAS), and the factorizations, factor
+solves and the build's one matrix product are scipy's.
 
 Any other R_h (a disk, an off-centre box) is solved directly by
 `TorusCapacitanceSolver`, the capacitance-matrix method of Buzbee, Dorr,
@@ -293,78 +322,180 @@ def parity_classes(d: int) -> list:
     return classes
 
 
-class DirectBoxSolver:
-    """Direct solver for A u = b on the d=2 box [-M, M]^2 (capacitance method
-    per parity sector).
+def direct_fill(d: int, M: int) -> int:
+    """Entries of the factors that `DirectBoxSolver(M, d)` holds, by arithmetic:
+    per nonempty class n0^2 in d = 2, and n2 n0^2 + (n0 n1)^2 in d = 3."""
+    fill = 0
+    for rep, _ in parity_classes(d):
+        n0, n1, n2 = [M + p for p in rep] + [1] * (3 - d)
+        if n0 * n1 * n2:
+            fill += n2 * n0 * n0 + (0 if d == 2 else (n0 * n1) ** 2)
+    return fill
 
-    Uses the symbol and face vectors of `CenteredBoxSolver(2, M)`; right-hand
-    sides are flat over the box, (n,) or (n, k).  `sector_solve` and
-    `sector_apply` act on the sine coefficients of one sector, named by the
-    representative of its class in `parity_classes(2)`.
+
+def _cholesky(a: np.ndarray, lower: bool = True) -> np.ndarray:
+    """Cholesky factor of a symmetric positive definite matrix (LAPACK dpotrf,
+    which reads one triangle); raises LinAlgError when a is not one."""
+    c, info = scipy.linalg.lapack.dpotrf(a, lower=lower, overwrite_a=True)
+    if info:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed (LAPACK info {info})")
+    return c
+
+
+class _SectorSolve:
+    """The block Lambda_s + sum_a w_a w_a^T (along axis a) of one parity
+    sector, and its inverse by the eliminations of the module docstring.
+
+    Coefficients are (k, n0, n1, n2) arrays in the representative's axis
+    order; in d = 2, n2 = 1 and there is no axis-2 term.  Every contraction
+    is an `einsum` and every factor solve a scipy LAPACK call, so a solve
+    touches one BLAS library.
     """
 
-    def __init__(self, M: int):
-        box = CenteredBoxSolver(2, M)
-        self.L, self.n = box.L, box.n
+    def __init__(self, inv_lam: np.ndarray, w: list):
+        self.d, self.w = inv_lam.ndim, w
+        self.inv = inv = inv_lam.reshape(inv_lam.shape + (1,) * (3 - self.d))
+        n0, n1, n2 = inv.shape
+        w0, w1 = w[:2]
+        # P = Lambda_s + the axis-0 term is one block per line (q, r), with
+        # inverse E_qr = diag(inv) - a a^T / d0 (Sherman-Morrison)
+        self.a = w0[:, None, None] * inv
+        self.d0 = 1.0 + np.einsum("p,pqr->qr", w0, self.a)
+        ad = self.a / np.sqrt(self.d0)
+        self.aw1, self.iw1 = self.a * w1[:, None], inv * w1[:, None]
+        i = np.arange(n0)
+        # the axis-1 block of K = I + V^T P^-1 V: B_r = I + sum_q w1_q^2 E_qr,
+        # with Cholesky factors L_r, stored inverted
+        B = -np.einsum("pqr,sqr->rps", ad * (w1 * w1)[:, None], ad)
+        B[:, i, i] += 1.0 + np.einsum("q,pqr->rp", w1 * w1, inv)
+        L = [_cholesky(b) for b in B]
+        self.b_inv = np.stack([scipy.linalg.lapack.dpotrs(l, np.eye(n0), lower=1)[0] for l in L])
+        self.fill = self.b_inv.size
+        if self.d == 2:
+            return
+        w2 = w[2]
+        self.aw2, self.iw2, self.iw12 = self.a * w2, inv * w2, self.iw1 * w2
+        # the axis-2 block C_q = I + sum_r w2_r^2 E_qr, the cross block
+        # X[r, p, s, q] = w1_q w2_r E_qr[p, s], and the Schur complement
+        # S = C - G^T G on the n0 n1 axis-2 terms, with G_r = L_r^-1 X_r
+        X = -np.einsum("pqr,sqr->rpsq", ad * w1[:, None] * w2, ad)
+        X[:, i, i, :] += np.einsum("q,r,pqr->rpq", w1, w2, inv)
+        G = np.stack([scipy.linalg.lapack.dtrtrs(l, x.reshape(n0, -1), lower=1)[0] for l, x in zip(L, X)])
+        S = scipy.linalg.blas.dsyrk(-1.0, G.reshape(n2 * n0, -1).T)  # upper triangle
+        C = -np.einsum("pqr,sqr->qps", ad * w2 * w2, ad)
+        C[:, i, i] += 1.0 + np.einsum("r,pqr->qp", w2 * w2, inv)
+        q = np.arange(n1)
+        S.T.reshape(n0, n1, n0, n1)[:, q, :, q] += C
+        self.schur = _cholesky(S, lower=False)
+        self.fill += S.size
+
+    def apply(self, c: np.ndarray) -> np.ndarray:
+        """The block applied to c of shape (k, n0, n1, n2)."""
+        w0, w1 = self.w[:2]
+        out = c / self.inv + w0[:, None, None] * np.einsum("p,kpqr->kqr", w0, c)[:, None]
+        out += w1[:, None] * np.einsum("q,kpqr->kpr", w1, c)[:, :, None]
+        if self.d == 3:
+            out += self.w[2] * np.einsum("r,kpqr->kpq", self.w[2], c)[..., None]
+        return out
+
+    def solve(self, c: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """The block's inverse applied to c of shape (k, n0, n1, n2); out may be c.
+
+        Woodbury over V = [U1, U2] about P: x = P^-1 (c - U1 z1 - U2 z2), with
+        K [z1; z2] = V^T P^-1 c solved by eliminating the block-diagonal B.
+        P^-1 u = inv u - a s with s = (a . u) / d0 along axis 0, and each
+        P^-1 U_i z is contracted in closed form."""
+        a, aw1, d0 = self.a, self.aw1, self.d0
+        y = c * self.inv
+        s = np.einsum("p,kpqr->kqr", self.w[0], y) / d0  # P^-1 c = y - a s
+        h1 = np.einsum("kpqr,q->kpr", y, self.w[1]) - np.einsum("pqr,kqr->kpr", aw1, s)
+        z1 = np.einsum("rps,ksr->kpr", self.b_inv, h1)  # B^-1 U1^T P^-1 c
+        if self.d == 3:
+            # z2 = S^-1 (U2^T P^-1 c - X^T z1), then z1 -= B^-1 X z2
+            aw2 = self.aw2
+            t = np.einsum("kpqr,r->kpq", y, self.w[2]) - np.einsum("pqr,kqr->kpq", aw2, s)
+            t -= np.einsum("pqr,kpr->kpq", self.iw12, z1)
+            t += np.einsum("pqr,kqr->kpq", aw2, np.einsum("pqr,kpr->kqr", aw1, z1) / d0)
+            k, n0, n1 = t.shape
+            z2 = scipy.linalg.lapack.dpotrs(self.schur, t.reshape(k, -1).T)[0].T.reshape(k, n0, n1)
+            s2 = np.einsum("pqr,kpq->kqr", aw2, z2) / d0
+            xz = np.einsum("pqr,kpq->kpr", self.iw12, z2) - np.einsum("pqr,kqr->kpr", aw1, s2)
+            z1 -= np.einsum("rps,ksr->kpr", self.b_inv, xz)
+            s -= s2
+        s -= np.einsum("pqr,kpr->kqr", aw1, z1) / d0
+        # x = y - a s - inv (U1 z1 + U2 z2), s now net of the P^-1 U_i z_i terms
+        corr = a * s[:, None]
+        corr += self.iw1 * z1[:, :, None]
+        if self.d == 3:
+            corr += self.iw2 * z2[..., None]
+        return np.subtract(y, corr, out=out)
+
+
+class DirectBoxSolver:
+    """Direct solver for A u = b on the box [-M, M]^d, d in {2, 3}
+    (capacitance method per parity sector).
+
+    Uses the symbol and face vectors of `CenteredBoxSolver(d, M)`;
+    right-hand sides are flat over the box, (n,) or (n, k).  `sector_solve`
+    and `sector_apply` act on the sine coefficients of one sector, named by
+    the representative of its class in `parity_classes(d)`, of shape
+    (n0, .., n_{d-1}) or (k, n0, .., n_{d-1}).
+    """
+
+    def __init__(self, M: int, d: int = 2):
+        if d not in (2, 3):
+            raise ValueError("the direct box solve takes d = 2 or 3")
+        box = CenteredBoxSolver(d, M)
+        self.d, self.L, self.n = d, box.L, box.n
         self._apply = box.apply
-        self._classes = parity_classes(2)
-        # along an axis, the frequencies of parity p sit at indices 1-p, 3-p, ...
-        self._lines = {p: slice(1 - p, None, 2) for p in (0, 1)}
+        self._classes = parity_classes(d)
         self._sectors = {}
         for rep, _ in self._classes:
-            inv_lam = box._inv_lam[self._lines[rep[0]], self._lines[rep[1]]]
-            if not inv_lam.size:
-                continue  # the even sectors of M = 0
-            w0, w1 = (np.sqrt(2.0) * box._faces[self._lines[p], 0] for p in rep)
-            # K = [[D0, C], [C^T, D1]] over the axis-0 terms (one per column q)
-            # and the axis-1 terms (one per row p), D0 and D1 diagonal: K is
-            # factored through its Schur complement on the axis-1 terms
-            d0 = 1.0 + (w0 * w0) @ inv_lam
-            d1 = 1.0 + inv_lam @ (w1 * w1)
-            C = (inv_lam * w0[:, None] * w1).T  # C[q, p] = w0[p] inv_lam[p, q] w1[q]
-            schur = np.diag(d1) - C.T @ (C / d0[:, None])
-            self._sectors[rep] = (inv_lam, w0, w1, d0, C, scipy.linalg.cho_factor(schur, check_finite=False))
-        self.fill = sum(len(f[-1][0]) ** 2 for f in self._sectors.values())  # entries of the factors
+            inv_lam = box._inv_lam[self._cell(rep)]
+            if inv_lam.size:  # the even sectors of M = 0 are empty
+                w = [np.sqrt(2.0) * box._faces[self._cell((p,))[0], 0] for p in rep]
+                self._sectors[rep] = _SectorSolve(inv_lam, w)
+        self.fill = sum(s.fill for s in self._sectors.values())  # entries of the factors
 
     @staticmethod
-    def _dst(a: np.ndarray) -> np.ndarray:
-        """Orthonormal DST-I over the last two axes (its own inverse)."""
-        return scipy.fft.dstn(a, type=1, norm="ortho", axes=(-2, -1), workers=FFT_WORKERS)
+    def _cell(parity: tuple) -> tuple:
+        """Along each axis, the frequencies of parity p sit at indices 1-p, 3-p, ..."""
+        return tuple(slice(1 - p, None, 2) for p in parity)
+
+    def _dst(self, a: np.ndarray) -> np.ndarray:
+        """Orthonormal DST-I over the last d axes (its own inverse)."""
+        return scipy.fft.dstn(a, type=1, norm="ortho", axes=tuple(range(-self.d, 0)), workers=FFT_WORKERS)
+
+    def _blocks(self, c: np.ndarray) -> np.ndarray:
+        """Sector coefficients as the (k, n0, n1, n2) view the sector solve takes."""
+        c = c if c.ndim > self.d else c[None]
+        return c if self.d == 3 else c[..., None]
 
     def operator(self, u: np.ndarray) -> np.ndarray:
         """A u for a flat field u, through the coefficient-space apply."""
-        return self._dst(self._apply(self._dst(u.reshape(self.L, self.L)))).reshape(-1)
+        return self._dst(self._apply(self._dst(u.reshape((self.L,) * self.d)))).reshape(-1)
 
     def sector_apply(self, rep: tuple, c: np.ndarray) -> np.ndarray:
-        """A_hat on the sector rep, Lambda_s + w0 w0^T (x) I + I (x) w1 w1^T,
-        for coefficients c of shape (n0, n1) or (k, n0, n1)."""
-        inv_lam, w0, w1 = self._sectors[rep][:3]
-        return c / inv_lam + w0[:, None] * (w0 @ c)[..., None, :] + (c @ w1)[..., :, None] * w1
+        """A_hat on the sector rep, Lambda_s + sum_a w_a w_a^T along each axis."""
+        return self._sectors[rep].apply(self._blocks(c)).reshape(c.shape)
 
     def sector_solve(self, rep: tuple, c: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """A_hat^{-1} c on the sector rep, for coefficients c of shape
-        (n0, n1) or (k, n0, n1), by Woodbury with U = [w0 (x) I, I (x) w1];
-        out may be c."""
-        inv_lam, w0, w1, d0, C, chol = self._sectors[rep]
-        y = c * inv_lam
-        r0 = (w0 @ y) / d0
-        b = scipy.linalg.cho_solve(chol, (y @ w1 - r0 @ C).T, check_finite=False).T
-        a = r0 - (b @ C.T) / d0
-        # U [a; b] = w0 a^T + b w1^T, a product of rank 2 per right-hand side
-        corr = np.matmul(np.stack(np.broadcast_arrays(w0, b), axis=-1), np.stack(np.broadcast_arrays(a, w1), axis=-2))
-        corr *= inv_lam
-        return np.subtract(y, corr, out=out)
+        """A_hat^{-1} c on the sector rep; out may be c."""
+        x = self._sectors[rep].solve(self._blocks(c), None if out is None else self._blocks(out))
+        return x.reshape(c.shape) if out is None else out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b for flat right-hand sides (n,) or (n, k), x of b's shape."""
         b = np.asarray(b, dtype=float)
         single = b.ndim == 1
-        k, L = (1 if single else b.shape[1]), self.L
-        y = self._dst((b[None, :] if single else b.T).reshape(k, L, L))
+        k = 1 if single else b.shape[1]
+        y = self._dst((b[None, :] if single else b.T).reshape((k,) + (self.L,) * self.d))
         for rep, sectors in self._classes:
             for parity, axes in sectors:
-                if rep in self._sectors:  # a strided view, in the representative's axis order
-                    view = y[:, self._lines[parity[0]], self._lines[parity[1]]].transpose(0, *(1 + a for a in axes))
+                if rep in self._sectors:
+                    # a strided view, in the representative's axis order: the
+                    # inverse of axes (a 3-cycle in d = 3 is not its own inverse)
+                    view = y[(slice(None),) + self._cell(parity)].transpose(0, *(1 + np.argsort(axes)))
                     self.sector_solve(rep, view, out=view)
         out = self._dst(y).reshape(k, -1).T
         return out[:, 0] if single else out

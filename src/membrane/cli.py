@@ -115,7 +115,7 @@ def _grid(args, cfg, h: float):
 
 def _route_facts(prec) -> dict:
     """The solver route a precision took, the entries of the factor it built,
-    and why a box or torus route was refused."""
+    and why a route of `green`'s table was refused."""
     facts = {"route": prec.route, "factor_fill": prec.factor_fill}
     if prec.route_reason:
         facts["route_reason"] = prec.route_reason

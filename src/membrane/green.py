@@ -12,10 +12,13 @@ dropped (the zero boundary).  The covariance G solves
 precision, and `PrecisionMatrix.route` records its pick, by dimension and
 domain:
 
-- "box-direct": every centred box in d = 2, at any size, by the sine-transform
-  and per-sector capacitance solve of `boxsolve.DirectBoxSolver`;
-- "box-pcg": every centred box in d >= 3, at any size, by the sine-coefficient
-  box PCG of `boxsolve`; a solve that stops above its tolerance raises;
+- "box-direct": every centred box in d = 2 and 3 whose factors fit in
+  DIRECT_FACTOR_BUDGET bytes (in d = 3 up to [-52, 52]^3), by the
+  sine-transform and per-sector capacitance solve of
+  `boxsolve.DirectBoxSolver`;
+- "box-pcg": every other centred box (d = 3 above the budget, and d >= 4),
+  at any size, by the sine-coefficient box PCG of `boxsolve`; a solve that
+  stops above its tolerance raises;
 - "torus-capacitance": every other d = 2 domain, by the periodic-torus
   embedding and capacitance solve of `boxsolve.TorusCapacitanceSolver`;
 - "superlu": every other domain in d >= 3.
@@ -24,15 +27,15 @@ Every domain that is not a centred box is bounded by FACTORIZATION_CAP rows,
 above which it raises.  A box or torus route builds its operator from the
 domain, so it is taken only when a seeded random probe (`operator_probe`,
 which the box spectra of `spectral` share) shows that the matrix given is
-that operator; the torus probe runs before its factor is built.  Otherwise
-the matrix goes to SuperLU, and `route_reason` says why.
-`PrecisionMatrix.factor_fill` records the entries of the factor built:
-SuperLU's stored entries of L and U (`SuperLU.nnz`; building L and U to
-count them would copy the factor), m^2 for a torus capacitance matrix on m
-boundary points, 2(M+1)^2 + M^2 for the three sector factors of the d=2 box
-[-M, M]^2 and 0 for box PCG.  The d=4 log-correlation study solves for the
-centre column with the even variant of the box solver, on the sector |x_i|
-of the box.
+that operator; the probes run before any factor is built.  Otherwise the
+matrix goes to SuperLU, and `route_reason` says why; it also says why a
+d = 3 box took box PCG.  `PrecisionMatrix.factor_fill` records the entries
+of the factor built: SuperLU's stored entries of L and U (`SuperLU.nnz`;
+building L and U to count them would copy the factor), m^2 for a torus
+capacitance matrix on m boundary points, `boxsolve.direct_fill` for the
+sector factors of a box (2(M+1)^2 + M^2 for [-M, M]^2) and 0 for box PCG.
+The d=4 log-correlation study solves for the centre column with the even
+variant of the box solver, on the sector |x_i| of the box.
 
 `factorize_spd`, the one call of SuperLU, uses its symmetric mode: minimum-
 degree ordering of A^T + A and diagonal pivots, the choice for SPD matrices
@@ -55,6 +58,7 @@ DENSE_TABLE_CAP = 20_000
 FACTORIZATION_CAP = 600_000   # rows; above this only centred boxes are solved
 RHS_FLOAT_BUDGET = 16_000_000  # floats in one dense batch of right-hand sides
 PROBE_TOL = 1e-12             # route operator vs matrix, relative to ||A|| ||v||
+DIRECT_FACTOR_BUDGET = 2**28  # bytes of box-direct factors; a larger box takes box PCG
 
 
 @dataclass
@@ -93,9 +97,11 @@ def assemble_precision(domain: GridDomain) -> PrecisionMatrix:
 
 def _make_solver(A: sp.csr_matrix, domain: GridDomain):
     """(solve, route, reason, fill): a solver for A, the route's name, why a
-    box or torus route was refused ("" when it was not), and the entries of
-    the factor built."""
-    from .boxsolve import CenteredBoxSolver, DirectBoxSolver, TorusCapacitanceSolver, centered_box_halfwidth
+    route of the table above was refused ("" when none was), and the entries
+    of the factor built."""
+    from .boxsolve import (
+        CenteredBoxSolver, DirectBoxSolver, TorusCapacitanceSolver, centered_box_halfwidth, direct_fill,
+    )
 
     n, d = A.shape[0], domain.d
     reason = ""
@@ -104,12 +110,16 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain):
     # each of the first two only once the probe accepts A
     M = centered_box_halfwidth(domain)
     if M >= 0:
-        box = DirectBoxSolver(M) if d == 2 else CenteredBoxSolver(d, M)
+        box = CenteredBoxSolver(d, M)
         reason = operator_probe(A, box)
         if not reason:
-            if d == 2:
-                return box.solve, "box-direct", "", box.fill
-            return (lambda rhs: box.solve(rhs, tol=1e-11)[0]), "box-pcg", "", 0
+            if d <= 3:
+                nbytes = 8 * direct_fill(d, M)
+                if nbytes <= DIRECT_FACTOR_BUDGET:
+                    direct = DirectBoxSolver(M, d)
+                    return direct.solve, "box-direct", "", direct.fill
+                reason = f"direct factors of {nbytes} bytes above DIRECT_FACTOR_BUDGET"
+            return (lambda rhs: box.solve(rhs, tol=1e-11)[0]), "box-pcg", reason, 0
     if n > FACTORIZATION_CAP:
         raise ValueError(
             f"system size {n} is above the factorization cap {FACTORIZATION_CAP} "

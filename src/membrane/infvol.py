@@ -177,19 +177,19 @@ class FourierCovariance:
     def refined(self) -> "FourierCovariance":
         return FourierCovariance(d=self.d, levels=self.levels + 4, order=self.order + 2)
 
+    def center_constant(self) -> float:
+        """c with mu(theta)^-2 <= c ||theta||^-4 on the unresolved centre cube
+        [0, eps]^d, eps = RHO0 2^-levels: sin(t/2) >= (t/2)(1 - t^2/24) for
+        t <= eps gives c = 4 d^2 (1 - eps^2/24)^-4."""
+        eps = RHO0 * 0.5**self.levels
+        return 4.0 * self.d**2 / (1.0 - eps * eps / 24.0) ** 4
+
     def center_cube_bound(self) -> float:
-        """Bound on the unresolved centre-cube mass: integrand <= 4 d^2 ||theta||^-4."""
+        """Bound on the unresolved centre-cube mass: integrand <= c ||theta||^-4."""
         eps = RHO0 * 0.5**self.levels
         d = self.d
         # int_{[0,eps]^d} ||theta||^-4 <= surf/(2^d) * int_0^{eps sqrt(d)} r^{d-5} dr
-        return (
-            4.0
-            * d**2
-            * sphere_area(d)
-            / 2**d
-            * (eps * math.sqrt(d)) ** (d - 4)
-            / (d - 4)
-        )
+        return self.center_constant() * sphere_area(d) / 2**d * (eps * math.sqrt(d)) ** (d - 4) / (d - 4)
 
 
 @dataclass

@@ -392,27 +392,23 @@ def assemble(domain: GridDomain, stencil: Stencil) -> sp.csr_matrix:
 
     Rows and columns follow the R_h ordering of `domain.rh_points`; stencil
     arms that reach outside R_h are dropped, which is the zero field there.
+    The CSR arrays are built directly: R_h rows are in C order on a grid
+    padded by 2 cells, so an arm of at most 2 steps per axis is a fixed
+    shift of the flat grid index, and arms sorted by that shift give sorted
+    columns in every row.
     """
-    pts = domain.rh_points
-    idx_grid = domain.rh_index_grid
-    grid_shape = np.array(domain.mask_shape)
-    own = np.arange(domain.n_rh)
-    rows = []
-    cols = []
-    vals = []
-    for off, coeff in stencil.items():
-        loc = pts + np.array(off, dtype=np.int64) - domain.origin
-        ok = np.all((loc >= 0) & (loc < grid_shape), axis=1)
-        j = idx_grid[tuple(loc[ok].T)]
-        keep = j >= 0
-        rows.append(own[ok][keep])
-        cols.append(j[keep])
-        vals.append(np.full(int(keep.sum()), float(coeff)))
+    offsets = np.array(list(stencil), dtype=np.int64).reshape(len(stencil), domain.d)
+    if np.abs(offsets).max(initial=0) > 2:
+        raise ValueError("stencil arms reach more than 2 steps along an axis")
+    grid = domain.rh_index_grid
+    shift = offsets @ np.array(grid.strides) // grid.itemsize
+    order = np.argsort(shift)
+    coeffs = np.array([float(c) for c in stencil.values()])[order]
+    cols = grid.reshape(-1)[np.flatnonzero(grid >= 0)[:, None] + shift[order]]
+    keep = cols >= 0
     n = domain.n_rh
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((np.broadcast_to(coeffs, cols.shape)[keep], cols[keep], indptr), shape=(n, n))
 
 
 def field_on_grid(domain: GridDomain, values_rh: np.ndarray) -> np.ndarray:

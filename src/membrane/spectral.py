@@ -11,16 +11,24 @@ the spectrum strictly.
 `eigendecompose` takes one of three routes, recorded as `SpectralBasis.route`
 and `route_reason`.  "box-sectors" computes one parity sector per
 permutation class (see `boxsolve`) for a centred box that the box probe of
-`green` accepts: every d = 2 box, at any size, and a box in d >= 3 whose
-largest sector has at most DENSE_EIG_CAP unknowns.  In d >= 3 a class is
-dense `eigh` of its block; in d = 2 it is shift-invert `eigsh` on the
-class's own unknowns over the sector solve of `boxsolve.DirectBoxSolver`
-(dense `eigh` when the class is small).  "dense" is `eigh` for any other
+`green` accepts: every box in d = 2 and 3, at any size, and a box in d >= 4
+whose largest sector has at most DENSE_EIG_CAP unknowns.  In d = 2 and 3 a
+class is shift-invert `eigsh` on the class's own unknowns over the sector
+solve of `boxsolve.DirectBoxSolver` (dense `eigh` when the class is small);
+in d >= 4 it is dense `eigh` of its block.  "dense" is `eigh` for any other
 matrix up to DENSE_EIG_CAP, and "shift-invert" `eigsh` above it, over the
 precision's solver (torus capacitance for other d = 2 domains, box PCG for
-d >= 3 boxes above the sector cap, SuperLU otherwise).  Every `eigsh` starts
-from a fixed vector, so a repeated call repeats its result bit for bit.
-Every route is gated against the assembled matrix.
+d >= 4 boxes above the sector cap, SuperLU otherwise).  No `eigsh` sees a
+whole d = 2 or d = 3 box.  Every `eigsh` starts from a fixed vector, so a
+repeated call repeats its result bit for bit.  Every route is gated against
+the assembled matrix.
+
+The solver routes of `green`, by dimension and domain:
+
+    domain          d = 2               d = 3                  d >= 4
+    centred box     box-direct          box-direct, or box-pcg box-pcg
+                                        above the factor budget
+    anything else   torus-capacitance   superlu                superlu
 
 Norms on the dual scale: || v ||_{-s}^2 = sum_j lambda_j^{-s/2} (v, u_j)^2.
 The random series  sum_j lambda_j^{-1/2} xi_j u_j  with i.i.d. standard
@@ -109,13 +117,14 @@ def _sector_eigenpairs(box, k: int):
     class's other sectors come from transposing axes.  Candidates are ordered
     stably by value and then by sector order.
 
-    In d >= 3 every class takes dense `eigh` of min(k, n_c) pairs of its
-    block.  In d = 2 a class of n_c unknowns first asks for k_c pairs
+    In d >= 4 every class takes dense `eigh` of min(k, n_c) pairs of its
+    block.  In d = 2 and 3 a class of n_c unknowns first asks for k_c pairs
     (`_first_count`), and doubles k_c until its largest value lies above the
-    k-th smallest candidate overall or it holds min(k, n_c) pairs.  A class with 2 k_c + 1 >= n_c takes dense `eigh` of
-    min(k, n_c) pairs; every other class runs `_shift_invert` on its n_c sine
-    coefficients, with the sector solve of `DirectBoxSolver` as OPinv, and no
-    transform runs inside the eigensolve.
+    k-th smallest candidate overall or it holds min(k, n_c) pairs.  A class
+    with 2 k_c + 1 >= n_c takes dense `eigh` of min(k, n_c) pairs; every
+    other class runs `_shift_invert` on its n_c sine coefficients, with the
+    sector solve of `DirectBoxSolver` as OPinv, and no transform runs inside
+    the eigensolve.
     """
     classes = []  # (representative, sectors, shape) of each nonempty class
     for rep, sectors in parity_classes(box.d):
@@ -123,7 +132,7 @@ def _sector_eigenpairs(box, k: int):
         if math.prod(shape):  # the even sectors of M = 0 are empty
             classes.append((rep, sectors, shape))
     full = [min(k, math.prod(shape)) for _, _, shape in classes]
-    direct = DirectBoxSolver(box.M) if box.d == 2 else None
+    direct = DirectBoxSolver(box.M, box.d) if box.d <= 3 else None
     want = full if direct is None else [_first_count(k, math.prod(shape), box.n) for _, _, shape in classes]
     pairs = [None] * len(classes)
     while True:
@@ -154,10 +163,10 @@ def _sector_eigenpairs(box, k: int):
 
 
 def _first_count(k: int, n_c: int, n: int) -> int:
-    """The pairs a d=2 sector class of n_c of the n unknowns asks for first:
-    its share of k plus 8, which on square boxes up to h=1/80 holds the
-    class's part of the k smallest for every k tried (1..60 at h=1/16, 100
-    at h=1/40 and 1/80)."""
+    """The pairs a sector class of n_c of the n unknowns asks for first: its
+    share of k plus 8, which on square boxes up to h=1/80 holds the class's
+    part of the k smallest for every k tried (1..60 at h=1/16, 100 at h=1/40
+    and 1/80); on cubes the growth of the counts makes up any shortfall."""
     return min(k, -(-k * n_c // n) + 8)
 
 
@@ -202,7 +211,7 @@ def eigendecompose(precision: PrecisionMatrix, k: int) -> SpectralBasis:
     largest = (M + 1) ** d  # the all-odd sector
     if M < 0:
         reason = "not a centred box"
-    elif d == 2 or largest <= DENSE_EIG_CAP:
+    elif d <= 3 or largest <= DENSE_EIG_CAP:
         box = CenteredBoxSolver(d, M)
         reason = operator_probe(precision.matrix, box)
     else:

@@ -1,13 +1,17 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  Criterion 8 checks Weyl's law through the leading
-coefficient of the counting function, since the low clamped spectrum is
-dominated by the boundary term; criterion 11 runs the convergent arm of the
-random series above the paper's Sobolev threshold s_d.  Both also check that
-a wrong spectrum (scaled, or flat) would fail them.
+lines as they complete.  Each criterion also prints one machine-readable
+line, `ACCEPTANCE-JSON {...}`, with its value, its bound as [low, high]
+(null for an open side) and the seconds the test took.  Criterion 8 checks
+Weyl's law through the leading coefficient of the counting function, since
+the low clamped spectrum is dominated by the boundary term; criterion 11
+runs the convergent arm of the random series above the paper's Sobolev
+threshold s_d.  Both also check that a wrong spectrum (scaled, or flat)
+would fail them.
 """
 
+import json
 import time
 
 import numpy as np
@@ -45,8 +49,23 @@ from membrane.infvol import (
 SEED = 20240613
 
 
-def report(num, name, passed, detail):
+_started = {}
+
+
+@pytest.fixture(autouse=True)
+def _clock():
+    _started["t"] = time.perf_counter()
+
+
+def report(num, name, passed, detail, value, bound):
+    """Print the criterion's line and its JSON line, then assert it passed.
+
+    value is a number or a dict of numbers; bound is [low, high], or a dict of
+    them with value's keys."""
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if passed else 'FAIL'} ({detail})")
+    line = {"criterion": num, "name": name, "passed": bool(passed), "value": value, "bound": bound}
+    line["seconds"] = round(time.perf_counter() - _started["t"], 3)
+    print("ACCEPTANCE-JSON " + json.dumps(line))
     assert passed, f"criterion {num} {name}: {detail}"
 
 
@@ -72,6 +91,8 @@ def test_01_green_bvp_exactness():
         "green_bvp_exactness",
         ok_resid and ok_oracle,
         f"max residual {worst:.2e} (<=1e-8), dense-inverse rel {worst_rel:.2e} (<=1e-9)",
+        {"residual": worst, "dense_inverse_rel": worst_rel},
+        {"residual": [None, 1e-8], "dense_inverse_rel": [None, 1e-9]},
     )
 
 
@@ -84,6 +105,8 @@ def test_02_variance_growth():
         "variance_growth",
         ok,
         f"d=2 slope {s2:.3f} in [1.7,2.3]; d=3 slope {s3:.3f} in [0.7,1.3]",
+        {"d2_slope": s2, "d3_slope": s3},
+        {"d2_slope": [1.7, 2.3], "d3_slope": [0.7, 1.3]},
     )
 
 
@@ -97,6 +120,8 @@ def test_03_d4_log_correlations():
         rel <= 0.15,
         f"slope {rep.slope:.4f} vs {target:.4f}, rel {rel:.3f} (<=0.15), "
         f"{rep.n_pairs} bulk pairs, PCG {rep.solver_iterations} iters",
+        rel,
+        [None, 0.15],
     )
 
 
@@ -111,12 +136,14 @@ def test_04_increment_moment_bound():
         "increment_moment_bound",
         ok,
         f"d=2 exponent {fit2.exponent:.3f} in [1.5,2.1]; d=3 {fit3.exponent:.3f} in [0.9,1.3]",
+        {"d2_exponent": fit2.exponent, "d3_exponent": fit3.exponent},
+        {"d2_exponent": [1.5, 2.1], "d3_exponent": [0.9, 1.3]},
     )
 
 
 def test_05_maximum_scaling():
     rep = max_scaling(2, [32, 64], count=500, seed=SEED)
-    report(5, "maximum_scaling", rep.ks <= 0.1, f"KS(N=32 vs N=64) = {rep.ks:.4f} (<=0.1)")
+    report(5, "maximum_scaling", rep.ks <= 0.1, f"KS(N=32 vs N=64) = {rep.ks:.4f} (<=0.1)", rep.ks, [None, 0.1])
 
 
 def test_06_thomee_convergence():
@@ -131,6 +158,8 @@ def test_06_thomee_convergence():
         ok,
         f"errors {['%.3f' % e for e in errs]}, order {st.fitted_order:.2f} (>=0.5), "
         f"bound constant {st.fitted_constant:.3e} holds: {st.within_bound}",
+        st.fitted_order,
+        [0.5, None],
     )
 
 
@@ -140,7 +169,7 @@ def test_07_b2star_property():
         for shape in (Ball([0.0, 0.0], 1.0), unit_box(2)):
             rep = verify_b2star(classify(shape, h), K=4)
             results.append(rep.passed)
-    report(7, "b2star_property", all(results), f"disk+square at h=1/16,1/32: {results}")
+    report(7, "b2star_property", all(results), f"disk+square at h=1/16,1/32: {results}", sum(results), [4, None])
 
 
 def test_08_weyl_law():
@@ -164,6 +193,8 @@ def test_08_weyl_law():
             f"d={d} A/A_W {r:.3f} (|.-1|<={tol}), eigenvalues x2 give {r2:.3f} (must fail)"
             for d, (r, r2, tol) in fits.items()
         ),
+        {f"d{d}_ratio_gap": abs(r - 1.0) for d, (r, _, _) in fits.items()},
+        {f"d{d}_ratio_gap": [None, tol] for d, (_, _, tol) in fits.items()},
     )
 
 
@@ -176,6 +207,8 @@ def test_09_boundary_condition_gap():
         rep.margin > 1e-6,
         f"bilaplacian {rep.bilaplacian_min:.3f} > squared Laplacian {rep.laplacian_min_squared:.3f}, "
         f"margin {rep.margin:.3f}",
+        rep.margin,
+        [1e-6, None],
     )
 
 
@@ -190,6 +223,8 @@ def test_10_pairing_variance_convergence():
         f"variances {['%.3e' % v for v in study.variances]}, "
         f"difference ratio {study.cauchy_ratio:.3f} (<0.7), "
         f"cross-check gaps {['%.1e' % g for _, g in study.cross_checks]} (<=1e-8)",
+        {"cauchy_ratio": study.cauchy_ratio, "cross_check_gap": max((g for _, g in study.cross_checks), default=None)},
+        {"cauchy_ratio": [None, 0.7], "cross_check_gap": [None, 1e-8]},
     )
 
 
@@ -221,6 +256,8 @@ def test_11_wiener_series_norm():
         f"{flat.mean_ratio:.3f} (must be >=0.8), control growth ok: {grow}; "
         f"diagnostic s=1 ratio {low.mean_ratio:.3f}, expected {expected_increment_ratio(lam, 1.0, schedule):.3f}, "
         f"{expected_increment_ratio(ideal, 1.0, schedule):.3f} under lambda_j = j^(4/5)",
+        conv.mean_ratio,
+        [None, 0.8],
     )
 
 
@@ -232,9 +269,11 @@ def test_12_infinite_volume_oracle_agreement():
     four = green_infinite_fourier_many(targets)
     worst = ""
     ok = True
+    worst_ratio = 0.0
     for i, t in enumerate(targets):
         tol = 3 * walk.standard_errors[i] + four[i].error + walk.tail_bounds[i]
         diff = abs(four[i].value - walk.estimates[i])
+        worst_ratio = max(worst_ratio, diff / tol)
         if diff > tol:
             ok = False
             worst = f"x={t}: diff {diff:.4f} > tol {tol:.4f}"
@@ -244,6 +283,8 @@ def test_12_infinite_volume_oracle_agreement():
         ok,
         worst or f"all {len(targets)} symmetry classes of ||x||_inf<=2 agree "
         f"(1e6 walks, M=200, covers all 3125 points by lattice symmetry)",
+        worst_ratio,
+        [None, 1.0],
     )
 
 
@@ -261,6 +302,8 @@ def test_13_scaling_variance_limit():
         ok,
         f"gaps to {limit:.4f}: {['%.2e' % g for g in gaps]} decreasing={decreasing}, "
         f"final {gaps[-1] / limit:.2%} (<=5%)",
+        gaps[-1] / limit,
+        [None, 0.05],
     )
 
 
@@ -275,6 +318,8 @@ def test_14_poisson_summation_decay():
         "poisson_summation_decay",
         ok,
         f"error N=8: {e8:.2e} (<1e-10), N=16: {e16:.2e} (non-increasing)",
+        e8,
+        [None, 1e-10],
     )
 
 
@@ -297,6 +342,8 @@ def test_15_sampler_law():
         "sampler_law",
         worst <= 3.0,
         f"worst |z| over 20 random functionals: {worst:.2f} (<=3)",
+        worst,
+        [None, 3.0],
     )
 
 

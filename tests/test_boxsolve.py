@@ -218,6 +218,78 @@ def test_direct_unit_columns_match_box_pcg_and_single_solves():
         assert np.abs(x - X[:, j]).max() <= 1e-13 * np.abs(x).max()
 
 
+@given(M=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+@example(M=0, seed=1)  # the sectors with an even frequency are empty
+@example(M=1, seed=2)
+@settings(max_examples=20, deadline=None)
+def test_direct_d3_solve_matches_spsolve(M, seed):
+    A = assemble_precision(classify(unit_box(3), 1.0 / (M + 2))).matrix
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((A.shape[0], 3))
+    ref = spla.spsolve(A.tocsc(), B)
+    direct = DirectBoxSolver(M, 3)
+    X = direct.solve(B)
+    assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(direct.solve(B[:, 0]) - X[:, 0]).max() <= 1e-13 * np.abs(X[:, 0]).max()
+    assert direct.fill == boxsolve.direct_fill(3, M)
+    # each sector solve inverts its sector apply, on one array and on a batch of 2
+    for rep, sectors in boxsolve.parity_classes(3):
+        shape = [M + p for p in rep]
+        if min(shape):
+            for c in (rng.standard_normal(shape), rng.standard_normal([2] + shape)):
+                back = direct.sector_apply(rep, direct.sector_solve(rep, c))
+                assert back.shape == c.shape
+                assert np.abs(back - c).max() <= 1e-12 * np.abs(c).max()
+
+
+@pytest.mark.parametrize("N", [8, 19])
+def test_direct_d3_solve_is_backward_stable_and_matches_box_pcg(N):
+    A = assemble_precision(classify(unit_box(3), 1.0 / N)).matrix
+    direct = DirectBoxSolver(N - 2, 3)
+    B = np.random.default_rng(N).standard_normal((A.shape[0], 4))
+    X = direct.solve(B)
+    assert max(backward_error(A, X[:, j], B[:, j]) for j in range(B.shape[1])) <= 1e-14
+    ref, _ = CenteredBoxSolver(3, N - 2).solve(B, tol=1e-13)
+    assert np.abs(X - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_direct_d3_solves_every_sector_of_every_class():
+    # a right-hand side in one parity sector at a time: in class (1,1,0) the
+    # sectors (1,0,1) and (0,1,1) are 3-cycles of the representative's axes,
+    # so a wrong transpose would solve them on the wrong axes
+    N = 9
+    prec = assemble_precision(classify(unit_box(3), 1.0 / N))
+    box = CenteredBoxSolver(3, N - 2)
+    rng = np.random.default_rng(7)
+    solved = []
+    for rep, sectors in boxsolve.parity_classes(3):
+        for parity, axes in sectors:
+            c = np.zeros((box.L,) * 3)
+            cell = np.ix_(*(box.sector_indices(p) for p in parity))
+            c[cell] = rng.standard_normal(c[cell].shape)
+            b = box.field(c).reshape(-1)
+            x = prec.solve(b)
+            assert prec.route == "box-direct"
+            assert np.abs(prec.matrix @ x - b).max() <= 1e-12 * np.abs(b).max()
+            solved.append(parity)
+    assert len(set(solved)) == 8
+
+
+def test_d3_boxes_above_the_factor_budget_take_box_pcg(monkeypatch):
+    dom = classify(unit_box(3), 1 / 10)
+    monkeypatch.setattr(green, "DIRECT_FACTOR_BUDGET", 8 * boxsolve.direct_fill(3, 8) - 1)
+    monkeypatch.setattr(boxsolve, "DirectBoxSolver", lambda *args: pytest.fail("direct factors built above the budget"))
+    prec = assemble_precision(dom)
+    table = green_columns(prec, [(0, 0, 0), (3, -2, 1)])
+    assert prec.route == "box-pcg" and prec.factor_fill == 0
+    assert prec.route_reason == f"direct factors of {8 * boxsolve.direct_fill(3, 8)} bytes above DIRECT_FACTOR_BUDGET"
+    assert table.max_residual <= 1e-8
+    monkeypatch.undo()
+    prec = assemble_precision(dom)
+    assert np.abs(green_columns(prec, [(0, 0, 0), (3, -2, 1)]).values - table.values).max() <= 1e-10 * table.values.max()
+    assert (prec.route, prec.route_reason, prec.factor_fill) == ("box-direct", "", boxsolve.direct_fill(3, 8))
+
+
 @pytest.mark.parametrize(
     "d,N,cap",
     [(2, 12, green.FACTORIZATION_CAP), (2, 12, 10), (3, 12, green.FACTORIZATION_CAP), (4, 6, green.FACTORIZATION_CAP)],
@@ -239,7 +311,7 @@ def test_centred_boxes_are_solved_without_factorization(monkeypatch, d, N, cap):
     table = green_columns(prec, pts)
     assert table.max_residual <= 1e-8
     assert np.abs(table.values - reference).max() <= 1e-9 * np.abs(reference).max()
-    assert prec.route == ("box-direct" if d == 2 else "box-pcg") and prec.route_reason == ""
+    assert prec.route == ("box-direct" if d <= 3 else "box-pcg") and prec.route_reason == ""
     monkeypatch.undo()
     for shape in (Ball([0.0] * d, 1.0), Box([(-1, 1)] * (d - 1) + [(-1, 2)])):
         other = assemble_precision(classify(shape, 1 / 4 if d == 4 else 1 / 6))
@@ -250,7 +322,7 @@ def test_centred_boxes_are_solved_without_factorization(monkeypatch, d, N, cap):
 @pytest.mark.parametrize("d,N", [(2, 10), (3, 6)])
 def test_box_routes_solve_the_matrix_they_are_given(monkeypatch, d, N):
     # a box, and in d=2 a disk: the probe refuses a perturbed matrix, which is factorized
-    shapes = [(unit_box(d), "box-direct" if d == 2 else "box-pcg")]
+    shapes = [(unit_box(d), "box-direct" if d <= 3 else "box-pcg")]
     if d == 2:
         shapes.append((Ball([0.0, 0.0], 1.0), "torus-capacitance"))
     for shape, route in shapes:

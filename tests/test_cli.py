@@ -115,6 +115,22 @@ def test_recipes_record_the_solver_route(tmp_path, monkeypatch):
     assert facts["factor_fill"] > ball.matrix.nnz
 
 
+def test_recipes_record_the_d3_box_route_and_its_budget(tmp_path, monkeypatch):
+    from membrane import green
+    from membrane.boxsolve import direct_fill
+
+    code, out = run_cli(["sample", "--shape", "box", "--d", "3", "--h", "1/6", "--count", "1"], tmp_path, "d3")
+    assert code == 0
+    facts = json.loads((out / "manifest.json").read_text())["stage_facts"]["factorize"]
+    assert facts == {"route": "box-direct", "factor_fill": direct_fill(3, 4)}
+    monkeypatch.setattr(green, "DIRECT_FACTOR_BUDGET", 0)
+    code, out = run_cli(["green", "--shape", "box", "--d", "3", "--h", "1/6", "--columns", "0,0,0"], tmp_path, "pcg")
+    assert code == 0
+    facts = json.loads((out / "manifest.json").read_text())["stage_facts"]["solve"]
+    reason = f"direct factors of {8 * direct_fill(3, 4)} bytes above DIRECT_FACTOR_BUDGET"
+    assert facts == {"route": "box-pcg", "factor_fill": 0, "route_reason": reason}
+
+
 def test_green_selected_columns(tmp_path):
     code, out = run_cli(
         ["green", "--shape", "box", "--d", "2", "--h", "1/4", "--columns", "0,0;1,1"],

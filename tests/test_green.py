@@ -130,9 +130,9 @@ def test_box_route_raises_when_pcg_stops_short(monkeypatch):
     monkeypatch.setattr(
         boxsolve.CenteredBoxSolver, "solve", lambda self, b, tol: solve(self, b, tol=tol, maxiter=2)
     )
-    prec = assemble_precision(classify(unit_box(3), 1 / 6))
+    prec = assemble_precision(classify(unit_box(4), 1 / 6))
     with pytest.raises(RuntimeError, match="box PCG"):
-        solve_green_column(prec, (0, 0, 0))
+        solve_green_column(prec, (0, 0, 0, 0))
 
 
 def test_residual_gates_fail_on_nan():
@@ -145,7 +145,7 @@ def test_residual_gates_fail_on_nan():
     with pytest.raises(RuntimeError, match="asymmetry"):
         green_full(prec)
     # the box route reports a NaN residual instead of passing it on
-    box = assemble_precision(classify(unit_box(3), 1 / 6))
+    box = assemble_precision(classify(unit_box(4), 1 / 6))
     rhs = np.zeros(box.n)
     rhs[0] = np.nan
     with pytest.raises(RuntimeError, match="box PCG"):

@@ -99,6 +99,21 @@ def test_fourier_value_at_origin_at_least_one():
     assert v.value >= 1.0
 
 
+@pytest.mark.parametrize("d", [5, 6, 8])
+def test_center_cube_constant_bounds_the_integrand(d):
+    # levels=1: the centre cube is [0, pi/2]^d, where the small-angle bound
+    # 4 d^2 ||theta||^-4 alone fails (by 1.52 at the corner in d=5)
+    plan = FourierCovariance(d=d, levels=1)
+    eps = np.pi / 2
+    theta = np.vstack([np.random.default_rng(d).uniform(0.0, eps, size=(2000, d)), np.full(d, eps), np.ones(d)])
+    integrand = mu_symbol(theta.T) ** -2.0
+    scaled = integrand * np.sum(theta**2, axis=1) ** 2
+    assert np.all(scaled <= plan.center_constant())
+    assert scaled.max() > 4.0 * d**2
+    # at the default plans the factor over 4 d^2 is 1 + O(4^-levels)
+    assert FourierCovariance(d=d, levels=20).center_constant() / (4.0 * d**2) - 1.0 <= 3e-12
+
+
 def test_fourier_even_symmetry():
     a = green_infinite_fourier((1, -2, 0, 0, 0)).value
     b = green_infinite_fourier((-1, 2, 0, 0, 0)).value

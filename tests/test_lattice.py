@@ -295,6 +295,32 @@ def test_assemble_matches_stencil_application(variant, shape, h):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_direct_csr_assembly_matches_stencil_application(d):
+    # boxes, balls and an off-centre box in every d: the CSR arrays built in
+    # place apply the stencil, with sorted columns and no duplicate entries
+    shapes = [
+        (unit_box(d), 1 / 5),
+        (Ball([0.0] * d, 1.0), 1 / 4),
+        (Ball([0.3] + [-0.2] * (d - 1), 0.8), 1 / 5),
+        (Box([(-0.7, 0.9)] + [(-1.0, 0.6)] * (d - 1)), 1 / 5),
+    ]
+    rng = np.random.default_rng(d)
+    for shape, h in shapes:
+        dom = classify(shape, h)
+        rh_loc = tuple((dom.rh_points - dom.origin).T)
+        for variant in ("bilaplacian", "deltah"):
+            st = stencil_weights(variant, d)
+            A = assemble(dom, st)
+            assert A.shape == (dom.n_rh, dom.n_rh)
+            assert A.has_sorted_indices and A.has_canonical_format
+            v = rng.standard_normal(dom.n_rh)
+            want = apply_stencil_array(field_on_grid(dom, v), st)[rh_loc]
+            assert np.abs(A @ v - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(ValueError, match="2 steps"):
+        assemble(classify(unit_box(d), 1 / 5), {(3,) + (0,) * (d - 1): 1})
+
+
 # ---------------------------------------------------------------------------
 # B2* verifier
 

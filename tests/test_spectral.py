@@ -101,16 +101,16 @@ def test_laplacian_min_gates_fail_on_nan_or_nonpositive(monkeypatch, spoil, gate
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
     # three routes: parity sectors (the default), shift-invert eigsh with the
-    # cap at 1 (the d=3 box over box PCG; d=2 boxes keep the sectors at any
-    # size), and dense eigh of the assembled S here
-    for d, N in [(2, 10), (3, 6)]:
+    # cap at 1 (the d=4 box over box PCG; d=2 and d=3 boxes keep the sectors
+    # at any size), and dense eigh of the assembled S here
+    for d, N in [(2, 10), (3, 6), (4, 4)]:
         prec = assemble_precision(classify(unit_box(d), 1 / N))
         sectors = eigendecompose(prec, 8)
         with monkeypatch.context() as m:
             m.setattr(spectral, "DENSE_EIG_CAP", 1)
             sparse = eigendecompose(prec, 8)
         dense = scipy.linalg.eigh(prec.raw.toarray(), eigvals_only=True, subset_by_index=(0, 7))
-        assert (sectors.route, sparse.route) == ("box-sectors", "box-sectors" if d == 2 else "shift-invert")
+        assert (sectors.route, sparse.route) == ("box-sectors", "box-sectors" if d <= 3 else "shift-invert")
         assert np.allclose(sectors.lambdas, sparse.lambdas, rtol=1e-9)
         assert np.allclose(sectors.lambdas, dense / prec.domain.h**4, rtol=1e-9)
         assert prec._solver is None  # the eigensolve's own solver is cached nowhere
@@ -133,12 +133,12 @@ def test_sector_eigenpairs_match_dense_eigh(d, N, k):
 
 
 def _refined_box_spectrum(prec, k):
-    """The k smallest eigenvalues of S on a d=2 box to a few ulps: on a box
+    """The k smallest eigenvalues of S on a box to a few ulps: on a box
     S = L^2 + diag(c), with L the Dirichlet Laplacian and c >= 0, so the
     Rayleigh quotients of the dense eigenvectors can be summed as squares.
     The dense eigenvalues alone are off by up to eps ||S|| / w_1 (1e-11
     relative at w_1 for h=1/16)."""
-    lap = assemble(prec.domain, stencil_weights("deltah", 2))
+    lap = assemble(prec.domain, stencil_weights("deltah", prec.domain.d))
     c = (prec.raw - lap @ lap).toarray()
     assert np.array_equal(c, np.diag(np.diag(c))) and np.diag(c).min() >= 0
     V = scipy.linalg.eigh(prec.raw.toarray(), subset_by_index=(0, k - 1))[1]
@@ -166,6 +166,30 @@ def test_d2_box_spectrum_matches_dense_eigh_for_every_k(monkeypatch, N, kmax):
         basis = eigendecompose(prec, min(k, kmax))
         assert np.abs(basis.lambdas * h4 - w[: min(k, kmax)]).max() <= 1e-12 * w[min(k, kmax) - 1]
     assert calls.count(1) == 15 and max(calls) > 1  # three classes start at 1 for each k, and grow
+
+
+def test_d3_box_spectrum_matches_dense_eigh_for_every_k(monkeypatch):
+    # h=1/8: classes of 343, 294, 252 and 216 unknowns, each on eigsh over
+    # its sector solve, for every k; no eigsh sees the whole box
+    prec = assemble_precision(classify(unit_box(3), 1 / 8))
+    kmax = 60
+    w = _refined_box_spectrum(prec, kmax)
+    h4 = prec.domain.h**4
+    sizes = []
+    eigsh = spectral.spla.eigsh
+
+    def sector_eigsh(A, *args, **kwargs):
+        if A.shape[0] == prec.n:
+            pytest.fail("eigsh was handed every unknown of the box")
+        sizes.append(A.shape[0])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", sector_eigsh)
+    for k in range(1, kmax + 1):
+        basis = eigendecompose(prec, k)
+        assert basis.route == "box-sectors"
+        assert np.abs(basis.lambdas * h4 - w[:k]).max() <= 1e-12 * w[k - 1]
+    assert sorted(set(sizes)) == [216, 252, 294, 343]
 
 
 @pytest.mark.parametrize("N", [40, 80])
@@ -217,7 +241,13 @@ def test_box_spectra_within_the_cap_need_no_eigsh_or_factorization(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no eigsh or factorization on a box within the cap")
 
-    monkeypatch.setattr(spectral.spla, "eigsh", refuse)
+    def sector_eigsh(A, *args, **kwargs):  # d=3 classes run eigsh on their own unknowns, d=4 none
+        if d == 4 or A.shape[0] == prec.n:
+            refuse()
+        return eigsh(A, *args, **kwargs)
+
+    eigsh = spectral.spla.eigsh
+    monkeypatch.setattr(spectral.spla, "eigsh", sector_eigsh)
     monkeypatch.setattr(green, "factorize_spd", refuse)
     # 4,913 and 6,561 unknowns, above DENSE_EIG_CAP; largest sectors 729 and 625
     for d, N, k in [(3, 10, 60), (4, 6, 20)]:
@@ -245,11 +275,11 @@ def test_routes_above_the_cap(monkeypatch):
     assert (basis.route, basis.route_reason) == ("shift-invert", "not a centred box")
     assert len(built) == 1 and prec._solver is None
     monkeypatch.undo()
-    # a d >= 3 box whose largest sector is above the cap goes to eigsh too
+    # a d >= 4 box whose largest sector is above the cap goes to eigsh too
     monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 100)
-    prec = assemble_precision(classify(unit_box(3), 1 / 6))
+    prec = assemble_precision(classify(unit_box(4), 1 / 5))
     basis = eigendecompose(prec, 4)
-    assert (basis.route, basis.route_reason) == ("shift-invert", "largest parity sector 125 above DENSE_EIG_CAP")
+    assert (basis.route, basis.route_reason) == ("shift-invert", "largest parity sector 256 above DENSE_EIG_CAP")
     dense = scipy.linalg.eigh(prec.raw.toarray(), eigvals_only=True, subset_by_index=(0, 3))
     assert np.allclose(basis.lambdas * prec.domain.h**4, dense, rtol=1e-9)
 
