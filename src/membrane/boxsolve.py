@@ -35,6 +35,19 @@ only those modes, where v_+ = v_-; by Parseval the inner product of two even
 fields over the whole box is the plain dot product of their coefficients.
 This is what makes the d=4 experiments desk-sized.
 
+The centre delta is also symmetric under the d! permutations of the axes.
+Its coefficients prod_i fwd[f_i, 0] are, and so is every CG iterate, since
+Lambda and the face term commute with the permutations.  `centre_column`
+therefore runs the PCG on the wedge f_0 <= .. <= f_{d-1} (`wedge`): C(M+d, d)
+unknowns in place of (M+1)^d, 46,376 against 923,521 in d = 4 at M = 30.
+The apply is A_hat c = Lambda c + sum_i 2 v[f_i] s(f without f_i), with
+s(g) = sum_a v[a] c[sort(g, a)] on the (d-1)-tuples, two gathers through
+index tables built per call.  The iterate is y = sqrt(orbit) c, orbit(f)
+the number of permutations of f, so that the plain dot product of y is the
+sector's: the iterates, residuals and iteration counts are those of the
+even-sector solve in exact arithmetic.  The result is scattered to the
+sector, once per permutation, and transformed back by `field`.
+
 That is one of 2^d parity sectors.  On the full box the face vectors obey
 v_+(f) = (-1)^(f+1) v_-(f) at frequency f, so v_- v_-^T + v_+ v_+^T couples
 only frequencies of equal parity, as 2 u u^T with u = v_- on them.  A_hat
@@ -125,6 +138,7 @@ grows like n^(2/3), and SuperLU is faster on a ball.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -292,13 +306,80 @@ class CenteredBoxSolver:
         cols = 1 if single else b.shape[1]
         rhs = self.coefficients((b[None, :] if single else b.T).reshape((cols,) + (self.L,) * self.d))
         C, info = block_pcg(self.apply, self._inv_lam, rhs, tol, maxiter)
-        if not info.relative_residual <= tol:
-            raise RuntimeError(
-                f"box PCG stopped at relative residual {info.relative_residual:.3e} "
-                f"after {info.iterations} iterations (tolerance {tol:.0e})"
-            )
+        _raise_if_short(info, tol)
         out = self.field(C).reshape(cols, -1).T
         return (out[:, 0] if single else out), info
+
+
+def _raise_if_short(info: SolveInfo, tol: float):
+    if not info.relative_residual <= tol:
+        raise RuntimeError(
+            f"box PCG stopped at relative residual {info.relative_residual:.3e} "
+            f"after {info.iterations} iterations (tolerance {tol:.0e})"
+        )
+
+
+def wedge(d: int, M: int):
+    """The permutation wedge of {0..M}^d: the sorted tuples f_0 <= .. <= f_{d-1},
+    one per row in colex order (f at row sum_i C(f_i + i, i + 1)), and the
+    orbit of each, the number of its permutations d! / prod_v (mult. of v)!."""
+    W = np.zeros((1, 0), dtype=np.intp)
+    for k in range(d):
+        # the (k+1)-tuples ending in t extend the k-tuples whose entries are
+        # at most t, which are the first C(t + k, k) rows
+        count = np.array([math.comb(t + k, k) for t in range(M + 1)])
+        rows = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        W = np.column_stack([W[rows], np.repeat(np.arange(M + 1), count)])
+    run, denom = np.ones(len(W)), np.ones(len(W))  # run: equal entries up to column j
+    for j in range(1, d):
+        run = np.where(W[:, j] == W[:, j - 1], run + 1.0, 1.0)
+        denom *= run
+    return W, math.factorial(d) / denom
+
+
+def centre_column(d: int, M: int, tol: float = 1e-10, maxiter: int = 400):
+    """x with A x = e_0 on [-M, M]^d, as `CenteredBoxSolver(d, M, even=True)`
+    stores it (flat over {0..M}^d), and its SolveInfo; raises RuntimeError
+    like box PCG when the residual stays above tol.
+
+    Box PCG on the permutation wedge of the even sector (module docstring).
+    """
+    box = CenteredBoxSolver(d, M, even=True)
+    n = M + 1
+    binom = np.array([[math.comb(a, r) for r in range(d + 1)] for a in range(n + d)])
+
+    def rank(cols, shape):  # wedge rows of sorted tuples, given column by column
+        return sum((binom[f + i, i + 1] for i, f in enumerate(cols)), np.zeros(shape, dtype=np.intp))
+
+    (F, orbit), G = wedge(d, M), wedge(d - 1, M)[0]
+    # ins[g, a] is the row of sort(g, a): a inserted into g by d - 1 min/max steps
+    carry, cols = np.broadcast_to(np.arange(n), (len(G), n)), []
+    for j in range(d - 1):
+        cols.append(np.minimum(G[:, j, None], carry))
+        carry = np.maximum(G[:, j, None], carry)
+    ins = rank(cols + [carry], carry.shape)
+    # drop[f, i] is the row of f without f_i in G
+    drop = np.stack([rank([F[:, j] for j in range(d) if j != i], len(F)) for i in range(d)], axis=1)
+    root = np.sqrt(orbit)
+    v = box._faces[:, 0]  # = v_+ on the odd frequencies
+    lam = box._lam[tuple(F.T)]
+    w_ins, w_drop = v / root[ins], 2.0 * v[F] * root[:, None]
+
+    def apply(p, out):  # root * A_hat(p / root), with s(g) = sum_a v_a c[sort(g, a)]
+        s = np.einsum("ga,ga->g", p[0][ins], w_ins)
+        np.multiply(p, lam, out=out)
+        out[0] += np.einsum("fi,fi->f", s[drop], w_drop)
+
+    rhs = root * np.prod(box._fwd[F, 0], axis=1)  # the coefficients of e_0
+    Y, info = block_pcg(apply, 1.0 / lam, rhs[None], tol, maxiter)
+    _raise_if_short(info, tol)
+    c = Y[0] / root
+    # c at every permutation of each wedge tuple: place[j][i] puts column i on axis j
+    sector = np.empty(n**d)
+    place = [[F[:, i] * n ** (d - 1 - j) for i in range(d)] for j in range(d)]
+    for perm in itertools.permutations(range(d)):
+        sector[sum(place[j][i] for j, i in enumerate(perm))] = c
+    return box.field(sector.reshape((n,) * d)).reshape(-1), info
 
 
 def parity_classes(d: int) -> list:
@@ -369,7 +450,8 @@ class _SectorSolve:
         B = -np.einsum("pqr,sqr->rps", ad * (w1 * w1)[:, None], ad)
         B[:, i, i] += 1.0 + np.einsum("q,pqr->rp", w1 * w1, inv)
         L = [_cholesky(b) for b in B]
-        self.b_inv = np.stack([scipy.linalg.lapack.dpotrs(l, np.eye(n0), lower=1)[0] for l in L])
+        L_inv = np.stack([scipy.linalg.lapack.dtrtri(l, lower=1)[0] for l in L])
+        self.b_inv = np.einsum("rji,rjk->rik", L_inv, L_inv)  # B^-1 = L^-T L^-1
         self.fill = self.b_inv.size
         if self.d == 2:
             return
@@ -553,17 +635,15 @@ class TorusCapacitanceSolver:
     def factorize(self) -> "TorusCapacitanceSolver":
         """Cholesky-factor C = G+[Gamma, Gamma], gathered from G+(x - y) over
         the torus, and store C^{-1} 1."""
-        g = self._ifft(self._pinv).reshape(-1)
-        idx = np.zeros((self.m, self.m), dtype=np.int64)  # flat torus index of x - y
-        stride = 1
-        for c, P in reversed(list(zip(np.unravel_index(self._gamma, self.shape), self.shape))):
-            diff = np.subtract.outer(c, c)
-            diff %= P
-            diff *= stride
-            idx += diff
-            stride *= P
-        del diff  # one m x m temporary fewer while C is gathered
-        self._chol = scipy.linalg.cho_factor(g[idx], overwrite_a=True, check_finite=False)
+        # G+(x - y) sits at x + (P - y) of the 2P-periodic tiling of G+, each
+        # coordinate in [1, 2P - 1]: one sum of flat indices per entry, no modulo
+        tiled = np.tile(self._ifft(self._pinv), (2,) * len(self.shape)).reshape(-1)
+        big = tuple(2 * P for P in self.shape)
+        at = np.unravel_index(self._gamma, self.shape)
+        dtype = np.int32 if tiled.size <= np.iinfo(np.int32).max else np.int64
+        x = np.ravel_multi_index(at, big).astype(dtype)
+        y = np.ravel_multi_index(tuple(P - c for c, P in zip(at, self.shape)), big).astype(dtype)
+        self._chol = scipy.linalg.cho_factor(tiled[np.add.outer(x, y)], overwrite_a=True, check_finite=False)
         self._ones = scipy.linalg.cho_solve(self._chol, np.ones(self.m), check_finite=False)
         return self
 

@@ -34,8 +34,9 @@ of the factor built: SuperLU's stored entries of L and U (`SuperLU.nnz`;
 building L and U to count them would copy the factor), m^2 for a torus
 capacitance matrix on m boundary points, `boxsolve.direct_fill` for the
 sector factors of a box (2(M+1)^2 + M^2 for [-M, M]^2) and 0 for box PCG.
-The d=4 log-correlation study solves for the centre column with the even
-variant of the box solver, on the sector |x_i| of the box.
+The d=4 log-correlation study solves for the centre column by
+`boxsolve.centre_column`: the box PCG of the even sector |x_i|, run on the
+permutation wedge f_0 <= .. <= f_{d-1} of its sine coefficients.
 
 `factorize_spd`, the one call of SuperLU, uses its symmetric mode: minimum-
 degree ordering of A^T + A and diagonal pivots, the choice for SPD matrices
@@ -377,20 +378,19 @@ def log_correlation_slope(
 ) -> LogCorrReport:
     """Covariance against -log(|x-y|+1) for bulk pairs on the d=4 box at scale N.
 
-    Uses the centre covariance column from the even box solver; pairs are
-    (0, y) with y at least N/4 from the boundary and separation in
-    [r_min, r_max] (default N/2, keeping clear of both the lattice scale and
-    the boundary-affected regime).
+    Uses the centre covariance column G(0, .) on the sector |y_i| of the box,
+    solved on its permutation wedge by `boxsolve.centre_column` (the even
+    box solve on about 1/d! of the unknowns); pairs are (0, y) with y at least N/4
+    from the boundary and separation in [r_min, r_max] (default N/2, keeping
+    clear of both the lattice scale and the boundary-affected regime).
     """
-    from .boxsolve import CenteredBoxSolver
+    from .boxsolve import centre_column
 
     d = 4
     M = N - 2  # R_h of the box (-1,1)^d at h = 1/N blows up to [-(N-2), N-2]^d
     if r_max is None:
         r_max = N / 2.0
-    delta = np.zeros((M + 1) ** d)
-    delta[0] = 1.0  # the centre, stored at m = 0
-    gfold, info = CenteredBoxSolver(d, M, even=True).solve(delta, tol=tol)
+    gfold, info = centre_column(d, M, tol)
     m2 = np.arange(M + 1) ** 2.0
     r = np.sqrt(sum(m2.reshape((-1,) + (1,) * (d - 1 - ax)) for ax in range(d)))
     bulk = np.zeros(r.shape, dtype=bool)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -156,8 +157,60 @@ def test_even_route_raises_when_pcg_stops_short(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="box PCG stopped"):
         spectral.pairing_variance_study(4, [1 / 12], spectral.bump_test_function(), cross_check_cap=0)
+    column = boxsolve.centre_column
+    monkeypatch.setattr(boxsolve, "centre_column", lambda d, M, tol: column(d, M, tol, maxiter=2))
     with pytest.raises(RuntimeError, match="box PCG stopped"):
         green.log_correlation_slope(12)
+
+
+# ---------------------------------------------------------------------------
+# the centre column on the permutation wedge of the even sector
+
+
+def unfold(g: np.ndarray, d: int, M: int) -> np.ndarray:
+    """The even field on [-M, M]^d, flat, of values g stored on {0..M}^d."""
+    m = np.abs(np.arange(-M, M + 1))
+    return g.reshape((M + 1,) * d)[np.ix_(*[m] * d)].reshape(-1)
+
+
+@pytest.mark.parametrize("d,M", [(2, 0), (2, 5), (3, 1), (3, 4), (4, 0), (4, 1), (4, 3), (5, 2)])
+def test_wedge_holds_each_sorted_tuple_once_with_its_orbit(d, M):
+    rows, orbit = boxsolve.wedge(d, M)
+    assert len(rows) == math.comb(M + d, d) and orbit.sum() == (M + 1) ** d
+    ranks = sum(np.array([math.comb(int(f) + i, i + 1) for f in rows[:, i]], dtype=int) for i in range(d))
+    assert np.array_equal(ranks, np.arange(len(rows)))
+    # the orbit of a sorted tuple counts the sector points that sort to it
+    points = np.sort(np.array(list(itertools.product(range(M + 1), repeat=d))), axis=1)
+    tuples, counts = np.unique(points, axis=0, return_counts=True)
+    lex = np.lexsort(rows.T[::-1])
+    assert np.array_equal(rows[lex], tuples) and np.array_equal(orbit[lex], counts)
+
+
+@given(d=st.sampled_from([2, 3, 4]), M=st.integers(0, 6))
+@example(d=2, M=0)
+@example(d=2, M=1)
+@example(d=3, M=0)
+@example(d=3, M=1)
+@example(d=4, M=0)
+@example(d=4, M=1)
+@settings(max_examples=20, deadline=None)
+def test_centre_column_matches_the_even_solve_and_the_matrix(d, M):
+    g, info = boxsolve.centre_column(d, M, tol=1e-12)
+    delta = np.zeros((M + 1) ** d)
+    delta[0] = 1.0
+    ref, ref_info = CenteredBoxSolver(d, M, even=True).solve(delta, tol=1e-12)
+    # the wedge iterates are the sector's in exact arithmetic
+    assert info.iterations == ref_info.iterations and info.relative_residual <= 1e-12
+    assert np.abs(g - ref).max() <= 1e-11 * np.abs(ref).max()
+    A = assemble_precision(classify(unit_box(d), 1.0 / (M + 2))).matrix
+    e = np.zeros(A.shape[0])
+    e[A.shape[0] // 2] = 1.0  # the centre of the box, in C order
+    assert np.abs(A @ unfold(g, d, M) - e).max() <= 1e-10
+
+
+def test_centre_column_raises_when_pcg_stops_short():
+    with pytest.raises(RuntimeError, match="box PCG stopped"):
+        boxsolve.centre_column(4, 6, tol=1e-12, maxiter=2)
 
 
 # ---------------------------------------------------------------------------
