@@ -35,18 +35,22 @@ only those modes, where v_+ = v_-; by Parseval the inner product of two even
 fields over the whole box is the plain dot product of their coefficients.
 This is what makes the d=4 experiments desk-sized.
 
-The centre delta is also symmetric under the d! permutations of the axes.
-Its coefficients prod_i fwd[f_i, 0] are, and so is every CG iterate, since
-Lambda and the face term commute with the permutations.  `centre_column`
-therefore runs the PCG on the wedge f_0 <= .. <= f_{d-1} (`wedge`): C(M+d, d)
-unknowns in place of (M+1)^d, 46,376 against 923,521 in d = 4 at M = 30.
-The apply is A_hat c = Lambda c + sum_i 2 v[f_i] s(f without f_i), with
+An even right-hand side that is also symmetric under the d! permutations
+of the axes (the centre delta, a product test function) has symmetric
+coefficients, and so has every CG iterate, since Lambda and the face term
+commute with the permutations.  `wedge_solve` therefore runs the PCG on the
+wedge f_0 <= .. <= f_{d-1} (`wedge`): C(M+d, d) unknowns in place of
+(M+1)^d, 46,376 against 923,521 in d = 4 at M = 30.  The apply is
+A_hat c = Lambda c + sum_i 2 v[f_i] s(f without f_i), with
 s(g) = sum_a v[a] c[sort(g, a)] on the (d-1)-tuples, two gathers through
 index tables built per call.  The iterate is y = sqrt(orbit) c, orbit(f)
 the number of permutations of f, so that the plain dot product of y is the
 sector's: the iterates, residuals and iteration counts are those of the
-even-sector solve in exact arithmetic.  The result is scattered to the
-sector, once per permutation, and transformed back by `field`.
+even-sector solve in exact arithmetic.  `centre_column` scatters the
+result to the sector, once per permutation, and transforms it back by
+`field`.  The pairing variance of `spectral.pairing_variance_study` needs
+no field: it is the sector dot product of the coefficients of f and of
+A^{-1} f, read off the wedge as sum_f orbit(f) cf(f) c(f).
 
 That is one of 2^d parity sectors.  On the full box the face vectors obey
 v_+(f) = (-1)^(f+1) v_-(f) at frequency f, so v_- v_-^T + v_+ v_+^T couples
@@ -337,21 +341,24 @@ def wedge(d: int, M: int):
     return W, math.factorial(d) / denom
 
 
-def centre_column(d: int, M: int, tol: float = 1e-10, maxiter: int = 400):
-    """x with A x = e_0 on [-M, M]^d, as `CenteredBoxSolver(d, M, even=True)`
-    stores it (flat over {0..M}^d), and its SolveInfo; raises RuntimeError
-    like box PCG when the residual stays above tol.
+def wedge_solve(box: CenteredBoxSolver, F: np.ndarray, orbit: np.ndarray, rhs: np.ndarray,
+                tol: float = 1e-10, maxiter: int = 400):
+    """c with A_hat c = rhs on the permutation wedge of the even sector, and
+    its SolveInfo; raises RuntimeError like box PCG when the residual stays
+    above tol.
 
-    Box PCG on the permutation wedge of the even sector (module docstring).
+    box is `CenteredBoxSolver(d, M, even=True)` and (F, orbit) is
+    `wedge(d, M)`.  rhs holds the sector coefficients of a right-hand side
+    symmetric under the axis permutations, at the rows F; c is the solution's
+    coefficients there (module docstring).
     """
-    box = CenteredBoxSolver(d, M, even=True)
-    n = M + 1
+    d, n = box.d, box.M + 1
     binom = np.array([[math.comb(a, r) for r in range(d + 1)] for a in range(n + d)])
 
     def rank(cols, shape):  # wedge rows of sorted tuples, given column by column
         return sum((binom[f + i, i + 1] for i, f in enumerate(cols)), np.zeros(shape, dtype=np.intp))
 
-    (F, orbit), G = wedge(d, M), wedge(d - 1, M)[0]
+    G = wedge(d - 1, box.M)[0]
     # ins[g, a] is the row of sort(g, a): a inserted into g by d - 1 min/max steps
     carry, cols = np.broadcast_to(np.arange(n), (len(G), n)), []
     for j in range(d - 1):
@@ -370,10 +377,24 @@ def centre_column(d: int, M: int, tol: float = 1e-10, maxiter: int = 400):
         np.multiply(p, lam, out=out)
         out[0] += np.einsum("fi,fi->f", s[drop], w_drop)
 
-    rhs = root * np.prod(box._fwd[F, 0], axis=1)  # the coefficients of e_0
-    Y, info = block_pcg(apply, 1.0 / lam, rhs[None], tol, maxiter)
+    # block_pcg overwrites its right-hand side, so it gets a fresh array
+    Y, info = block_pcg(apply, 1.0 / lam, (root * rhs)[None], tol, maxiter)
     _raise_if_short(info, tol)
-    c = Y[0] / root
+    return Y[0] / root, info
+
+
+def centre_column(d: int, M: int, tol: float = 1e-10, maxiter: int = 400):
+    """x with A x = e_0 on [-M, M]^d, as `CenteredBoxSolver(d, M, even=True)`
+    stores it (flat over {0..M}^d), and its SolveInfo; raises RuntimeError
+    like box PCG when the residual stays above tol.
+
+    Box PCG on the permutation wedge of the even sector (module docstring).
+    """
+    box = CenteredBoxSolver(d, M, even=True)
+    n = M + 1
+    F, orbit = wedge(d, M)
+    # the coefficients of e_0 are prod_i fwd[f_i, 0]
+    c, info = wedge_solve(box, F, orbit, np.prod(box._fwd[F, 0], axis=1), tol, maxiter)
     # c at every permutation of each wedge tuple: place[j][i] puts column i on axis j
     sector = np.empty(n**d)
     place = [[F[:, i] * n ** (d - 1 - j) for i in range(d)] for j in range(d)]

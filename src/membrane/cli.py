@@ -283,7 +283,7 @@ def run_pair(args, cfg) -> RunManifest:
     hs = _option(args, cfg, "h_list", ["1/16", "1/32", "1/64"], _h_list)
     man = RunManifest(args.out, {"recipe": "pair", "d": d, "h_list": hs, "f": "bump"})
     study = pairing_variance_study(d, hs, bump_test_function())
-    man.stage("study")
+    man.stage("study", wedge_iterations=study.iterations)
     man.csv("pairing_variance", ["h", "variance"], [[float(h), float(v)] for h, v in zip(study.hs, study.variances)])
     man.check("cauchy_shrink", study.cauchy_ratio < 0.7, f"ratio {study.cauchy_ratio:.3f}")
     for h, gap in study.cross_checks:

@@ -56,7 +56,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .boxsolve import CenteredBoxSolver, DirectBoxSolver, centered_box_halfwidth, parity_classes
+from .boxsolve import CenteredBoxSolver, DirectBoxSolver, centered_box_halfwidth, parity_classes, wedge, wedge_solve
 from .green import GreenTable, PrecisionMatrix, _make_solver, factorize_spd, operator_probe
 from .lattice import GridDomain, assemble, kappa, stencil_weights, unit_ball_volume
 
@@ -486,6 +486,7 @@ class PairingStudy:
     differences: list
     cauchy_ratio: float
     cross_checks: list         # (h, relative gap) where both solver routes ran
+    iterations: list           # wedge PCG iterations per h
 
 
 def _cg_direct(A, b: np.ndarray) -> np.ndarray:
@@ -512,12 +513,17 @@ def pairing_variance_study(
 ) -> PairingStudy:
     """Var(psi_h, f) along a refinement sequence on the centred box (-1/2, 1/2)^d.
 
-    Every grid runs the even box solver (sine-coefficient PCG to 1e-12 on the
-    exact operator); the variance is the plain dot product of the
-    coefficients of f and of A^{-1} f.  Grids with at most cross_check_cap
-    points also run unpreconditioned CG on the assembled precision matrix, a
-    route that shares no code with the box solver, and report the relative
-    gap between the two.
+    f must be even in every coordinate and symmetric under the permutations
+    of the axes, as `bump_test_function` is.  It is evaluated on the sector
+    {0..M}^d of each grid only; values that change under a swap of two
+    adjacent axes by more than 1e-14 max|f| raise ValueError.  Every grid
+    solves on the permutation wedge of the even sector (`boxsolve.wedge_solve`,
+    sine-coefficient PCG to 1e-12 on the exact operator); the variance is
+    kappa^2 h^(d+4) sum_f orbit(f) cf(f) c(f) over the wedge, with cf the
+    coefficients of f and c those of A^{-1} f.  Grids with at most
+    cross_check_cap points also run unpreconditioned CG on the assembled
+    precision matrix, a route that shares no code with the box solver, and
+    report the relative gap between the two.
     """
     from .green import assemble_precision
     from .lattice import Box, classify
@@ -525,19 +531,24 @@ def pairing_variance_study(
     hs = sorted(h_list, reverse=True)
     box = Box([(-0.5, 0.5)] * d)
     kappa2 = kappa(d) ** 2
-    variances = []
-    checks = []
+    variances, iterations, checks = [], [], []
     for h in hs:
         Mv = int(round(0.5 / h))
         M = Mv - 2
         solver = CenteredBoxSolver(d, M, even=True)
         axis = np.arange(0, M + 1) * h
         coords = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
-        fv = np.asarray(f(coords.reshape(-1, d)), dtype=float)
-        z, _ = solver.solve(fv, tol=1e-12)
-        fz = solver.coefficients(np.stack([fv, z]).reshape((2,) + (M + 1,) * d))
-        var_fold = kappa2 * h ** (d + 4) * float(np.vdot(fz[0], fz[1]))
+        fv = np.asarray(f(coords.reshape(-1, d)), dtype=float).reshape((M + 1,) * d)
+        # the adjacent transpositions generate all axis permutations
+        skew = max((np.abs(fv - fv.swapaxes(j, j + 1)).max() for j in range(d - 1)), default=0.0)
+        if skew > 1e-14 * np.abs(fv).max():
+            raise ValueError(f"f is not symmetric under the axis permutations at h={h:g} (skew {skew:.1e})")
+        F, orbit = wedge(d, M)
+        cf = solver.coefficients(fv)[tuple(F.T)]
+        c, info = wedge_solve(solver, F, orbit, cf, 1e-12)
+        var_fold = kappa2 * h ** (d + 4) * float(np.sum(orbit * cf * c))
         variances.append(var_fold)
+        iterations.append(info.iterations)
         if (2 * M + 1) ** d <= cross_check_cap:
             dom = classify(box, h)
             A = assemble_precision(dom).matrix
@@ -556,6 +567,7 @@ def pairing_variance_study(
         differences=diffs,
         cauchy_ratio=ratio,
         cross_checks=checks,
+        iterations=iterations,
     )
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 from membrane import boxsolve, green, spectral
 from membrane.boxsolve import CenteredBoxSolver, DirectBoxSolver, TorusCapacitanceSolver
 from membrane.green import PrecisionMatrix, assemble_precision, green_columns
-from membrane.lattice import Ball, Box, classify, unit_box
+from membrane.lattice import Ball, Box, classify, kappa, unit_box
 from membrane.thomee import backward_error
 
 
@@ -151,14 +151,15 @@ def test_even_and_full_solves_agree_on_even_rhs(d, M):
 
 
 def test_even_route_raises_when_pcg_stops_short(monkeypatch):
-    solve = boxsolve.CenteredBoxSolver.solve
-    monkeypatch.setattr(
-        boxsolve.CenteredBoxSolver, "solve", lambda self, b, tol: solve(self, b, tol=tol, maxiter=2)
-    )
+    solve = boxsolve.wedge_solve
+
+    def stopped(box, F, orbit, rhs, tol, maxiter=400):
+        return solve(box, F, orbit, rhs, tol, maxiter=2)
+
+    monkeypatch.setattr(boxsolve, "wedge_solve", stopped)
+    monkeypatch.setattr(spectral, "wedge_solve", stopped)
     with pytest.raises(RuntimeError, match="box PCG stopped"):
         spectral.pairing_variance_study(4, [1 / 12], spectral.bump_test_function(), cross_check_cap=0)
-    column = boxsolve.centre_column
-    monkeypatch.setattr(boxsolve, "centre_column", lambda d, M, tol: column(d, M, tol, maxiter=2))
     with pytest.raises(RuntimeError, match="box PCG stopped"):
         green.log_correlation_slope(12)
 
@@ -211,6 +212,45 @@ def test_centre_column_matches_the_even_solve_and_the_matrix(d, M):
 def test_centre_column_raises_when_pcg_stops_short():
     with pytest.raises(RuntimeError, match="box PCG stopped"):
         boxsolve.centre_column(4, 6, tol=1e-12, maxiter=2)
+
+
+@given(
+    d=st.sampled_from([1, 2, 3, 4]),
+    M=st.integers(0, 6),
+    scale=st.floats(0.5, 3.0),
+    power=st.integers(1, 6),
+)
+@example(d=1, M=0, scale=3.0, power=6)
+@example(d=2, M=0, scale=3.0, power=6)
+@example(d=3, M=1, scale=3.0, power=6)
+@example(d=4, M=0, scale=3.0, power=6)
+@example(d=4, M=1, scale=3.0, power=6)
+@settings(max_examples=25, deadline=None)
+def test_pairing_on_the_wedge_matches_the_even_solve(d, M, scale, power):
+    f = spectral.bump_test_function(scale, power)
+    h = 1.0 / (2 * M + 4)  # R_h of (-1/2, 1/2)^d is [-M, M]^d
+    study = spectral.pairing_variance_study(d, [h], f, cross_check_cap=0)
+    solver = CenteredBoxSolver(d, M, even=True)
+    axis = np.arange(M + 1) * h
+    fv = f(np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d))
+    z, info = solver.solve(fv, tol=1e-12)
+    cz = solver.coefficients(np.stack([fv, z]).reshape((2,) + (M + 1,) * d))
+    var = kappa(d) ** 2 * h ** (d + 4) * np.vdot(cz[0], cz[1])
+    assert abs(study.variances[0] - var) <= 1e-12 * abs(var)
+    # the iterates are the sector's in exact arithmetic; in floating point a
+    # residual near tol at the last step can stop either route one step apart
+    assert len(study.iterations) == 1 and abs(study.iterations[0] - info.iterations) <= 1
+
+
+@pytest.mark.parametrize("d,M", [(2, 1), (3, 2), (4, 1), (4, 4)])
+def test_pairing_refuses_a_test_function_that_is_not_permutation_symmetric(d, M):
+    bump = spectral.bump_test_function()
+
+    def f(x):
+        return bump(x) * (1.0 + x[:, 0] ** 2)
+
+    with pytest.raises(ValueError, match="not symmetric"):
+        spectral.pairing_variance_study(d, [1.0 / (2 * M + 4)], f, cross_check_cap=0)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,16 @@ def test_moment_check_records_its_solves(tmp_path):
     assert 0.0 <= facts["max_residual"] <= 1e-8
 
 
+def test_pair_recipe_records_the_wedge_iterations(tmp_path):
+    code, out = run_cli(["pair", "--d", "4", "--h-list", "1/12,1/24,1/48"], tmp_path, "p")
+    assert code == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["passed"] and list(man["wall_clock_s"]) == ["study"]
+    its = man["stage_facts"]["study"]["wedge_iterations"]
+    # one count per h, coarse to fine; PCG needs more iterations on finer grids
+    assert len(its) == 3 and 0 < its[0] <= its[1] <= its[2] <= 400
+
+
 def test_green_small_run(tmp_path):
     code, out = run_cli(["green", "--shape", "box", "--d", "2", "--h", "1/4"], tmp_path, "c")
     assert code == 0
