@@ -3,7 +3,8 @@
 Submodules:
     lattice   domain discretization, classification, difference stencils
     green     precision matrix, covariance solves, bound reports
-    boxsolve  spectrally preconditioned solver for centred boxes
+    boxsolve  centred boxes: sine-coefficient PCG, its permutation wedge, the
+              direct per-sector solve; the torus capacitance solve of d=2 domains
     sampler   exact Gaussian sampling, simplex interpolation, maxima
     spectral  eigenpairs, dual Sobolev norms, random series, pairings
     thomee    finite-difference biharmonic Dirichlet solver and its error bound

@@ -59,10 +59,10 @@ therefore splits exactly into one block per choice of frequency parity along
 each axis: Lambda_s plus a rank-1 term per axis, on (M+1)^a M^(d-a)
 unknowns for a odd axes (the even-frequency sets are empty when M = 0).
 Sectors that differ by a permutation of the axes have the same block up to
-that permutation.  `parity_classes` groups the sectors by class, and
-`CenteredBoxSolver.sector_block` assembles one sector's dense block; the box
-spectra of `spectral.eigendecompose` in d >= 4 (and of small classes in
-d = 2 and 3) come from these blocks.
+that permutation.  `parity_classes` groups the sectors by class
+(`lattice.axis_classes`), `sector_view` is a sector's part of the box's
+coefficients, and `CenteredBoxSolver.sector_block` its dense block, which
+the box spectra of `spectral.eigendecompose` hand to dense `eigh`.
 
 In d = 2 and 3 each sector's face term has rank only about d L^(d-1)/2^(d-1)
 (L = 2M+1 points per side), so `DirectBoxSolver` solves exactly instead of
@@ -102,8 +102,8 @@ sector's `axes`: in d = 3 a class holds sectors whose axes are a 3-cycle of
 the representative's (sector (0,1,1) of class (1,1,0) has axes (2,0,1)),
 and a 3-cycle is not its own inverse.
 `DirectBoxSolver.sector_solve` is the solve on one sector's coefficients;
-the d = 2 and d = 3 box spectra of `spectral.eigendecompose` run their
-shift-invert eigensolves on it.
+the box spectra of `spectral.eigendecompose` on a box that `green` solves
+directly run their shift-invert eigensolves on it.
 
 A sector solve touches one BLAS library.  numpy and scipy each link their
 own OpenBLAS, with a thread pool each, and with 2 threads a switch between
@@ -136,7 +136,8 @@ x = G+(b + w) + c vanishes on Gamma and T x = b + w, so x restricted to
 R_h solves A x = b.  In d = 2 the build is O(m^3) = O(n^1.5) work and m^2
 floats, and a solve is two FFT pairs on the torus plus O(m^2).  The class
 works in any d, but `green` routes only d = 2 domains to it: in d = 3, m
-grows like n^(2/3), and SuperLU is faster on a ball.
+grows like n^(2/3), and SuperLU is faster on a ball than this one dense
+factor of C over the whole of Gamma.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .lattice import Box, kappa, mu_symbol, neighborhood_offsets
+from .lattice import Box, axis_classes, kappa, mu_symbol, neighborhood_offsets
 
 # Threads of the DSTs: the cores this process may use.  A batch of right-hand
 # sides splits across them, each line transformed alike, so the results do
@@ -246,7 +247,6 @@ class CenteredBoxSolver:
             mult = np.ones(len(x))
         self.L = len(x)
         self.n = self.L**self.d
-        self._freq = freq
 
         def sines(points):  # orthonormal DST-I basis, (modes, points)
             return np.sqrt(2.0 / period) * np.sin(np.pi * np.outer(freq, points + M + 1) / period)
@@ -282,18 +282,15 @@ class CenteredBoxSolver:
         """A u for a flat stored field u, through the coefficient-space apply."""
         return self.field(self.apply(self.coefficients(u.reshape((self.L,) * self.d)))).reshape(-1)
 
-    def sector_indices(self, parity: int) -> np.ndarray:
-        """Coefficient indices along an axis whose frequency has the parity (1 odd, 0 even)."""
-        return np.flatnonzero(self._freq % 2 == parity)
-
     def sector_block(self, parity: tuple) -> np.ndarray:
-        """Dense block of A_hat on one parity sector, in C order over the
-        sector's frequencies: Lambda_s plus 2 u u^T along each axis, with u
-        the face vector v_- on that axis's frequencies."""
-        idx = [self.sector_indices(p) for p in parity]
-        block = np.diag(self._lam[np.ix_(*idx)].reshape(-1))
-        rows = np.arange(len(block)).reshape([len(i) for i in idx])
-        for ax, i in enumerate(idx):
+        """Dense block of A_hat on one parity sector of the full box, in C
+        order over the sector's frequencies: Lambda_s plus 2 u u^T along each
+        axis, with u the face vector v_- on that axis's frequencies."""
+        cell = sector_cell(parity)
+        lam = self._lam[cell]
+        block = np.diag(lam.reshape(-1))
+        rows = np.arange(len(block)).reshape(lam.shape)
+        for ax, i in enumerate(cell):
             r = np.moveaxis(rows, ax, -1)[..., :, None]
             u = self._faces[i, 0]
             block[r, np.swapaxes(r, -1, -2)] += 2.0 * np.outer(u, u)
@@ -410,18 +407,26 @@ def parity_classes(d: int) -> list:
     representative (1,)*a + (0,)*(d-a) and the class's sectors as
     (parity, axes) with parity[j] = rep[axes[j]], so that an array over the
     representative's frequencies, transposed by `axes`, is the same array
-    over the sector's.  The order of the list is the sector order.
+    over the sector's.  The axes are `lattice.axis_classes(d)[a]`.  The
+    order of the list is the sector order.
     """
-    classes = []
-    for a in range(d, -1, -1):
-        sectors = []
-        for odd in itertools.combinations(range(d), a):
-            even = [j for j in range(d) if j not in odd]
-            axes = np.empty(d, dtype=int)
-            axes[list(odd)], axes[even] = range(a), range(a, d)
-            sectors.append((tuple(int(j in odd) for j in range(d)), tuple(int(j) for j in axes)))
-        classes.append(((1,) * a + (0,) * (d - a), sectors))
-    return classes
+    return [
+        ((1,) * a + (0,) * (d - a), [(tuple(int(x < a) for x in axes), axes) for axes in perms])
+        for a, perms in reversed(list(enumerate(axis_classes(d))))
+    ]
+
+
+def sector_cell(parity: tuple) -> tuple:
+    """Slices of one parity sector in the sine coefficients of the full box:
+    along each axis, the frequencies of parity p sit at indices 1-p, 3-p, ..."""
+    return tuple(slice(1 - p, None, 2) for p in parity)
+
+
+def sector_view(c: np.ndarray, parity: tuple, axes: tuple) -> np.ndarray:
+    """The strided view of one sector of `parity_classes` in coefficients c
+    of shape (k,) + box, in its representative's axis order: the inverse of
+    axes (a 3-cycle in d = 3 is not its own inverse)."""
+    return c[(slice(None),) + sector_cell(parity)].transpose(0, *(1 + np.argsort(axes)))
 
 
 def direct_fill(d: int, M: int) -> int:
@@ -445,8 +450,8 @@ def _cholesky(a: np.ndarray, lower: bool = True) -> np.ndarray:
 
 
 class _SectorSolve:
-    """The block Lambda_s + sum_a w_a w_a^T (along axis a) of one parity
-    sector, and its inverse by the eliminations of the module docstring.
+    """The inverse of the block Lambda_s + sum_a w_a w_a^T (along axis a) of
+    one parity sector, by the eliminations of the module docstring.
 
     Coefficients are (k, n0, n1, n2) arrays in the representative's axis
     order; in d = 2, n2 = 1 and there is no axis-2 term.  Every contraction
@@ -492,15 +497,6 @@ class _SectorSolve:
         self.schur = _cholesky(S, lower=False)
         self.fill += S.size
 
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        """The block applied to c of shape (k, n0, n1, n2)."""
-        w0, w1 = self.w[:2]
-        out = c / self.inv + w0[:, None, None] * np.einsum("p,kpqr->kqr", w0, c)[:, None]
-        out += w1[:, None] * np.einsum("q,kpqr->kpr", w1, c)[:, :, None]
-        if self.d == 3:
-            out += self.w[2] * np.einsum("r,kpqr->kpq", self.w[2], c)[..., None]
-        return out
-
     def solve(self, c: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """The block's inverse applied to c of shape (k, n0, n1, n2); out may be c.
 
@@ -538,32 +534,26 @@ class DirectBoxSolver:
     """Direct solver for A u = b on the box [-M, M]^d, d in {2, 3}
     (capacitance method per parity sector).
 
-    Uses the symbol and face vectors of `CenteredBoxSolver(d, M)`;
-    right-hand sides are flat over the box, (n,) or (n, k).  `sector_solve`
-    and `sector_apply` act on the sine coefficients of one sector, named by
-    the representative of its class in `parity_classes(d)`, of shape
+    Uses the symbol and face vectors of `box`, the `CenteredBoxSolver(d, M)`
+    it keeps; right-hand sides are flat over the box, (n,) or (n, k).
+    `sector_solve` acts on the sine coefficients of one sector, named by the
+    representative of its class in `parity_classes(d)`, of shape
     (n0, .., n_{d-1}) or (k, n0, .., n_{d-1}).
     """
 
     def __init__(self, M: int, d: int = 2):
         if d not in (2, 3):
             raise ValueError("the direct box solve takes d = 2 or 3")
-        box = CenteredBoxSolver(d, M)
+        self.box = box = CenteredBoxSolver(d, M)
         self.d, self.L, self.n = d, box.L, box.n
-        self._apply = box.apply
         self._classes = parity_classes(d)
         self._sectors = {}
         for rep, _ in self._classes:
-            inv_lam = box._inv_lam[self._cell(rep)]
+            inv_lam = box._inv_lam[sector_cell(rep)]
             if inv_lam.size:  # the even sectors of M = 0 are empty
-                w = [np.sqrt(2.0) * box._faces[self._cell((p,))[0], 0] for p in rep]
+                w = [np.sqrt(2.0) * box._faces[sector_cell((p,))[0], 0] for p in rep]
                 self._sectors[rep] = _SectorSolve(inv_lam, w)
         self.fill = sum(s.fill for s in self._sectors.values())  # entries of the factors
-
-    @staticmethod
-    def _cell(parity: tuple) -> tuple:
-        """Along each axis, the frequencies of parity p sit at indices 1-p, 3-p, ..."""
-        return tuple(slice(1 - p, None, 2) for p in parity)
 
     def _dst(self, a: np.ndarray) -> np.ndarray:
         """Orthonormal DST-I over the last d axes (its own inverse)."""
@@ -573,14 +563,6 @@ class DirectBoxSolver:
         """Sector coefficients as the (k, n0, n1, n2) view the sector solve takes."""
         c = c if c.ndim > self.d else c[None]
         return c if self.d == 3 else c[..., None]
-
-    def operator(self, u: np.ndarray) -> np.ndarray:
-        """A u for a flat field u, through the coefficient-space apply."""
-        return self._dst(self._apply(self._dst(u.reshape((self.L,) * self.d)))).reshape(-1)
-
-    def sector_apply(self, rep: tuple, c: np.ndarray) -> np.ndarray:
-        """A_hat on the sector rep, Lambda_s + sum_a w_a w_a^T along each axis."""
-        return self._sectors[rep].apply(self._blocks(c)).reshape(c.shape)
 
     def sector_solve(self, rep: tuple, c: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """A_hat^{-1} c on the sector rep; out may be c."""
@@ -596,9 +578,7 @@ class DirectBoxSolver:
         for rep, sectors in self._classes:
             for parity, axes in sectors:
                 if rep in self._sectors:
-                    # a strided view, in the representative's axis order: the
-                    # inverse of axes (a 3-cycle in d = 3 is not its own inverse)
-                    view = y[(slice(None),) + self._cell(parity)].transpose(0, *(1 + np.argsort(axes)))
+                    view = sector_view(y, parity, axes)
                     self.sector_solve(rep, view, out=view)
         out = self._dst(y).reshape(k, -1).T
         return out[:, 0] if single else out

@@ -12,28 +12,29 @@ dropped (the zero boundary).  The covariance G solves
 precision, and `PrecisionMatrix.route` records its pick, by dimension and
 domain:
 
-- "box-direct": every centred box in d = 2 and 3 whose factors fit in
-  DIRECT_FACTOR_BUDGET bytes (in d = 3 up to [-52, 52]^3), by the
-  sine-transform and per-sector capacitance solve of
-  `boxsolve.DirectBoxSolver`;
-- "box-pcg": every other centred box (d = 3 above the budget, and d >= 4),
-  at any size, by the sine-coefficient box PCG of `boxsolve`; a solve that
-  stops above its tolerance raises;
-- "torus-capacitance": every other d = 2 domain, by the periodic-torus
-  embedding and capacitance solve of `boxsolve.TorusCapacitanceSolver`;
-- "superlu": every other domain in d >= 3.
+    domain          d = 2               d = 3                  d >= 4
+    centred box     box-direct          box-direct, or box-pcg box-pcg
+                                        above the factor budget
+    anything else   torus-capacitance   superlu                superlu
 
+"box-direct" is the sine-transform and per-sector capacitance solve of
+`boxsolve.DirectBoxSolver`, taken while its factors fit in
+DIRECT_FACTOR_BUDGET bytes (in d = 3 up to [-52, 52]^3); "box-pcg" is the
+sine-coefficient box PCG of `boxsolve`, at any size, and a solve that stops
+above its tolerance raises; "torus-capacitance" is the periodic-torus
+embedding and capacitance solve of `boxsolve.TorusCapacitanceSolver`.
 Every domain that is not a centred box is bounded by FACTORIZATION_CAP rows,
 above which it raises.  A box or torus route builds its operator from the
-domain, so it is taken only when a seeded random probe (`operator_probe`,
-which the box spectra of `spectral` share) shows that the matrix given is
-that operator; the probes run before any factor is built.  Otherwise the
-matrix goes to SuperLU, and `route_reason` says why; it also says why a
-d = 3 box took box PCG.  `PrecisionMatrix.factor_fill` records the entries
-of the factor built: SuperLU's stored entries of L and U (`SuperLU.nnz`;
-building L and U to count them would copy the factor), m^2 for a torus
-capacitance matrix on m boundary points, `boxsolve.direct_fill` for the
-sector factors of a box (2(M+1)^2 + M^2 for [-M, M]^2) and 0 for box PCG.
+domain, so it is taken only when a seeded random probe (`operator_probe`)
+shows that the matrix given is that operator; the probes run before any
+factor is built.  Otherwise the matrix goes to SuperLU, and `route_reason`
+says why; it also says why a d = 3 box took box PCG.  `box_route` owns the
+box half of the table, and the box spectra of `spectral` take the solver it
+builds.  `PrecisionMatrix.factor_fill` records the entries of the factor
+built: SuperLU's stored entries of L and U (`SuperLU.nnz`; building L and U
+to count them would copy the factor), m^2 for a torus capacitance matrix on
+m boundary points, `boxsolve.direct_fill` for the sector factors of a box
+(2(M+1)^2 + M^2 for [-M, M]^2) and 0 for box PCG.
 The d=4 log-correlation study solves for the centre column by
 `boxsolve.centre_column`: the box PCG of the even sector |x_i|, run on the
 permutation wedge f_0 <= .. <= f_{d-1} of its sine coefficients.
@@ -96,37 +97,51 @@ def assemble_precision(domain: GridDomain) -> PrecisionMatrix:
     return PrecisionMatrix(domain=domain, matrix=(domain.kappa**2 * raw).tocsr(), raw=raw)
 
 
-def _make_solver(A: sp.csr_matrix, domain: GridDomain):
+def box_route(A: sp.csr_matrix, domain: GridDomain):
+    """(solver, route, reason, fill) by the box half of the table above: a
+    probed `boxsolve.DirectBoxSolver` or `CenteredBoxSolver`, its route, why
+    box-direct was refused ("" when it was not), and its factor's entries;
+    (None, "", reason, 0) when the probe refuses A, with reason "" when the
+    domain is not a centred box."""
+    from .boxsolve import CenteredBoxSolver, DirectBoxSolver, centered_box_halfwidth, direct_fill
+
+    d, M = domain.d, centered_box_halfwidth(domain)
+    if M < 0:
+        return None, "", "", 0
+    box = CenteredBoxSolver(d, M)
+    reason = operator_probe(A, box)
+    if reason:
+        return None, "", reason, 0
+    if d <= 3:
+        nbytes = 8 * direct_fill(d, M)
+        if nbytes <= DIRECT_FACTOR_BUDGET:
+            direct = DirectBoxSolver(M, d)
+            return direct, "box-direct", "", direct.fill
+        reason = f"direct factors of {nbytes} bytes above DIRECT_FACTOR_BUDGET"
+    return box, "box-pcg", reason, 0
+
+
+def _make_solver(A: sp.csr_matrix, domain: GridDomain, boxed: Optional[tuple] = None):
     """(solve, route, reason, fill): a solver for A, the route's name, why a
     route of the table above was refused ("" when none was), and the entries
-    of the factor built."""
-    from .boxsolve import (
-        CenteredBoxSolver, DirectBoxSolver, TorusCapacitanceSolver, centered_box_halfwidth, direct_fill,
-    )
+    of the factor built.  boxed is `box_route(A, domain)` when the caller has
+    it already."""
+    from .boxsolve import TorusCapacitanceSolver
 
     n, d = A.shape[0], domain.d
-    reason = ""
-    # by dimension and domain: a centred box goes to its box route, every
-    # other d=2 domain to the torus capacitance solve, the rest to SuperLU;
-    # each of the first two only once the probe accepts A
-    M = centered_box_halfwidth(domain)
-    if M >= 0:
-        box = CenteredBoxSolver(d, M)
-        reason = operator_probe(A, box)
-        if not reason:
-            if d <= 3:
-                nbytes = 8 * direct_fill(d, M)
-                if nbytes <= DIRECT_FACTOR_BUDGET:
-                    direct = DirectBoxSolver(M, d)
-                    return direct.solve, "box-direct", "", direct.fill
-                reason = f"direct factors of {nbytes} bytes above DIRECT_FACTOR_BUDGET"
-            return (lambda rhs: box.solve(rhs, tol=1e-11)[0]), "box-pcg", reason, 0
+    # a centred box goes to its box route, every other d=2 domain to the
+    # torus capacitance solve, the rest to SuperLU; a probe vets the first two
+    solver, route, reason, fill = boxed or box_route(A, domain)
+    if route == "box-direct":
+        return solver.solve, route, reason, fill
+    if route == "box-pcg":
+        return (lambda rhs: solver.solve(rhs, tol=1e-11)[0]), route, reason, fill
     if n > FACTORIZATION_CAP:
         raise ValueError(
             f"system size {n} is above the factorization cap {FACTORIZATION_CAP} "
             f"and {reason or 'the domain is not a centred box'}"
         )
-    if d == 2 and M < 0:
+    if d == 2 and not reason:  # not a centred box
         torus = TorusCapacitanceSolver(domain)
         reason = operator_probe(A, torus)
         if not reason:

@@ -51,7 +51,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import i0e
 
-from .lattice import kappa, mu_symbol, unit_ball_volume
+from .lattice import axis_classes, kappa, mu_symbol, unit_ball_volume
 
 TWO_PI = 2.0 * np.pi
 RHO0 = np.pi  # outer edge of the folded Brillouin zone [0, pi]^d
@@ -68,26 +68,6 @@ def sphere_area(d: int) -> float:
 def _gauss(a: float, b: float, rule: Tuple[np.ndarray, np.ndarray]):
     x, w = rule
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
-def _orbits(d: int, first: int) -> List[List[Tuple[int, ...]]]:
-    """Axis permutations that carry each class representative onto its orbit.
-
-    Axes first..d-1 share one Gauss rule; the representative of class j
-    takes the upper half on axes first..first+j-1.  For every set S of j of
-    those axes, the box whose upper axes are S is the representative under
-    the order (0..first-1, S, the rest), so its tensor is
-    np.transpose(T_rep, sigma) with sigma the inverse of that order: its
-    entry at f is T_rep[g] with g[sigma[i]] = f[i].
-    """
-    free = range(first, d)
-    return [
-        [
-            tuple(np.argsort([*range(first), *upper, *(ax for ax in free if ax not in upper)]))
-            for upper in itertools.combinations(free, j)
-        ]
-        for j in range(d - first + 1)
-    ]
 
 
 def shell_quadrature(
@@ -118,11 +98,12 @@ def shell_quadrature(
     (and, with order_axis0, the half of axis 0).  Each level evaluates one
     box per class, d boxes (2d - 1 with order_axis0) in place of 2^d - 1,
     and adds its orbit: C(d', j) times a scalar, or the sum of the C(d', j)
-    transposes of an array, d' the number of permuting axes.
+    transposes of an array (`lattice.axis_classes`), d' the number of
+    permuting axes.
     """
     rules = {p: np.polynomial.legendre.leggauss(p) for p in (order, order_axis0) if p}
     first = 1 if order_axis0 else 0
-    orbits = _orbits(d, first)
+    orbits = axis_classes(d, first)
     total = 0.0
     for k in range(levels):
         a = outer * (0.5**k)

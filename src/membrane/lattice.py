@@ -32,12 +32,14 @@ the Fourier symbol mu of -Delta_1 (`mu_symbol`), whose square is the symbol
 of the precision on the torus, on Z^d and, in sine coefficients, of the
 box part B^2.  It is also the one place where a stencil meets the lattice:
 `apply_stencil_array` applies it to a grid array and `assemble` builds its
-sparse matrix on R_h with zero extension.
+sparse matrix on R_h with zero extension.  `axis_classes` enumerates the
+axis permutations that the symmetry reductions of `boxsolve` and `infvol` share.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,6 +191,24 @@ def neighborhood_offsets(d: int) -> list:
     This is the support of the bilaplacian stencil without its centre.
     """
     return sorted(o for o in stencil_weights("bilaplacian", d) if any(o))
+
+
+def axis_classes(d: int, first: int = 0) -> list:
+    """Axis permutations that carry each class representative onto its orbit.
+
+    Axes first..d-1 are interchangeable, and class j's representative marks
+    first..first+j-1 (the upper halves of a quadrature box, the odd axes of a
+    parity sector).  For each j-subset S of them, in `itertools.combinations`
+    order, class j lists sigma, the inverse of the order (0..first-1, S, the
+    rest): an array over the representative, transposed by sigma, is the one
+    with S marked, its entry at f the representative's at g[sigma[i]] = f[i].
+    """
+    free = range(first, d)
+    classes = []
+    for j in range(d - first + 1):
+        orders = ([*range(first), *S, *(ax for ax in free if ax not in S)] for S in itertools.combinations(free, j))
+        classes.append([tuple(sorted(range(d), key=order.__getitem__)) for order in orders])
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -10,25 +10,18 @@ the spectrum strictly.
 
 `eigendecompose` takes one of three routes, recorded as `SpectralBasis.route`
 and `route_reason`.  "box-sectors" computes one parity sector per
-permutation class (see `boxsolve`) for a centred box that the box probe of
-`green` accepts: every box in d = 2 and 3, at any size, and a box in d >= 4
-whose largest sector has at most DENSE_EIG_CAP unknowns.  In d = 2 and 3 a
-class is shift-invert `eigsh` on the class's own unknowns over the sector
-solve of `boxsolve.DirectBoxSolver` (dense `eigh` when the class is small);
-in d >= 4 it is dense `eigh` of its block.  "dense" is `eigh` for any other
-matrix up to DENSE_EIG_CAP, and "shift-invert" `eigsh` above it, over the
-precision's solver (torus capacitance for other d = 2 domains, box PCG for
-d >= 4 boxes above the sector cap, SuperLU otherwise).  No `eigsh` sees a
-whole d = 2 or d = 3 box.  Every `eigsh` starts from a fixed vector, so a
-repeated call repeats its result bit for bit.  Every route is gated against
-the assembled matrix.
-
-The solver routes of `green`, by dimension and domain:
-
-    domain          d = 2               d = 3                  d >= 4
-    centred box     box-direct          box-direct, or box-pcg box-pcg
-                                        above the factor budget
-    anything else   torus-capacitance   superlu                superlu
+permutation class (see `boxsolve`) on a centred box that `green.box_route`
+accepts, and box sectors follow green's factor budget.  On a box-direct box
+(every box in d = 2, and in d = 3 within DIRECT_FACTOR_BUDGET) a class is
+shift-invert `eigsh` on the class's own unknowns over the sector solve of
+green's `boxsolve.DirectBoxSolver` (dense `eigh` when the class is small);
+on a box-pcg box whose largest sector has at most DENSE_EIG_CAP unknowns it
+is dense `eigh` of its block.  "dense" is `eigh` for any other matrix up to
+DENSE_EIG_CAP, and "shift-invert" `eigsh` above it, over the precision's
+solver (the route table in `green`'s docstring).  No `eigsh` sees a whole
+box-direct box.  Every `eigsh` starts from a fixed vector, so a repeated
+call repeats its result bit for bit.  Every route is gated against the
+assembled matrix.
 
 Norms on the dual scale: || v ||_{-s}^2 = sum_j lambda_j^{-s/2} (v, u_j)^2.
 The random series  sum_j lambda_j^{-1/2} xi_j u_j  with i.i.d. standard
@@ -56,8 +49,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .boxsolve import CenteredBoxSolver, DirectBoxSolver, centered_box_halfwidth, parity_classes, wedge, wedge_solve
-from .green import GreenTable, PrecisionMatrix, _make_solver, factorize_spd, operator_probe
+from .boxsolve import CenteredBoxSolver, parity_classes, sector_view, wedge, wedge_solve
+from .green import GreenTable, PrecisionMatrix, _make_solver, box_route, factorize_spd
 from .lattice import GridDomain, assemble, kappa, stencil_weights, unit_ball_volume
 
 DENSE_EIG_CAP = 4000
@@ -87,10 +80,17 @@ class SpectralBasis:
         return h**self.domain.d * (self.vectors.T @ values_rh)
 
 
-def _shift_invert(A, k: int, OPinv):
-    """k smallest eigenpairs (ascending) of the SPD operator A by `eigsh` about
-    0, from a fixed start vector, so that a repeated call repeats its result."""
-    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+def _shift_invert(solve: Callable, n: int, k: int):
+    """k smallest eigenpairs (ascending) of the SPD operator on n unknowns
+    whose inverse is `solve`, by `eigsh` about 0 from a fixed start vector, so
+    that a repeated call repeats its result.  In this mode `eigsh` reads only
+    the shape and dtype of the operator, so it gets a stand-in that raises."""
+
+    def unused(x):
+        raise RuntimeError("eigsh applied the operator in shift-invert mode")
+
+    A, OPinv = (spla.LinearOperator((n, n), matvec=f, dtype=float) for f in (unused, solve))
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         w, v = spla.eigsh(A, k=k, sigma=0, which="LM", tol=0, OPinv=OPinv, v0=v0)
     except spla.ArpackNoConvergence as exc:
@@ -108,31 +108,31 @@ def _smallest_eigenpairs(S, k: int, make_solve: Callable[[], Callable]):
     n = S.shape[0]
     if n <= DENSE_EIG_CAP:
         return scipy.linalg.eigh(S.toarray(), subset_by_index=(0, k - 1))
-    return _shift_invert(S, k, spla.LinearOperator((n, n), matvec=make_solve(), dtype=float))
+    return _shift_invert(make_solve(), n, k)
 
 
-def _sector_eigenpairs(box, k: int):
-    """k smallest eigenpairs (ascending) of the box operator A_hat, mapped to
-    the box, from one eigensolve per permutation class of parity sectors; the
-    class's other sectors come from transposing axes.  Candidates are ordered
-    stably by value and then by sector order.
+def _sector_eigenpairs(box, direct, k: int):
+    """k smallest eigenpairs (ascending) of the box operator A_hat of the
+    `CenteredBoxSolver` box, mapped to the box, from one eigensolve per
+    permutation class of parity sectors; the class's other sectors come from
+    transposing axes.  Candidates are ordered stably by value and then by
+    sector order.
 
-    In d >= 4 every class takes dense `eigh` of min(k, n_c) pairs of its
-    block.  In d = 2 and 3 a class of n_c unknowns first asks for k_c pairs
-    (`_first_count`), and doubles k_c until its largest value lies above the
-    k-th smallest candidate overall or it holds min(k, n_c) pairs.  A class
-    with 2 k_c + 1 >= n_c takes dense `eigh` of min(k, n_c) pairs; every
-    other class runs `_shift_invert` on its n_c sine coefficients, with the
-    sector solve of `DirectBoxSolver` as OPinv, and no transform runs inside
-    the eigensolve.
+    Without `direct` every class takes dense `eigh` of min(k, n_c) pairs of
+    its block.  With the `DirectBoxSolver` direct of the box, a class of n_c
+    unknowns first asks for k_c pairs (`_first_count`), and doubles k_c until
+    its largest value lies above the k-th smallest candidate overall or it
+    holds min(k, n_c) pairs.  A class with 2 k_c + 1 >= n_c takes dense
+    `eigh` of min(k, n_c) pairs; every other class runs `_shift_invert` on
+    its n_c sine coefficients, with the sector solve of direct as the
+    inverse, and no transform runs inside the eigensolve.
     """
     classes = []  # (representative, sectors, shape) of each nonempty class
     for rep, sectors in parity_classes(box.d):
-        shape = tuple(len(box.sector_indices(p)) for p in rep)
+        shape = tuple(box.M + p for p in rep)
         if math.prod(shape):  # the even sectors of M = 0 are empty
             classes.append((rep, sectors, shape))
     full = [min(k, math.prod(shape)) for _, _, shape in classes]
-    direct = DirectBoxSolver(box.M, box.d) if box.d <= 3 else None
     want = full if direct is None else [_first_count(k, math.prod(shape), box.n) for _, _, shape in classes]
     pairs = [None] * len(classes)
     while True:
@@ -146,19 +146,15 @@ def _sector_eigenpairs(box, k: int):
             break
         for i in grow:
             want[i] = min(2 * want[i], k)
-    cands = []  # (values, parity, vectors over the sector's frequencies)
-    for (_, sectors, _), (w, V) in zip(classes, pairs):
-        for parity, axes in sectors:
-            cands.append((w, parity, V.transpose((0,) + tuple(a + 1 for a in axes))))
-    values = np.concatenate([w for w, _, _ in cands])
     # a NaN sorts first, so that the gate sees it
     pick = np.argsort(np.where(np.isnan(values), -np.inf, values), kind="stable")[:k]
     coef = np.zeros((k,) + (box.L,) * box.d)
     lo = 0
-    for w, parity, V in cands:
-        rows = np.flatnonzero((pick >= lo) & (pick < lo + len(w)))
-        coef[np.ix_(rows, *(box.sector_indices(p) for p in parity))] = V[pick[rows] - lo]
-        lo += len(w)
+    for (_, sectors, _), (w, V) in zip(classes, pairs):
+        for parity, axes in sectors:
+            rows = np.flatnonzero((pick >= lo) & (pick < lo + len(w)))
+            sector_view(coef, parity, axes)[rows] = V[pick[rows] - lo]
+            lo += len(w)
     return values[pick], box.field(coef).reshape(k, -1).T
 
 
@@ -178,10 +174,7 @@ def _class_eigenpairs(box, direct, rep: tuple, shape: tuple, full: int, want: in
     if direct is None or 2 * want + 1 >= n_c:
         w, V = scipy.linalg.eigh(box.sector_block(rep), subset_by_index=(0, full - 1))
     else:
-        def operator(apply):
-            return spla.LinearOperator((n_c, n_c), matvec=lambda x: apply(rep, x.reshape(shape)).reshape(-1), dtype=float)
-
-        w, V = _shift_invert(operator(direct.sector_apply), want, operator(direct.sector_solve))
+        w, V = _shift_invert(lambda x: direct.sector_solve(rep, x.reshape(shape)).reshape(-1), n_c, want)
     return w, V.T.reshape((len(w),) + shape)
 
 
@@ -201,30 +194,29 @@ def _gate_eigenpairs(S, w: np.ndarray, v: np.ndarray) -> None:
 def eigendecompose(precision: PrecisionMatrix, k: int) -> SpectralBasis:
     """k smallest eigenpairs of the h-scaled bilaplacian on R_h, by one of the
     three routes of the module docstring, gated by `_gate_eigenpairs`.  The
-    shift-invert route's solver is cached nowhere."""
+    box route of `green.box_route` is taken once; the shift-invert route's
+    solver is built from it and cached nowhere."""
     dom = precision.domain
     n, d = precision.n, dom.d
     if not 1 <= k <= n:
         raise ValueError(f"k={k} is outside 1..|R_h|={n}")
     S = precision.raw
-    M = centered_box_halfwidth(dom)
-    largest = (M + 1) ** d  # the all-odd sector
-    if M < 0:
-        reason = "not a centred box"
-    elif d <= 3 or largest <= DENSE_EIG_CAP:
-        box = CenteredBoxSolver(d, M)
-        reason = operator_probe(precision.matrix, box)
-    else:
-        reason = f"largest parity sector {largest} above DENSE_EIG_CAP"
-    if not reason:
+    boxed = box_route(precision.matrix, dom)
+    solver, route, reason, _ = boxed
+    direct = solver if route == "box-direct" else None
+    box = direct.box if direct else solver
+    largest = (box.M + 1) ** d if box else 0  # the all-odd sector
+    if direct or (box and largest <= DENSE_EIG_CAP):
         route, reason = "box-sectors", f"centred box, largest parity sector {largest}"
-        w, v = _sector_eigenpairs(box, k)
+        w, v = _sector_eigenpairs(box, direct, k)
         w = w / dom.kappa**2  # A = kappa^2 S
     else:
-        route = "dense" if n <= DENSE_EIG_CAP else "shift-invert"
+        if box:
+            reason = "; ".join(filter(None, [reason, f"largest parity sector {largest} above DENSE_EIG_CAP"]))
+        route, reason = ("dense" if n <= DENSE_EIG_CAP else "shift-invert"), reason or "not a centred box"
 
         def make_solve():
-            solve = _make_solver(precision.matrix, dom)[0]  # S^{-1} = kappa^2 A^{-1}
+            solve = _make_solver(precision.matrix, dom, boxed)[0]  # S^{-1} = kappa^2 A^{-1}
             return lambda x: solve(x) * dom.kappa**2
 
         w, v = _smallest_eigenpairs(S, k, make_solve)
@@ -515,8 +507,11 @@ def pairing_variance_study(
 
     f must be even in every coordinate and symmetric under the permutations
     of the axes, as `bump_test_function` is.  It is evaluated on the sector
-    {0..M}^d of each grid only; values that change under a swap of two
-    adjacent axes by more than 1e-14 max|f| raise ValueError.  Every grid
+    {0..M}^d of each grid, and once more with each coordinate negated in
+    turn on the wedge rows; values that change under a swap of two adjacent
+    axes, or under the negation of one coordinate, by more than 1e-14 max|f|
+    raise ValueError.  Negations of two or more coordinates at once stay
+    unchecked.  Every grid
     solves on the permutation wedge of the even sector (`boxsolve.wedge_solve`,
     sine-coefficient PCG to 1e-12 on the exact operator); the variance is
     kappa^2 h^(d+4) sum_f orbit(f) cf(f) c(f) over the wedge, with cf the
@@ -544,6 +539,11 @@ def pairing_variance_study(
         if skew > 1e-14 * np.abs(fv).max():
             raise ValueError(f"f is not symmetric under the axis permutations at h={h:g} (skew {skew:.1e})")
         F, orbit = wedge(d, M)
+        fw = fv[tuple(F.T)]
+        odd = max(np.abs(np.asarray(f(F * h * np.where(np.arange(d) == i, -1.0, 1.0)), dtype=float) - fw).max()
+                  for i in range(d))
+        if odd > 1e-14 * np.abs(fv).max():
+            raise ValueError(f"f is not even in every coordinate at h={h:g} (skew {odd:.1e})")
         cf = solver.coefficients(fv)[tuple(F.T)]
         c, info = wedge_solve(solver, F, orbit, cf, 1e-12)
         var_fold = kappa2 * h ** (d + 4) * float(np.sum(orbit * cf * c))

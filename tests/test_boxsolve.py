@@ -42,8 +42,6 @@ def test_coefficient_apply_matches_assembled_matrix(d, M, even, seed):
     if even:
         u, ref = sector(u, d, M), sector(ref, d, M)
     assert np.abs(solver.operator(u) - ref).max() <= 1e-12 * np.abs(ref).max()
-    if d == 2 and not even:
-        assert np.abs(DirectBoxSolver(M).operator(u) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @given(d=st.sampled_from([2, 3, 4]), M=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
@@ -57,7 +55,7 @@ def test_parity_sector_blocks_apply_the_assembled_matrix(d, M, seed):
     sectors = []
     for rep, members in boxsolve.parity_classes(d):
         block = box.sector_block(rep)
-        rows = np.arange(len(block)).reshape([len(box.sector_indices(p)) for p in rep])
+        rows = np.arange(len(block)).reshape([M + p for p in rep])
         for parity, axes in members:  # the class's blocks are the representative's, axes transposed
             perm = rows.transpose(axes).reshape(-1)
             gap = box.sector_block(parity) - block[np.ix_(perm, perm)]
@@ -65,7 +63,7 @@ def test_parity_sector_blocks_apply_the_assembled_matrix(d, M, seed):
             sectors.append(parity)
     assert sorted(sectors) == sorted(itertools.product((0, 1), repeat=d))
     for parity in sectors:
-        cell = np.ix_(*(box.sector_indices(p) for p in parity))
+        cell = boxsolve.sector_cell(parity)
         out[cell] = (box.sector_block(parity) @ c[cell].reshape(-1)).reshape(c[cell].shape)
     ref = prec.raw @ u / (2 * d) ** 2
     assert np.abs(box.field(out).reshape(-1) - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -253,6 +251,19 @@ def test_pairing_refuses_a_test_function_that_is_not_permutation_symmetric(d, M)
         spectral.pairing_variance_study(d, [1.0 / (2 * M + 4)], f, cross_check_cap=0)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pairing_refuses_a_test_function_that_is_not_even(d):
+    # symmetric under the axis permutations, but odd parts in every coordinate:
+    # on the sector alone its variance was off by 44% at h=1/8 in d=4
+    bump = spectral.bump_test_function()
+
+    def f(x):
+        return bump(x) * np.prod(1.0 + x, axis=-1)
+
+    with pytest.raises(ValueError, match="not even"):
+        spectral.pairing_variance_study(d, [1 / 8], f, cross_check_cap=0)
+
+
 # ---------------------------------------------------------------------------
 # the direct (capacitance) solver of d=2 boxes
 
@@ -281,13 +292,13 @@ def test_direct_solve_matches_spsolve(M, seed):
     direct = DirectBoxSolver(M)
     assert np.abs(direct.solve(B) - ref).max() <= 1e-12 * np.abs(ref).max()
     assert direct.fill == 2 * (M + 1) ** 2 + M**2 - (M == 0)  # the (1,0) class has no unknowns at M = 0
-    # each sector solve inverts its sector apply, on 2 coefficient arrays at once
+    # each sector solve inverts the sector's dense block, on 2 coefficient arrays at once
     for rep, sectors in boxsolve.parity_classes(2):
         shape = [M + p for p in rep]
         if M or rep == (1, 1):
             c = rng.standard_normal([2] + shape)
-            back = direct.sector_apply(rep, direct.sector_solve(rep, c))
-            assert np.abs(back - c).max() <= 1e-12 * np.abs(c).max()
+            back = direct.sector_solve(rep, c).reshape(2, -1) @ direct.box.sector_block(rep)
+            assert np.abs(back - c.reshape(2, -1)).max() <= 1e-12 * np.abs(c).max()
 
 
 @pytest.mark.parametrize("N", [40, 96, 160])
@@ -325,14 +336,15 @@ def test_direct_d3_solve_matches_spsolve(M, seed):
     assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(direct.solve(B[:, 0]) - X[:, 0]).max() <= 1e-13 * np.abs(X[:, 0]).max()
     assert direct.fill == boxsolve.direct_fill(3, M)
-    # each sector solve inverts its sector apply, on one array and on a batch of 2
+    # each sector solve inverts the sector's dense block, on one array and on a batch of 2
     for rep, sectors in boxsolve.parity_classes(3):
         shape = [M + p for p in rep]
         if min(shape):
             for c in (rng.standard_normal(shape), rng.standard_normal([2] + shape)):
-                back = direct.sector_apply(rep, direct.sector_solve(rep, c))
-                assert back.shape == c.shape
-                assert np.abs(back - c).max() <= 1e-12 * np.abs(c).max()
+                x = direct.sector_solve(rep, c)
+                assert x.shape == c.shape
+                back = x.reshape(-1, math.prod(shape)) @ direct.box.sector_block(rep)
+                assert np.abs(back - c.reshape(-1, math.prod(shape))).max() <= 1e-12 * np.abs(c).max()
 
 
 @pytest.mark.parametrize("N", [8, 19])
@@ -358,7 +370,7 @@ def test_direct_d3_solves_every_sector_of_every_class():
     for rep, sectors in boxsolve.parity_classes(3):
         for parity, axes in sectors:
             c = np.zeros((box.L,) * 3)
-            cell = np.ix_(*(box.sector_indices(p) for p in parity))
+            cell = boxsolve.sector_cell(parity)
             c[cell] = rng.standard_normal(c[cell].shape)
             b = box.field(c).reshape(-1)
             x = prec.solve(b)

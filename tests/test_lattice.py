@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from membrane.lattice import (
     CLASS_RHSTAR,
     apply_stencil_array,
     assemble,
+    axis_classes,
     classify,
     field_on_grid,
     neighborhood_offsets,
@@ -170,6 +172,33 @@ def test_stencil_symmetry_under_signed_permutations():
             for signs in itertools.product((1, -1), repeat=3):
                 image = tuple(signs[i] * off[perm[i]] for i in range(3))
                 assert st[image] == c
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("first", [0, 1])
+def test_axis_classes_carry_the_representative_onto_every_subset_once(d, first):
+    # class j holds C(d - first, j) permutations fixing the axes below first;
+    # transposed by sigma, the representative's marked axes first..first+j-1
+    # land on S, each j-subset S of first..d-1 once, in combinations order,
+    # with S and the rest each in increasing order (the order of the sums of
+    # the shell quadrature)
+    classes = axis_classes(d, first)
+    assert len(classes) == d - first + 1
+    for j, perms in enumerate(classes):
+        assert len(perms) == len(set(perms)) == math.comb(d - first, j)
+        images = []
+        for sigma in perms:
+            assert sorted(sigma) == list(range(d)) and list(sigma[:first]) == list(range(first))
+            S = tuple(i for i in range(d) if first <= sigma[i] < first + j)
+            rest = [i for i in range(first, d) if i not in S]
+            assert [sigma[i] for i in S] == list(range(first, first + j))
+            assert [sigma[i] for i in rest] == list(range(first + j, d))
+            images.append(S)
+        assert images == list(itertools.combinations(range(first, d), j))
+    if first == 0:  # the parity classes of boxsolve, read backwards
+        from membrane.boxsolve import parity_classes
+
+        assert [[axes for _, axes in sectors] for _, sectors in parity_classes(d)] == classes[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def test_d2_box_spectra_run_eigsh_on_sectors_only(monkeypatch, N):
     prec = assemble_precision(classify(unit_box(2), 1 / N))
     # the whole-box shift-invert over box-direct, the route d=2 boxes took before
     solve = boxsolve.DirectBoxSolver(N - 2).solve
-    full = spectral._shift_invert(prec.raw, 100, spectral.spla.LinearOperator(prec.raw.shape, matvec=lambda x: solve(x) / 16.0))[0]  # S = 16 A
+    full = spectral._shift_invert(lambda x: solve(x) / 16.0, prec.n, 100)[0]  # S = 16 A
     sizes = []
     eigsh = spectral.spla.eigsh
 
@@ -212,6 +212,18 @@ def test_d2_box_spectra_run_eigsh_on_sectors_only(monkeypatch, N):
     M = N - 2
     assert basis.route == "box-sectors" and sorted(set(sizes)) == [M * M, M * (M + 1), (M + 1) ** 2]
     assert np.abs(basis.lambdas * prec.domain.h**4 / full - 1).max() <= 1e-12
+
+
+def test_d3_box_spectra_follow_the_factor_budget(monkeypatch):
+    # below the fill of the h=1/8 cube, green takes box PCG, and so do the
+    # spectra: dense eigh per class, with no direct factors built
+    prec = assemble_precision(classify(unit_box(3), 1 / 8))
+    monkeypatch.setattr(green, "DIRECT_FACTOR_BUDGET", 8 * boxsolve.direct_fill(3, 6) - 1)
+    monkeypatch.setattr(boxsolve.DirectBoxSolver, "__init__", lambda *args: pytest.fail("direct factors built above the budget"))
+    basis = eigendecompose(prec, 30)
+    assert (basis.route, basis.route_reason) == ("box-sectors", "centred box, largest parity sector 343")
+    dense = scipy.linalg.eigh(prec.raw.toarray(), eigvals_only=True, subset_by_index=(0, 29))
+    assert np.abs(basis.lambdas * prec.domain.h**4 - dense).max() <= 1e-12 * dense[-1]
 
 
 def test_shift_invert_repeats_bit_for_bit():
