@@ -114,9 +114,10 @@ def _grid(args, cfg, h: float):
 
 
 def _route_facts(prec) -> dict:
-    """The solver route a precision took, the entries of the factor it built,
-    and why a route of `green`'s table was refused."""
-    facts = {"route": prec.route, "factor_fill": prec.factor_fill}
+    """The solver route a precision took, the entries of the factors it
+    built (on the torus route also its symmetric axes and class sizes), and
+    why a route of `green`'s table was refused."""
+    facts = {"route": prec.route, "factor_fill": prec.factor_fill, **prec.sectors}
     if prec.route_reason:
         facts["route_reason"] = prec.route_reason
     return facts

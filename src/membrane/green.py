@@ -12,17 +12,26 @@ dropped (the zero boundary).  The covariance G solves
 precision, and `PrecisionMatrix.route` records its pick, by dimension and
 domain:
 
-    domain          d = 2               d = 3                  d >= 4
-    centred box     box-direct          box-direct, or box-pcg box-pcg
-                                        above the factor budget
-    anything else   torus-capacitance   superlu                superlu
+    domain          d = 2               d >= 3
+    centred box     box-direct          d = 3: box-direct, or box-pcg above
+                                        the factor budget; d >= 4: box-pcg
+    anything else   torus-capacitance   torus-capacitance if R_h has a mirror
+                                        symmetry and the class factors fit
+                                        the budget, else superlu
 
 "box-direct" is the sine-transform and per-sector capacitance solve of
 `boxsolve.DirectBoxSolver`, taken while its factors fit in
 DIRECT_FACTOR_BUDGET bytes (in d = 3 up to [-52, 52]^3); "box-pcg" is the
 sine-coefficient box PCG of `boxsolve`, at any size, and a solve that stops
 above its tolerance raises; "torus-capacitance" is the periodic-torus
-embedding and capacitance solve of `boxsolve.TorusCapacitanceSolver`.
+embedding and capacitance solve of `boxsolve.TorusCapacitanceSolver`, with
+one dense factor per class of the reflection-parity sectors of R_h's
+mirror group (one factor over the whole boundary layer when R_h has no
+mirror symmetry).  In d = 2 it takes every domain that is not a centred box;
+in d >= 3 only one whose R_h is mapped to itself by the mirror about its
+midpoint along some axis (x_i -> -x_i for a domain centred at 0), and whose
+class factors fit in DIRECT_FACTOR_BUDGET bytes (the unit ball up to
+h = 1/34 in d = 3 and h = 1/10 in d = 4).
 Every domain that is not a centred box is bounded by FACTORIZATION_CAP rows,
 above which it raises.  A box or torus route builds its operator from the
 domain, so it is taken only when a seeded random probe (`operator_probe`)
@@ -30,11 +39,13 @@ shows that the matrix given is that operator; the probes run before any
 factor is built.  Otherwise the matrix goes to SuperLU, and `route_reason`
 says why; it also says why a d = 3 box took box PCG.  `box_route` owns the
 box half of the table, and the box spectra of `spectral` take the solver it
-builds.  `PrecisionMatrix.factor_fill` records the entries of the factor
+builds.  `PrecisionMatrix.factor_fill` records the entries of the factors
 built: SuperLU's stored entries of L and U (`SuperLU.nnz`; building L and U
-to count them would copy the factor), m^2 for a torus capacitance matrix on
-m boundary points, `boxsolve.direct_fill` for the sector factors of a box
-(2(M+1)^2 + M^2 for [-M, M]^2) and 0 for box PCG.
+to count them would copy the factor), the sum of r^2 over the torus class
+factors of r rows (m^2 for one factor on m boundary points, about m^2 / 5
+for a disk), `boxsolve.direct_fill` for the sector factors of a box
+(2(M+1)^2 + M^2 for [-M, M]^2) and 0 for box PCG.  `PrecisionMatrix.sectors`
+holds the torus route's symmetric axes and class sizes.
 The d=4 log-correlation study solves for the centre column by
 `boxsolve.centre_column`: the box PCG of the even sector |x_i|, run on the
 permutation wedge f_0 <= .. <= f_{d-1} of its sine coefficients.
@@ -54,7 +65,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import GridDomain, assemble, stencil_weights
+from .lattice import GridDomain, assemble, inf_norm, stencil_weights
 
 DENSE_TABLE_CAP = 20_000
 FACTORIZATION_CAP = 600_000   # rows; above this only centred boxes are solved
@@ -74,7 +85,8 @@ class PrecisionMatrix:
     _solver: Optional[object] = field(default=None, repr=False)
     route: Optional[str] = field(default=None, init=False)  # set by solver()
     route_reason: str = field(default="", init=False)       # why a box or torus route was refused
-    factor_fill: int = field(default=0, init=False)         # entries of the factor the route built
+    factor_fill: int = field(default=0, init=False)         # entries of the factors the route built
+    sectors: dict = field(default_factory=dict, init=False)  # torus route: symmetric axes, class sizes
 
     @property
     def n(self) -> int:
@@ -82,7 +94,9 @@ class PrecisionMatrix:
 
     def solver(self):
         if self._solver is None:
-            self._solver, self.route, self.route_reason, self.factor_fill = _make_solver(self.matrix, self.domain)
+            self._solver, self.route, self.route_reason, self.factor_fill, self.sectors = _make_solver(
+                self.matrix, self.domain
+            )
         return self._solver
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -122,39 +136,47 @@ def box_route(A: sp.csr_matrix, domain: GridDomain):
 
 
 def _make_solver(A: sp.csr_matrix, domain: GridDomain, boxed: Optional[tuple] = None):
-    """(solve, route, reason, fill): a solver for A, the route's name, why a
-    route of the table above was refused ("" when none was), and the entries
-    of the factor built.  boxed is `box_route(A, domain)` when the caller has
-    it already."""
+    """(solve, route, reason, fill, sectors): a solver for A, the route's
+    name, why a route of the table above was refused ("" when none was), the
+    entries of the factors built, and the torus route's symmetric axes and
+    class sizes ({} on other routes).  boxed is `box_route(A, domain)` when
+    the caller has it already."""
     from .boxsolve import TorusCapacitanceSolver
 
     n, d = A.shape[0], domain.d
-    # a centred box goes to its box route, every other d=2 domain to the
-    # torus capacitance solve, the rest to SuperLU; a probe vets the first two
+    # a centred box goes to its box route, any other domain to the torus
+    # capacitance solve (in d >= 3 one with a mirror, within the budget), the
+    # rest to SuperLU; a probe vets the box and torus routes
     solver, route, reason, fill = boxed or box_route(A, domain)
     if route == "box-direct":
-        return solver.solve, route, reason, fill
+        return solver.solve, route, reason, fill, {}
     if route == "box-pcg":
-        return (lambda rhs: solver.solve(rhs, tol=1e-11)[0]), route, reason, fill
+        return (lambda rhs: solver.solve(rhs, tol=1e-11)[0]), route, reason, fill, {}
     if n > FACTORIZATION_CAP:
         raise ValueError(
             f"system size {n} is above the factorization cap {FACTORIZATION_CAP} "
             f"and {reason or 'the domain is not a centred box'}"
         )
-    if d == 2 and not reason:  # not a centred box
+    if not reason:  # not a centred box
         torus = TorusCapacitanceSolver(domain)
-        reason = operator_probe(A, torus)
+        if d >= 3 and not torus.axes:
+            reason = "R_h has no mirror symmetry to split the torus capacitance"
+        elif d >= 3 and 8 * torus.fill > DIRECT_FACTOR_BUDGET:
+            reason = f"torus class factors of {8 * torus.fill} bytes above DIRECT_FACTOR_BUDGET"
+        else:
+            reason = operator_probe(A, torus)
         if not reason:
-            return torus.factorize().solve, "torus-capacitance", "", torus.m**2
+            sectors = {"symmetric_axes": list(torus.axes), "class_sizes": torus.class_sizes}
+            return torus.factorize().solve, "torus-capacitance", "", torus.fill, sectors
     lu = factorize_spd(A)
-    return lu.solve, "superlu", reason, lu.nnz
+    return lu.solve, "superlu", reason, lu.nnz, {}
 
 
 def operator_probe(A: sp.spmatrix, route) -> str:
     """"" when a seeded random probe shows that A is the route's `operator`,
     else why the route is refused."""
     v = np.random.default_rng(0).standard_normal(A.shape[0])
-    mismatch = np.abs(A @ v - route.operator(v)).max() / (abs(A).sum(axis=1).max() * np.abs(v).max())
+    mismatch = np.abs(A @ v - route.operator(v)).max() / (inf_norm(A) * np.abs(v).max())
     if mismatch <= PROBE_TOL:
         return ""
     return f"matrix is not the {type(route).__name__} operator (probe mismatch {mismatch:.1e})"

@@ -32,7 +32,8 @@ the Fourier symbol mu of -Delta_1 (`mu_symbol`), whose square is the symbol
 of the precision on the torus, on Z^d and, in sine coefficients, of the
 box part B^2.  It is also the one place where a stencil meets the lattice:
 `apply_stencil_array` applies it to a grid array and `assemble` builds its
-sparse matrix on R_h with zero extension.  `axis_classes` enumerates the
+sparse matrix on R_h with zero extension, whose infinity norm `inf_norm`
+reads off its CSR arrays.  `axis_classes` enumerates the
 axis permutations that the symmetry reductions of `boxsolve` and `infvol` share.
 """
 
@@ -429,6 +430,18 @@ def assemble(domain: GridDomain, stencil: Stencil) -> sp.csr_matrix:
     n = domain.n_rh
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
     return sp.csr_matrix((np.broadcast_to(coeffs, cols.shape)[keep], cols[keep], indptr), shape=(n, n))
+
+
+def inf_norm(X: sp.spmatrix) -> float:
+    """||X||_inf, the largest absolute row sum of a sparse matrix, reduced
+    over its CSR data without the copy that abs(X) makes (another format is
+    converted first); an empty row sums to 0."""
+    X = X.tocsr()
+    start, stop = X.indptr[:-1], X.indptr[1:]
+    full = start < stop  # reduceat gives data[i] for an empty segment, not 0
+    if not full.any():
+        return 0.0
+    return float(np.add.reduceat(np.abs(X.data[:X.indptr[-1]]), start[full]).max())
 
 
 def field_on_grid(domain: GridDomain, values_rh: np.ndarray) -> np.ndarray:

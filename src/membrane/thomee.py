@@ -35,6 +35,7 @@ from .lattice import (
     apply_stencil_array,
     classify,
     field_on_grid,
+    inf_norm,
     stencil_weights,
 )
 
@@ -170,7 +171,7 @@ class DiscreteSolution:
 
 def backward_error(S, u: np.ndarray, b: np.ndarray) -> float:
     """Normwise backward error ||S u - b||_inf / (||S||_inf ||u||_inf + ||b||_inf)."""
-    scale = float(abs(S).sum(axis=1).max()) * np.abs(u).max() + np.abs(b).max()
+    scale = inf_norm(S) * np.abs(u).max() + np.abs(b).max()
     return float(np.abs(S @ u - b).max() / scale) if scale != 0 else 0.0  # NaN propagates
 
 

@@ -421,7 +421,7 @@ def test_centred_boxes_are_solved_without_factorization(monkeypatch, d, N, cap):
     for shape in (Ball([0.0] * d, 1.0), Box([(-1, 1)] * (d - 1) + [(-1, 2)])):
         other = assemble_precision(classify(shape, 1 / 4 if d == 4 else 1 / 6))
         assert green_columns(other, [(0,) * d]).max_residual <= 1e-8
-        assert other.route == ("torus-capacitance" if d == 2 else "superlu") and other.route_reason == ""
+        assert other.route == "torus-capacitance" and other.route_reason == ""
 
 
 @pytest.mark.parametrize("d,N", [(2, 10), (3, 6)])
@@ -515,3 +515,111 @@ def test_other_d2_domains_are_solved_without_factorization(monkeypatch, shape, h
     assert (prec.route, prec.route_reason) == ("torus-capacitance", "")
     assert table.max_residual <= 1e-8
     assert np.abs(table.values - reference).max() <= 1e-9 * np.abs(reference).max()
+
+
+# ---------------------------------------------------------------------------
+# the torus capacitance split into reflection-parity sectors
+
+
+def _units_and_reference(dom, k: int = 3):
+    """k random right-hand sides on R_h, and their spsolve solutions."""
+    A = assemble_precision(dom).matrix
+    B = np.random.default_rng(dom.n_rh).standard_normal((dom.n_rh, k))
+    return A, B, spla.spsolve(A.tocsc(), B)
+
+
+def _relative(x: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("d,h", [(2, 1 / 16), (2, 1 / 20), (3, 1 / 6), (3, 1 / 8), (4, 1 / 4), (4, 1 / 5)])
+def test_torus_sectors_match_the_whole_layer_factor_and_spsolve(d, h):
+    dom = classify(Ball([0.0] * d, 1.0), h)
+    A, B, reference = _units_and_reference(dom)
+    sectors = TorusCapacitanceSolver(dom).factorize()
+    whole = TorusCapacitanceSolver(dom, axes=()).factorize()
+    # the full group: d mirrors and every swap, so one factor per count of odd axes
+    assert sectors.axes == tuple(range(d)) and len(sectors.class_sizes) == d + 1
+    assert whole.axes == () and whole.class_sizes == [whole.m] and whole.fill == whole.m**2
+    X = sectors.solve(B)
+    assert _relative(X, whole.solve(B)) <= 1e-12
+    assert _relative(X, reference) <= 1e-12
+    assert backward_error(A, X[:, 0], B[:, 0]) <= 1e-14
+    assert np.allclose(sectors.solve(B[:, 1]), X[:, 1], rtol=0, atol=1e-14 * np.abs(X).max())
+    # the sectors split Gamma: each class factor serves its sectors' coefficients
+    assert sum(len(keep) * len(rows) for _, keep, rows in sectors._classes) == sectors.m
+
+
+@pytest.mark.parametrize("d,h", [(2, 1 / 12), (3, 1 / 6)])
+def test_torus_solves_one_right_hand_side_per_parity_sector(d, h):
+    # b(e x) = chi_p(e) b(x) for every mirror e: the solution has parity p too
+    dom = classify(Ball([0.0] * d, 1.0), h)
+    A = assemble_precision(dom).matrix.tocsc()
+    solver = TorusCapacitanceSolver(dom).factorize()
+    pts = dom.rh_points
+    flips = [np.array(e) for e in itertools.product((1, -1), repeat=d)]
+    images = [dom.rh_indices(pts * e) for e in flips]
+    g = np.random.default_rng(d).standard_normal(dom.n_rh)
+    for parity in itertools.product((0, 1), repeat=d):
+        chi = [np.prod(np.where(np.array(parity) == 1, e, 1)) for e in flips]
+        b = sum(c * g[img] for c, img in zip(chi, images))
+        x = solver.solve(b)
+        assert _relative(x, spla.spsolve(A, b)) <= 1e-12, parity
+        for c, img in zip(chi, images):
+            assert np.abs(x[img] - c * x).max() <= 1e-12 * np.abs(x).max()
+
+
+def test_torus_group_is_read_off_the_point_set():
+    cases = [
+        (Ball([0.3, -0.2], 0.7), 1 / 16, ()),  # off-centre: no mirror, one whole-layer factor
+        (Ball([0.0, 0.3], 0.8), 1 / 16, (0,)),  # a mirror in axis 0 only
+        (Box([(-1, 1), (-0.5, 0.5)]), 1 / 8, (0, 1)),  # both mirrors, no swap
+        (Ball([0.3, -0.2, 0.15], 0.7), 1 / 6, ()),
+        (Ball([0.3, -0.2, 0.1], 0.7), 1 / 6, (2,)),  # R_h's mirror about its own midpoint
+        (Box([(-1, 1), (-1, 1), (-1, 2)]), 1 / 6, (0, 1, 2)),  # swap only of axes 0 and 1
+    ]
+    classes = [1, 2, 4, 1, 2, 6]
+    for (shape, h, axes), count in zip(cases, classes):
+        dom = classify(shape, h)
+        A, B, reference = _units_and_reference(dom)
+        solver = TorusCapacitanceSolver(dom)
+        assert solver.axes == axes and len(solver.class_sizes) == count
+        assert solver.fill == sum(r * r for r in solver.class_sizes)
+        X = solver.factorize().solve(B)
+        assert _relative(X, reference) <= 1e-12
+        assert np.abs(A @ X - B).max() <= 1e-10
+    with pytest.raises(ValueError, match="not symmetric"):
+        TorusCapacitanceSolver(classify(Ball([0.0, 0.3], 0.8), 1 / 16), axes=(1,))
+
+
+def test_d3_routing_follows_the_torus_factor_budget(monkeypatch):
+    ball = classify(Ball([0.0] * 3, 1.0), 1 / 6)
+    solver = TorusCapacitanceSolver(ball)
+    pts = [(0, 0, 0), (1, -2, 3)]
+    for budget, route in [(8 * solver.fill, "torus-capacitance"), (8 * solver.fill - 1, "superlu")]:
+        monkeypatch.setattr(green, "DIRECT_FACTOR_BUDGET", budget)
+        prec = assemble_precision(ball)
+        assert green_columns(prec, pts).max_residual <= 1e-8
+        assert prec.route == route
+        if route == "superlu":
+            assert prec.route_reason == f"torus class factors of {8 * solver.fill} bytes above DIRECT_FACTOR_BUDGET"
+            assert prec.sectors == {}
+        else:
+            assert (prec.route_reason, prec.factor_fill) == ("", solver.fill)
+            assert prec.sectors == {"symmetric_axes": [0, 1, 2], "class_sizes": solver.class_sizes}
+    monkeypatch.undo()
+    # no mirror: SuperLU, with the reason; a perturbed matrix: the probe refuses it
+    prec = assemble_precision(classify(Ball([0.3, -0.2, 0.15], 0.7), 1 / 6))
+    assert green_columns(prec, [(2, -1, 1)]).max_residual <= 1e-8
+    assert (prec.route, prec.route_reason) == ("superlu", "R_h has no mirror symmetry to split the torus capacitance")
+    prec = assemble_precision(ball)
+    perturbed = PrecisionMatrix(domain=ball, matrix=(prec.matrix * (1.0 + 1e-6)).tocsr(), raw=prec.raw)
+    monkeypatch.setattr(TorusCapacitanceSolver, "factorize", lambda self: pytest.fail("refused matrix was factorized"))
+    assert green_columns(perturbed, pts).max_residual <= 1e-8
+    assert perturbed.route == "superlu" and "probe mismatch" in perturbed.route_reason
+
+
+def test_disk_class_factors_hold_at_most_a_third_of_the_whole_layer():
+    solver = TorusCapacitanceSolver(classify(Ball([0.0, 0.0], 1.0), 1 / 64))
+    assert len(solver.class_sizes) == 3
+    assert solver.fill <= solver.m**2 / 3

@@ -110,19 +110,35 @@ def test_recipes_record_the_solver_route(tmp_path, monkeypatch):
     assert man["threads"] == {
         "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": "2", "fft_workers": FFT_WORKERS
     }
-    # the factor fill read back: m^2 for the d=2 disk, SuperLU's stored entries for the d=3 ball
-    disk = classify(Ball([0.0, 0.0], 1.0), 1 / 8)
+    # the factor fill read back: the torus class factors' entries for the d=2
+    # disk and the d=3 ball, with their symmetric axes and class sizes
+    disk = TorusCapacitanceSolver(classify(Ball([0.0, 0.0], 1.0), 1 / 8))
     code, out = run_cli(["green", "--shape", "ball", "--d", "2", "--h", "1/8", "--columns", "0,0"], tmp_path, "r2")
     assert code == 0
     facts = json.loads((out / "manifest.json").read_text())["stage_facts"]["solve"]
-    assert facts == {"route": "torus-capacitance", "factor_fill": TorusCapacitanceSolver(disk).m ** 2}
-    assert facts["factor_fill"] > 0
-    ball = assemble_precision(classify(Ball([0.0] * 3, 1.0), 1 / 6))
+    assert facts == {
+        "route": "torus-capacitance", "factor_fill": disk.fill, "symmetric_axes": [0, 1], "class_sizes": disk.class_sizes
+    }
+    assert 0 < facts["factor_fill"] == sum(r * r for r in facts["class_sizes"]) < disk.m**2 / 3
+    ball = TorusCapacitanceSolver(classify(Ball([0.0] * 3, 1.0), 1 / 6))
     code, out = run_cli(["sample", "--shape", "ball", "--d", "3", "--h", "1/6", "--count", "1"], tmp_path, "r3")
     assert code == 0
     facts = json.loads((out / "manifest.json").read_text())["stage_facts"]["factorize"]
-    assert facts == {"route": "superlu", "factor_fill": factorize_spd(ball.matrix).nnz}
-    assert facts["factor_fill"] > ball.matrix.nnz
+    assert facts == {
+        "route": "torus-capacitance", "factor_fill": ball.fill, "symmetric_axes": [0, 1, 2], "class_sizes": ball.class_sizes
+    }
+    assert len(facts["class_sizes"]) == 4  # one factor per count of odd axes
+    # SuperLU's stored entries, and why, for the same ball above the budget
+    from membrane import green
+
+    monkeypatch.setattr(green, "DIRECT_FACTOR_BUDGET", 8 * ball.fill - 1)
+    code, out = run_cli(["sample", "--shape", "ball", "--d", "3", "--h", "1/6", "--count", "1"], tmp_path, "r4")
+    assert code == 0
+    facts = json.loads((out / "manifest.json").read_text())["stage_facts"]["factorize"]
+    lu = factorize_spd(assemble_precision(classify(Ball([0.0] * 3, 1.0), 1 / 6)).matrix)
+    reason = f"torus class factors of {8 * ball.fill} bytes above DIRECT_FACTOR_BUDGET"
+    assert facts == {"route": "superlu", "factor_fill": lu.nnz, "route_reason": reason}
+    assert facts["factor_fill"] > ball.n
 
 
 def test_recipes_record_the_d3_box_route_and_its_budget(tmp_path, monkeypatch):
