@@ -44,7 +44,7 @@ class RunManifest:
         import scipy
 
         from . import __version__
-        from .boxsolve import FFT_WORKERS
+        from .lattice import WORKERS
 
         self.versions = {
             "membrane": __version__,
@@ -53,7 +53,7 @@ class RunManifest:
             "python": platform.python_version(),
         }
         env = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-        self.threads = {v: os.environ.get(v) for v in env} | {"fft_workers": FFT_WORKERS}  # DSTs of boxsolve
+        self.threads = {v: os.environ.get(v) for v in env} | {"fft_workers": WORKERS}  # DSTs, FFTs and walks
         self._stage_start = time.perf_counter()
 
     def stage(self, name: str, **facts) -> None:

@@ -177,19 +177,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .lattice import Box, axis_classes, kappa, mu_symbol, neighborhood_offsets
-
-# Threads of the DSTs: the cores this process may use.  A batch of right-hand
-# sides splits across them, each line transformed alike, so the results do
-# not depend on the count.
-FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+from .lattice import WORKERS, Box, axis_classes, kappa, mu_symbol, neighborhood_offsets
 
 
 @dataclass
@@ -601,7 +595,7 @@ class DirectBoxSolver:
 
     def _dst(self, a: np.ndarray) -> np.ndarray:
         """Orthonormal DST-I over the last d axes (its own inverse)."""
-        return scipy.fft.dstn(a, type=1, norm="ortho", axes=tuple(range(-self.d, 0)), workers=FFT_WORKERS)
+        return scipy.fft.dstn(a, type=1, norm="ortho", axes=tuple(range(-self.d, 0)), workers=WORKERS)
 
     def _blocks(self, c: np.ndarray) -> np.ndarray:
         """Sector coefficients as the (k, n0, n1, n2) view the sector solve takes."""
@@ -747,10 +741,10 @@ class TorusCapacitanceSolver:
         return image
 
     def _fft(self, grid: np.ndarray) -> np.ndarray:
-        return scipy.fft.rfftn(grid, axes=self._axes, workers=FFT_WORKERS)
+        return scipy.fft.rfftn(grid, axes=self._axes, workers=WORKERS)
 
     def _ifft(self, coef: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfftn(coef, s=self.shape, axes=self._axes, workers=FFT_WORKERS)
+        return scipy.fft.irfftn(coef, s=self.shape, axes=self._axes, workers=WORKERS)
 
     def _embed(self, values: np.ndarray, where: np.ndarray) -> np.ndarray:
         """Torus grids (k,) + shape that hold values (k, len(where)) at flat

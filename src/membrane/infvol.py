@@ -26,8 +26,13 @@ truncated at m <= M; the tail past M is bounded in closed form by the
 return-probability envelope P[S_m = x] <= 2 i0e(2 floor(m/2) / d)^d (see
 `walk_tail_bound`), which needs nothing from the walks.  A walk carries a
 running key of its position in the target box and a count of its
-coordinates outside it, so a step costs the same whatever the box size
-(`walk_estimate`).
+coordinates outside it, so a step costs the same whatever the box size; a
+key in the box is looked up in a hash of the target keys, and a hit is kept
+as a (walk, target) pair, so memory follows the targets and the hits, never
+the box or walks x targets.  A batch draws its moves a few steps at a time
+from one stream per (seed, batch), and its walks are split into slices that
+the cores step in parallel; every tally is an integer, so the output is the
+same for any number of threads (`walk_estimate`).
 
 The rescaled test-function variance uses the same symbol:
 
@@ -45,13 +50,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from operator import methodcaller
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import i0e
 
-from .lattice import axis_classes, kappa, mu_symbol, unit_ball_volume
+from .lattice import WORKERS, axis_classes, kappa, mu_symbol, unit_ball_volume
 
 TWO_PI = 2.0 * np.pi
 RHO0 = np.pi  # outer edge of the folded Brillouin zone [0, pi]^d
@@ -381,6 +389,122 @@ def walk_tail_bound(M: int, d: int, parity: int) -> float:
     return head + A * (2.0 * n0 ** (2.0 - half) / (half - 2.0) + 2.0 * n0 ** (1.0 - half) / (half - 1.0))
 
 
+# steps drawn per rng call: a (CHUNK, nw) int64 array, two of them alive while
+# the next is drawn (at nw = 100,000 the walk's tracemalloc peak is 14 MB, and
+# 33 MB with 16)
+CHUNK = 4
+# odd multiplier of the target hash (2^64 / golden ratio), as a signed int64
+_HASH = 0x9E3779B97F4A7C15 - (1 << 64)
+
+
+class _TargetHash:
+    """Linear-probing hash of the target keys: 2^b slots, each key in slot
+    (key * _HASH mod 2^64) >> (64 - b) or, taken, in the next free one.
+    2^b >= 2 ntar, doubled at most three times while some key sits more than
+    3 slots past its own (structured keys can cluster), so the size follows
+    the targets, not the box they span."""
+
+    def __init__(self, tkey: np.ndarray):
+        self.ntar = len(tkey)
+        least = (2 * self.ntar - 1).bit_length()
+        for bits in range(least, least + 4):
+            self.shift, self.mask = 64 - bits, (1 << bits) - 1
+            keys = np.full(1 << bits, -1, dtype=np.int64)  # keys are >= 0
+            target = np.zeros(1 << bits, dtype=np.intp)
+            probes = 0  # the longest probe of any key
+            for t, slot in enumerate(self.slots(tkey)):
+                p = 0
+                while keys[(slot + p) & self.mask] >= 0:
+                    p += 1
+                keys[(slot + p) & self.mask], target[(slot + p) & self.mask] = tkey[t], t
+                probes = max(probes, p)
+            if probes <= 3:
+                break
+        # each slot's probe window, so that one gather reads every slot a key can be in
+        ring = (np.arange(1 << bits)[:, None] + np.arange(probes + 1)) & self.mask
+        self.window, self.target = keys[ring], target[ring]
+
+    def slots(self, key: np.ndarray) -> np.ndarray:
+        return ((key * _HASH) >> self.shift) & self.mask  # int64 products wrap mod 2^64
+
+    def find(self, key: np.ndarray):
+        """(i, t) with key[i] the key of target t, for every key that is one."""
+        slot = self.slots(key)
+        i, p = np.nonzero(self.window.take(slot, axis=0) == key[:, None])
+        return i, self.target[slot.take(i), p]
+
+
+class _Walks:
+    """Walks lo..hi-1 of one batch: positions, running keys, out-of-box counts
+    and the hit list, (walk - lo, target) with the value m + 1 of its step."""
+
+    def __init__(self, lo: int, hi: int, start: np.ndarray, start_key: int, span: int, table: _TargetHash):
+        n, d = hi - lo, len(start)
+        self.lo, self.hi, self.span, self.table = lo, hi, span, table
+        # move k steps axis k >> 1 by step_of[k] and the running key by key_of[k]
+        self.step_of = np.tile(np.array([-1, 1], dtype=np.int16), d)
+        self.key_of = self.step_of * np.repeat((2 * span + 1) ** np.arange(d - 1, -1, -1), 2)
+        self.flat = np.tile(start, n)
+        self.rows = np.arange(0, n * d, d)
+        self.key = np.full(n, start_key, dtype=np.int64)
+        self.out = np.zeros(n, dtype=np.int8)  # coordinates with |x_i| > span; the start is inside
+        self.walks, self.targets, self.values = [], [], []
+        self.record(0)
+
+    def record(self, m: int) -> None:
+        idx = np.flatnonzero(self.out == 0)
+        i, t = self.table.find(self.key.take(idx))
+        # a walk is at one point, so no (walk, target) pair repeats within a step
+        self.walks.append(idx.take(i))
+        self.targets.append(t)
+        self.values.append(m + 1)
+
+    def walk(self, moves: np.ndarray, m0: int) -> None:
+        """Steps m0, m0 + 1, ... by this slice's columns of the chunk `moves`."""
+        for r, move in enumerate(moves[:, self.lo : self.hi]):  # a row slice is contiguous
+            cell = self.rows + (move >> 1)
+            step = self.step_of.take(move)
+            old = self.flat.take(cell)
+            self.flat[cell] = old + step
+            edge = old * step  # span: the step leaves [-span, span]; -span - 1: it re-enters
+            self.out += edge == self.span
+            self.out -= edge == -self.span - 1
+            self.key += self.key_of.take(move)
+            self.record(m0 + r)
+
+    def tallies(self):
+        """Per-target sums of the walks' tallies and of their squares, exact
+        (integers below 2^53) from the hit list."""
+        ntar = self.table.ntar
+        codes = np.concatenate(self.walks) * ntar + np.concatenate(self.targets)
+        pairs, inverse = np.unique(codes, return_inverse=True)
+        tally = np.bincount(inverse, np.repeat(self.values, [len(w) for w in self.walks]))
+        target = pairs % ntar
+        return np.bincount(target, tally, ntar), np.bincount(target, tally * tally, ntar)
+
+
+def _share(pool: ThreadPoolExecutor, work: Callable, items: list, first: Optional[Callable] = None):
+    """work(item) for every item, on this thread and WORKERS - 1 threads of
+    the pool, each taking the next item when it is free.  first(), if given,
+    runs on this thread before it joins in, and its value is returned.  The
+    pool's jobs are done when this returns, and an exception in one is
+    raised here."""
+    queue = iter(items)  # a list iterator hands each item to one thread
+
+    def drain():
+        for item in queue:
+            work(item)
+
+    jobs = [pool.submit(drain) for _ in range(WORKERS - 1)]
+    try:
+        value = first() if first else None
+        drain()
+    finally:
+        for job in jobs:
+            job.result()
+    return value
+
+
 def walk_estimate(
     oracle: WalkOracle,
     targets: Sequence[Sequence[int]],
@@ -401,8 +525,23 @@ def walk_estimate(
     start), moved by a table entry per move, and the count of its
     coordinates with |x_i| > span, moved when a step crosses +-span.  A walk
     is in the target box exactly when that count is 0; the keys of those
-    walks are looked up among the sorted target keys.  The random stream is
-    one rng.integers(0, 2d) draw per step and batch, from (seed, batch).
+    walks are looked up in a linear-probing hash of the target keys
+    (`_TargetHash`), whose size follows the number of targets.  A hit is
+    kept as its (walk, target) pair and value m + 1, and a batch reduces
+    these to per-walk tallies by `np.unique` and `np.bincount`, so no
+    (walks x targets) array is held.
+
+    The random stream is one rng.integers(0, 2d) draw per step and batch,
+    from (seed, batch); a batch draws CHUNK steps at a time as one
+    (CHUNK, nw) array, which gives the same values.  The batch's walks are
+    cut into 2 WORKERS contiguous slices (`lattice.WORKERS`, the cores this
+    process may use).  WORKERS - 1 pool threads step slices through a chunk
+    while this thread draws the next chunk and then steps the slices left
+    (`_share`), so the thread that draws takes fewer.  The tallies, their
+    squares and their sums are integers below 2^53, so every sum is exact in
+    any order, and the output does not depend on the number of threads.
+    The pool ends with the call, and an exception on one of its threads is
+    raised here.
     """
     d = oracle.d
     M = oracle.max_steps
@@ -417,49 +556,37 @@ def walk_estimate(
     tkey = _encode(targets, span, d)
     if len(np.unique(tkey)) < ntar:
         raise ValueError("a walk target is listed twice")
-    order = np.argsort(tkey)
-    tkey_sorted = tkey[order]
-    start_key = _encode(start_vec[None, :].astype(np.int64), span, d)[0]
-    home = order[tkey_sorted == start_key][:1]
-    # move k steps axis k >> 1 by step_of[k] and the running key by key_of[k]
-    step_of = np.tile(np.array([-1, 1], dtype=np.int16), d)
-    key_of = step_of * np.repeat((2 * span + 1) ** np.arange(d - 1, -1, -1), 2)
+    table = _TargetHash(tkey)
+    start_key = int(_encode(start_vec[None, :].astype(np.int64), span, d)[0])
 
     sums = np.zeros(ntar)
     sqs = np.zeros(ntar)
     done = 0
     batch_index = 0
-    while done < oracle.n_walks:
-        nw = min(oracle.batch, oracle.n_walks - done)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=oracle.seed, spawn_key=(batch_index,))
-        )
-        flat = np.tile(start_vec, nw)
-        rows = np.arange(0, nw * d, d)
-        key = np.full(nw, start_key, dtype=np.int64)
-        out = np.zeros(nw, dtype=np.int8)  # coordinates with |x_i| > span; the start is inside
-        tally = np.zeros((nw, ntar), dtype=np.float64)
-        tally[:, home] += 1.0  # m = 0, when the start is a target
-        for m in range(1, M + 1):
-            move = rng.integers(0, 2 * d, size=nw)
-            step = step_of.take(move)
-            cell = rows + (move >> 1)
-            old = flat.take(cell)
-            flat[cell] = old + step
-            edge = old * step  # span: the step leaves [-span, span]; -span - 1: it re-enters
-            out += edge == span
-            out -= edge == -span - 1
-            key += key_of.take(move)
-            idx = np.flatnonzero(out == 0)
-            here = key[idx]
-            j = np.searchsorted(tkey_sorted, here).clip(0, ntar - 1)
-            hit = tkey_sorted[j] == here
-            # a walk is at one point, so no (walk, target) pair repeats
-            tally[idx[hit], order[j[hit]]] += m + 1
-        sums += tally.sum(axis=0)
-        sqs += np.einsum("ij,ij->j", tally, tally)  # integers, so exact in any order
-        done += nw
-        batch_index += 1
+    with ThreadPoolExecutor(max(WORKERS - 1, 1)) as pool:  # this thread steps slices too
+        while done < oracle.n_walks:
+            nw = min(oracle.batch, oracle.n_walks - done)
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=oracle.seed, spawn_key=(batch_index,))
+            )
+
+            def draw(m):  # the moves of steps m, m + 1, ..., at most CHUNK and none past M
+                return rng.integers(0, 2 * d, size=(min(CHUNK, M + 1 - m), nw))
+
+            edges = [nw * k // (2 * WORKERS) for k in range(2 * WORKERS + 1)]
+            slices = [_Walks(lo, hi, start_vec, start_key, span, table) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+            m, moves = 1, draw(1)
+            while len(moves):
+                ahead = m + len(moves)
+                moves = _share(pool, methodcaller("walk", moves, m), slices, first=partial(draw, ahead))
+                m = ahead
+            parts = []
+            _share(pool, lambda w: parts.append(w.tallies()), slices)
+            for part_sums, part_sqs in parts:
+                sums += part_sums
+                sqs += part_sqs
+            done += nw
+            batch_index += 1
 
     mean = sums / done
     var = np.maximum(sqs / done - mean**2, 0.0)

@@ -34,7 +34,8 @@ box part B^2.  It is also the one place where a stencil meets the lattice:
 `apply_stencil_array` applies it to a grid array and `assemble` builds its
 sparse matrix on R_h with zero extension, whose infinity norm `inf_norm`
 reads off its CSR arrays.  `axis_classes` enumerates the
-axis permutations that the symmetry reductions of `boxsolve` and `infvol` share.
+axis permutations that the symmetry reductions of `boxsolve` and `infvol` share,
+and `WORKERS` is the thread count that both use.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple
@@ -57,6 +59,11 @@ CLASS_BH = 0       # boundary band (field is pinned to zero here)
 CLASS_BHSTAR = 1   # inner band: in R_h but not deep interior
 CLASS_RHSTAR = 2   # deep interior
 CLASS_NAMES = {CLASS_BH: "B_h", CLASS_BHSTAR: "B_h*", CLASS_RHSTAR: "R_h*"}
+
+# Threads of the box DSTs, the torus FFTs and the walk oracle: the cores this
+# process may use.  Each splits its work so that the results do not depend on
+# the count.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def kappa(d: int) -> float:

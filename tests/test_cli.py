@@ -32,6 +32,20 @@ def test_manifest_lists_every_file(tmp_path):
     assert all(len(v) == 64 for v in man["files"].values())
 
 
+def test_a_manifest_leaves_the_box_solvers_and_scipy_fft_unloaded(tmp_path):
+    # the thread count it records comes from lattice, so `infvol` and
+    # `b2star` runs load no box solver just to write their manifest
+    mods = ["membrane.boxsolve", "scipy.fft"]
+    code = (
+        "import sys, membrane.cli, membrane.infvol\n"
+        "from membrane.artifacts import RunManifest\n"
+        f"assert RunManifest(outdir={str(tmp_path)!r}, config={{}}).threads['fft_workers'] >= 1\n"
+        f"print([m for m in {mods!r} if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_manifest_lists_only_files_the_recipe_wrote(tmp_path):
     out = tmp_path / "shared"
     assert main(["--out", str(out), "sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "2"]) == 0
@@ -96,9 +110,9 @@ def test_green_symmetry_check_reads_the_asymmetry_as_solved(tmp_path, monkeypatc
 
 
 def test_recipes_record_the_solver_route(tmp_path, monkeypatch):
-    from membrane.boxsolve import FFT_WORKERS, TorusCapacitanceSolver
+    from membrane.boxsolve import TorusCapacitanceSolver
     from membrane.green import assemble_precision, factorize_spd
-    from membrane.lattice import Ball, classify
+    from membrane.lattice import WORKERS, Ball, classify
 
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -108,7 +122,7 @@ def test_recipes_record_the_solver_route(tmp_path, monkeypatch):
     man = json.loads((out / "manifest.json").read_text())
     assert man["stage_facts"]["factorize"] == {"route": "box-direct", "factor_fill": 2 * 7**2 + 6**2}  # M = 6: sector factors of M+1, M+1 and M rows
     assert man["threads"] == {
-        "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": "2", "fft_workers": FFT_WORKERS
+        "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": "2", "fft_workers": WORKERS
     }
     # the factor fill read back: the torus class factors' entries for the d=2
     # disk and the d=3 ball, with their symmetric axes and class sizes

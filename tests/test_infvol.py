@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -289,6 +290,133 @@ def test_walk_memory_does_not_grow_with_the_target_box():
         tracemalloc.stop()
     assert peak < 20e6
     assert est.estimates[0] == 0.0  # no walk takes 15 of its 20 steps along +e_1
+
+
+def per_walk_reference(oracle, targets, start):
+    """Mean and SE of the tallies, one walk at a time on the same (seed, batch) streams."""
+    index = {tuple(x): i for i, x in enumerate(targets)}
+    d, M = oracle.d, oracle.max_steps
+    tallies = []
+    done = batch = 0
+    while done < oracle.n_walks:
+        nw = min(oracle.batch, oracle.n_walks - done)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=oracle.seed, spawn_key=(batch,)))
+        moves = [rng.integers(0, 2 * d, size=nw) for _ in range(M)]
+        for w in range(nw):
+            pos = list(start)
+            tally = [0.0] * len(targets)
+            for m in range(M + 1):
+                if m:
+                    pos[moves[m - 1][w] >> 1] += 1 if moves[m - 1][w] & 1 else -1
+                if tuple(pos) in index:
+                    tally[index[tuple(pos)]] += m + 1
+            tallies.append(tally)
+        done += nw
+        batch += 1
+    tallies = np.array(tallies)
+    mean = tallies.sum(axis=0) / done
+    return mean, np.sqrt(np.maximum(np.sum(tallies * tallies, axis=0) / done - mean**2, 0.0) / done)
+
+
+@pytest.mark.parametrize(
+    "n_walks, batch, M",
+    [
+        (301, 97, 23),  # walks a multiple of neither the batch nor 2 or 3 workers; M = 5 CHUNK + 3
+        (7, 5, 9),  # a last batch of 2 walks, fewer than 3 workers
+        (11, 4, 0),  # M = 0: only the start is tallied
+    ],
+)
+def test_walk_output_does_not_depend_on_the_worker_count(monkeypatch, n_walks, batch, M):
+    from membrane import infvol
+
+    start = (1, 0, -1, 0, 0)
+    targets = [(1, 0, -1, 0, 0), (2, 0, -1, 0, 0), (0, 0, 0, 0, 0), (1, 1, -1, 0, 0), (0, 0, -1, 0, 0)]
+    oracle = WalkOracle(d=5, n_walks=n_walks, max_steps=M, seed=21, batch=batch)
+    mean, se = per_walk_reference(oracle, targets, start)
+    assert np.count_nonzero(mean) >= (2 if M else 1)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, so a slice stepped twice or not at all would show
+    try:
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(infvol, "WORKERS", workers)
+            est = walk_estimate(oracle, targets, start=start)
+            assert np.array_equal(est.estimates, mean)
+            assert np.array_equal(est.standard_errors, se)
+            assert threading.active_count() == threads  # the pool ends with the call
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_walk_finds_every_point_of_the_span_2_box():
+    # from a start at span 3 the 3,125 keys are base-7 numbers, and in 8,192
+    # slots some sit past their first slot, so lookups must probe
+    from membrane.infvol import _encode, _TargetHash
+
+    targets = list(itertools.product(range(-2, 3), repeat=5))
+    start = (3, 0, 0, 0, 0)
+    assert _TargetHash(_encode(np.array(targets), 3, 5)).window.shape[1] > 1
+    oracle = WalkOracle(d=5, n_walks=100, max_steps=14, seed=4, batch=64)
+    mean, se = per_walk_reference(oracle, targets, start)
+    est = walk_estimate(oracle, targets, start=start)
+    assert np.count_nonzero(mean) > 150
+    assert np.array_equal(est.estimates, mean)
+    assert np.array_equal(est.standard_errors, se)
+
+
+def test_target_hash_finds_every_key_and_no_other():
+    # the span-2 box keyed at span 14 clusters in 8,192 slots (a key 117
+    # slots past its own), so the table grows until no key sits more than 3 past
+    from membrane.infvol import _encode, _TargetHash
+
+    rng = np.random.default_rng(5)
+    box = np.array(list(itertools.product(range(-2, 3), repeat=5)))
+    for points, span in [(box, 2), (box, 3), (box, 14), (box[rng.choice(len(box), 40, replace=False)], 3)]:
+        keys = _encode(points, span, 5)
+        table = _TargetHash(keys)
+        assert table.window.shape[1] <= 4 and len(table.window) < 32 * len(keys)
+        i, t = table.find(keys)
+        assert np.array_equal(i, np.arange(len(keys))) and np.array_equal(t, np.arange(len(keys)))
+        others = np.setdiff1d(rng.integers(0, (2 * span + 1) ** 5, 20_000), keys)
+        assert len(table.find(others)[0]) == 0
+
+
+def test_walk_raises_an_exception_from_a_pool_thread(monkeypatch):
+    from membrane import infvol
+
+    monkeypatch.setattr(infvol, "WORKERS", 2)
+    caller = threading.get_ident()
+    failed = threading.Event()
+    walk = infvol._Walks.walk
+
+    def fail_off_the_caller(self, moves, m0):
+        if threading.get_ident() == caller:
+            assert failed.wait(10)  # a pool thread fails first
+            return walk(self, moves, m0)
+        failed.set()
+        raise RuntimeError("a pool thread failed")
+
+    monkeypatch.setattr(infvol._Walks, "walk", fail_off_the_caller)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="a pool thread failed"):
+        walk_estimate(WalkOracle(d=5, n_walks=400, max_steps=8, seed=2), [(0,) * 5])
+    assert threading.active_count() == threads
+
+
+def test_walk_memory_does_not_grow_with_walks_times_targets():
+    # 375 targets and one batch of 20,000 walks: a dense (walks x targets)
+    # float64 tally would take 60 MB
+    targets = [(0, a) + rest for a in (-1, 0, 1) for rest in itertools.product(range(-2, 3), repeat=3)]
+    oracle = WalkOracle(d=5, n_walks=20_000, max_steps=30, seed=9, batch=20_000)
+    dense = oracle.n_walks * len(targets) * 8
+    tracemalloc.start()
+    try:
+        est = walk_estimate(oracle, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 5 * peak < dense
+    assert np.count_nonzero(est.estimates) == len(targets)
 
 
 def exact_walk_probabilities(x, M):
