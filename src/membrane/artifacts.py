@@ -53,7 +53,7 @@ class RunManifest:
             "python": platform.python_version(),
         }
         env = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-        self.threads = {v: os.environ.get(v) for v in env} | {"fft_workers": WORKERS}  # DSTs, FFTs and walks
+        self.threads = {v: os.environ.get(v) for v in env} | {"fft_workers": WORKERS}  # torus FFTs and walks
         self._stage_start = time.perf_counter()
 
     def stage(self, name: str, **facts) -> None:

@@ -94,25 +94,41 @@ class: 3 in d = 2 and 4 in d = 3, not 4 and 8.  The factors hold
 sum n0^2 entries in d = 2 (about 3 M^2) and sum n2 n0^2 + (n0 n1)^2 in
 d = 3 (about 4 (M+1)^4; 0.41 M entries at M = 17, 3.6 M at M = 30), built
 in O(M^6) work by one symmetric product (`dsyrk`) and one Cholesky per
-class.  A solve is two orthonormal DST-Is (`scipy.fft`) of the whole box;
-between them each sector is solved on a strided view of the coefficients
-(odd frequencies sit at even indices), transposed into its
-representative's axis order.  That transpose is the inverse of the
-sector's `axes`: in d = 3 a class holds sectors whose axes are a 3-cycle of
-the representative's (sector (0,1,1) of class (1,1,0) has axes (2,0,1)),
-and a 3-cycle is not its own inverse.
-`DirectBoxSolver.sector_solve` is the solve on one sector's coefficients;
-the box spectra of `spectral.eigendecompose` on a box that `green` solves
-directly run their shift-invert eigensolves on it.
+class.  A solve maps the whole box to sine coefficients and back with the
+orthonormal sine matrices of its `CenteredBoxSolver` (`coefficients` and
+`field`: one dense product per axis, as in box PCG), `CHUNK` right-hand
+sides at a time; in between each sector is solved on a strided view of the
+coefficients (odd frequencies sit at even indices), transposed into its
+representative's axis order.  That transpose is the inverse of the sector's
+`axes`: in d = 3 a class holds sectors whose axes are a 3-cycle of the
+representative's (sector (0,1,1) of class (1,1,0) has axes (2,0,1)), and a
+3-cycle is not its own inverse.  `DirectBoxSolver.sector_solve` is the
+solve on one sector's coefficients; the box spectra of
+`spectral.eigendecompose` on a box that `green` solves directly run their
+shift-invert eigensolves on it.
 
-A sector solve touches one BLAS library.  numpy and scipy each link their
-own OpenBLAS, with a thread pool each, and with 2 threads a switch between
-the two pools costs a few milliseconds.  On a 2-core machine, four
-alternations of a scipy `cho_solve` (648 x 648 factor, 8 columns) with a
-numpy product of the same shape took 32 ms with 2 threads against 5.1 ms
-with 1, and 9.5 ms with scipy's `dgemm` in place of the numpy product.  So
-the contractions are `einsum` (no BLAS), and the factorizations, factor
-solves and the build's one matrix product are scipy's.
+A product by an L x L sine matrix costs 2L flops a point and axis, and an
+FFT of the period 2M + 2 is slow when that period has a large prime factor,
+as at the sizes used here (190 = 2 * 5 * 19 at M = 94, 94 = 2 * 47 at
+M = 46).  On 2 cores, 200 right-hand sides at M = 46 took 46-58 ms by the
+products against 92-143 ms by `scipy.fft.dstn`, and 49 at M = 94 took 63-93
+against 90-105 ms (medians of 9 solves in each of three processes); the
+two agree to about 3e-15 relative.
+
+numpy and scipy each link their own OpenBLAS, with a thread pool each, and
+with 2 threads a switch between the two pools costs milliseconds: on a
+2-core machine, four alternations of a scipy `cho_solve` (648 x 648 factor,
+8 columns) with a numpy product of the same shape took 32 ms with 2 threads
+against 5.1 ms with 1.  The contractions are `einsum` (no BLAS), so a d = 2
+solve uses numpy's BLAS only, for the transforms.  A d = 3 solve also runs
+scipy's `dpotrs` on S, and so switches twice per chunk.  Storing S^-1 (one
+`dpotri` per class) and applying it by a numpy product took 8 right-hand
+sides at M = 17 from 40-103 to 33-40 ms and at M = 30 from 139-198 to
+132-154 ms (medians of 9 solves in each of three processes, 2 cores, with a
+neighbour's load), but made the builds slower, and the d3d4-box benchmark
+could not tell the two apart (0.283 s with `dpotrs` against 0.291 s,
+medians of 10 pairs), so the solve keeps `dpotrs`.  The factorizations and
+the build's one matrix product are scipy's.
 
 Any other R_h (a disk, a ball, an off-centre box) is solved directly by
 `TorusCapacitanceSolver`, the capacitance-matrix method of Buzbee, Dorr,
@@ -180,7 +196,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from .lattice import WORKERS, Box, axis_classes, kappa, mu_symbol, neighborhood_offsets
@@ -493,8 +508,7 @@ class _SectorSolve:
 
     Coefficients are (k, n0, n1, n2) arrays in the representative's axis
     order; in d = 2, n2 = 1 and there is no axis-2 term.  Every contraction
-    is an `einsum` and every factor solve a scipy LAPACK call, so a solve
-    touches one BLAS library.
+    is an `einsum` (no BLAS), and every factor solve a scipy LAPACK call.
     """
 
     def __init__(self, inv_lam: np.ndarray, w: list):
@@ -554,7 +568,7 @@ class _SectorSolve:
             t -= np.einsum("pqr,kpr->kpq", self.iw12, z1)
             t += np.einsum("pqr,kqr->kpq", aw2, np.einsum("pqr,kpr->kqr", aw1, z1) / d0)
             k, n0, n1 = t.shape
-            z2 = scipy.linalg.lapack.dpotrs(self.schur, t.reshape(k, -1).T)[0].T.reshape(k, n0, n1)
+            z2 = scipy.linalg.lapack.dpotrs(self.schur, t.reshape(k, n0 * n1).T)[0].T.reshape(k, n0, n1)
             s2 = np.einsum("pqr,kpq->kqr", aw2, z2) / d0
             xz = np.einsum("pqr,kpq->kpr", self.iw12, z2) - np.einsum("pqr,kqr->kpr", aw1, s2)
             z1 -= np.einsum("rps,ksr->kpr", self.b_inv, xz)
@@ -566,6 +580,11 @@ class _SectorSolve:
         if self.d == 3:
             corr += self.iw2 * z2[..., None]
         return np.subtract(y, corr, out=out)
+
+
+# right-hand sides that `DirectBoxSolver.solve` takes through the sine
+# transforms and sector solves at once
+CHUNK = 8
 
 
 class DirectBoxSolver:
@@ -593,10 +612,6 @@ class DirectBoxSolver:
                 self._sectors[rep] = _SectorSolve(inv_lam, w)
         self.fill = sum(s.fill for s in self._sectors.values())  # entries of the factors
 
-    def _dst(self, a: np.ndarray) -> np.ndarray:
-        """Orthonormal DST-I over the last d axes (its own inverse)."""
-        return scipy.fft.dstn(a, type=1, norm="ortho", axes=tuple(range(-self.d, 0)), workers=WORKERS)
-
     def _blocks(self, c: np.ndarray) -> np.ndarray:
         """Sector coefficients as the (k, n0, n1, n2) view the sector solve takes."""
         c = c if c.ndim > self.d else c[None]
@@ -608,17 +623,25 @@ class DirectBoxSolver:
         return x.reshape(c.shape) if out is None else out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with A x = b for flat right-hand sides (n,) or (n, k), x of b's shape."""
+        """x with A x = b for flat right-hand sides (n,) or (n, k), x of b's shape.
+
+        CHUNK right-hand sides at a time are mapped to sine coefficients by
+        `box`, solved sector by sector in place, and mapped back into one
+        preallocated output, so temporaries follow the chunk, not the batch."""
         b = np.asarray(b, dtype=float)
         single = b.ndim == 1
-        k = 1 if single else b.shape[1]
-        y = self._dst((b[None, :] if single else b.T).reshape((k,) + (self.L,) * self.d))
-        for rep, sectors in self._classes:
-            for parity, axes in sectors:
-                if rep in self._sectors:
-                    view = sector_view(y, parity, axes)
-                    self.sector_solve(rep, view, out=view)
-        out = self._dst(y).reshape(k, -1).T
+        B = b[None, :] if single else b.T
+        k = len(B)
+        out = np.empty((k, self.n))
+        for j in range(0, k, CHUNK):
+            y = self.box.coefficients(B[j:j + CHUNK].reshape((-1,) + (self.L,) * self.d))
+            for rep, sectors in self._classes:
+                for parity, axes in sectors:
+                    if rep in self._sectors:
+                        view = sector_view(y, parity, axes)
+                        self.sector_solve(rep, view, out=view)
+            out[j:j + CHUNK] = self.box.field(y).reshape(len(y), self.n)
+        out = out.T
         return out[:, 0] if single else out
 
 
@@ -658,6 +681,8 @@ class TorusCapacitanceSolver:
     """
 
     def __init__(self, domain, axes: tuple = None):
+        import scipy.fft  # only this route transforms by FFT: a centred box never loads it
+
         d = domain.d
         pts = domain.rh_points
         self.n = len(pts)

@@ -410,7 +410,7 @@ class _TargetHash:
         for bits in range(least, least + 4):
             self.shift, self.mask = 64 - bits, (1 << bits) - 1
             keys = np.full(1 << bits, -1, dtype=np.int64)  # keys are >= 0
-            target = np.zeros(1 << bits, dtype=np.intp)
+            target = np.zeros(1 << bits, dtype=np.int32)
             probes = 0  # the longest probe of any key
             for t, slot in enumerate(self.slots(tkey)):
                 p = 0
@@ -436,7 +436,8 @@ class _TargetHash:
 
 class _Walks:
     """Walks lo..hi-1 of one batch: positions, running keys, out-of-box counts
-    and the hit list, (walk - lo, target) with the value m + 1 of its step."""
+    and the hit list, (walk - lo, target) as int32 with the value m + 1 of
+    its step."""
 
     def __init__(self, lo: int, hi: int, start: np.ndarray, start_key: int, span: int, table: _TargetHash):
         n, d = hi - lo, len(start)
@@ -455,7 +456,7 @@ class _Walks:
         idx = np.flatnonzero(self.out == 0)
         i, t = self.table.find(self.key.take(idx))
         # a walk is at one point, so no (walk, target) pair repeats within a step
-        self.walks.append(idx.take(i))
+        self.walks.append(idx.take(i).astype(np.int32))
         self.targets.append(t)
         self.values.append(m + 1)
 
@@ -476,7 +477,7 @@ class _Walks:
         """Per-target sums of the walks' tallies and of their squares, exact
         (integers below 2^53) from the hit list."""
         ntar = self.table.ntar
-        codes = np.concatenate(self.walks) * ntar + np.concatenate(self.targets)
+        codes = np.concatenate(self.walks).astype(np.int64) * ntar + np.concatenate(self.targets)
         pairs, inverse = np.unique(codes, return_inverse=True)
         tally = np.bincount(inverse, np.repeat(self.values, [len(w) for w in self.walks]))
         target = pairs % ntar

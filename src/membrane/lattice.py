@@ -60,9 +60,8 @@ CLASS_BHSTAR = 1   # inner band: in R_h but not deep interior
 CLASS_RHSTAR = 2   # deep interior
 CLASS_NAMES = {CLASS_BH: "B_h", CLASS_BHSTAR: "B_h*", CLASS_RHSTAR: "R_h*"}
 
-# Threads of the box DSTs, the torus FFTs and the walk oracle: the cores this
-# process may use.  Each splits its work so that the results do not depend on
-# the count.
+# Threads of the torus FFTs and the walk oracle: the cores this process may
+# use.  Each splits its work so that the results do not depend on the count.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 

@@ -322,6 +322,39 @@ def test_direct_unit_columns_match_box_pcg_and_single_solves():
         assert np.abs(x - X[:, j]).max() <= 1e-13 * np.abs(x).max()
 
 
+@pytest.mark.parametrize("d,M", [(2, 46), (2, 94), (3, 10), (2, 0), (2, 1), (3, 0), (3, 1)])
+def test_direct_solve_matches_spsolve_at_awkward_periods(d, M):
+    # sine periods 2M + 2 with large prime factors: 94 = 2 * 47 and
+    # 190 = 2 * 5 * 19 in d = 2, 22 = 2 * 11 in d = 3; and the smallest boxes.
+    # A's condition number grows like (M + 2)^4, and so does the distance
+    # between two backward stable solutions (3.2e-10 relative at M = 94).
+    # d = 3 at M = 17, where spsolve takes about a minute, is checked against
+    # the assembled matrix by the N = 19 case of the backward-stability test
+    A = assemble_precision(classify(unit_box(d), 1.0 / (M + 2))).matrix
+    B = np.random.default_rng(M).standard_normal((A.shape[0], 3))
+    ref = spla.spsolve(A.tocsc(), B)
+    X = DirectBoxSolver(M, d).solve(B)
+    assert X.shape == B.shape
+    assert max(backward_error(A, X[:, j], B[:, j]) for j in range(B.shape[1])) <= 1e-14
+    assert np.abs(X - ref).max() <= 1e-16 * (M + 2) ** 4 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d,M", [(2, 9), (3, 4)])
+def test_direct_solve_takes_any_number_of_right_hand_sides(d, M):
+    # batches around the transform chunk: a chunk dropped, repeated or
+    # misplaced changes some column, which is checked against itself solved alone
+    A = assemble_precision(classify(unit_box(d), 1.0 / (M + 2))).matrix
+    direct = DirectBoxSolver(M, d)
+    B = np.random.default_rng(d).standard_normal((direct.n, 49))
+    alone = np.stack([direct.solve(b) for b in B.T], axis=1)
+    ref = spla.spsolve(A.tocsc(), B)
+    assert np.abs(alone - ref).max() <= 1e-12 * np.abs(ref).max()
+    for k in (0, 1, boxsolve.CHUNK - 1, boxsolve.CHUNK, boxsolve.CHUNK + 1, 49):
+        X = direct.solve(B[:, :k])
+        assert X.shape == (direct.n, k)
+        assert np.all(np.abs(X - alone[:, :k]).max(axis=0) <= 1e-14 * np.abs(alone[:, :k]).max(axis=0))
+
+
 @given(M=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
 @example(M=0, seed=1)  # the sectors with an even frequency are empty
 @example(M=1, seed=2)

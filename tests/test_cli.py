@@ -46,6 +46,25 @@ def test_a_manifest_leaves_the_box_solvers_and_scipy_fft_unloaded(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "shape,d,route,fft",
+    [("box", 2, "box-direct", False), ("box", 3, "box-direct", False), ("ball", 2, "torus-capacitance", True)],
+)
+def test_sample_loads_scipy_fft_only_on_the_torus_route(tmp_path, shape, d, route, fft):
+    # a centred box maps to sine coefficients by dense products; only the
+    # torus route of other domains transforms by FFT
+    code = (
+        "import sys\n"
+        "from membrane.cli import main\n"
+        f"code = main(['--out', {str(tmp_path)!r}, 'sample', '--shape', {shape!r}, '--d', '{d}', '--h', '1/8', '--count', '2'])\n"
+        "print(code, 'scipy.fft' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", str(fft)]
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["passed"] and man["stage_facts"]["factorize"]["route"] == route
+
+
 def test_manifest_lists_only_files_the_recipe_wrote(tmp_path):
     out = tmp_path / "shared"
     assert main(["--out", str(out), "sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "2"]) == 0

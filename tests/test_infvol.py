@@ -419,6 +419,22 @@ def test_walk_memory_does_not_grow_with_walks_times_targets():
     assert np.count_nonzero(est.estimates) == len(targets)
 
 
+def test_walk_hits_of_a_dense_target_box_are_kept_as_int32():
+    # every point of the span-2 box is a target, so about 3.7 million steps
+    # of 200,000 walks land on one: the peak was 167 MB with int64 hit
+    # indices and is 137 MB with int32 ones, most of it the batch's reduction
+    targets = list(itertools.product(range(-2, 3), repeat=5))
+    oracle = WalkOracle(d=5, n_walks=200_000, max_steps=50, seed=3, batch=200_000)
+    tracemalloc.start()
+    try:
+        est = walk_estimate(oracle, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6
+    assert np.count_nonzero(est.estimates) == len(targets)
+
+
 def exact_walk_probabilities(x, M):
     """P[S_m = x] for m = 0..M of the simple random walk on Z^d, d = len(x).
 
