@@ -4,8 +4,9 @@ Submodules:
     lattice   domain discretization, classification, difference stencils
     green     precision matrix, covariance solves, bound reports
     boxsolve  centred boxes: sine-coefficient PCG, its permutation wedge, the
-              direct per-sector solve; the torus capacitance solve by parity
-              sector of other d=2 domains and of mirror-symmetric d>=3 ones
+              direct per-sector solve
+    torus     the torus capacitance solve by parity sector of other d<=2
+              domains and of mirror-symmetric d>=3 ones
     sampler   exact Gaussian sampling, simplex interpolation, maxima
     spectral  eigenpairs, dual Sobolev norms, random series, pairings
     thomee    finite-difference biharmonic Dirichlet solver and its error bound

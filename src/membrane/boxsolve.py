@@ -1,4 +1,4 @@
-"""Fast solvers for the field precision operator: centred boxes, and other domains on a torus.
+"""Solvers for the field precision operator on centred boxes, in sine coefficients.
 
 On a box Lambda = [-M, M]^d of lattice points with zero field outside, the
 precision matrix (the quadratic form of the interface energy) splits exactly
@@ -81,8 +81,7 @@ follow, each exact:
 - Axis 1.  K's axis-1 block is block diagonal in r: B_r = I + sum_q
   w1_q^2 E_qr, n2 blocks of n0 x n0 (one block in d = 2, where K = B and
   nothing is left).  They are small and well conditioned (eigenvalues
-  from 1 to about M/4: 25 at M = 94 in d = 2, 10 at M = 46 in d = 3), and
-  are stored inverted.
+  from 1 to about M/4), and are stored inverted.
 - Axis 2 (d = 3).  The Schur complement S = C - X^T B^{-1} X on the n0 n1
   axis-2 terms is dense, with C_q = I + sum_r w2_r^2 E_qr and cross block
   X[(p, r), (s, q)] = w1_q w2_r E_qr[p, s]; it is Cholesky-factored.
@@ -90,103 +89,35 @@ follow, each exact:
 Every block of K is a closed-form contraction of (w_a, 1/Lambda_s, d0), and
 so is each product with V or P^{-1} in a solve: O(n) work per right-hand
 side besides the B and S solves.  One factor set serves a whole permutation
-class: 3 in d = 2 and 4 in d = 3, not 4 and 8.  The factors hold
-sum n0^2 entries in d = 2 (about 3 M^2) and sum n2 n0^2 + (n0 n1)^2 in
-d = 3 (about 4 (M+1)^4; 0.41 M entries at M = 17, 3.6 M at M = 30), built
-in O(M^6) work by one symmetric product (`dsyrk`) and one Cholesky per
-class.  A solve maps the whole box to sine coefficients and back with the
-orthonormal sine matrices of its `CenteredBoxSolver` (`coefficients` and
-`field`: one dense product per axis, as in box PCG), `CHUNK` right-hand
-sides at a time; in between each sector is solved on a strided view of the
-coefficients (odd frequencies sit at even indices), transposed into its
-representative's axis order.  That transpose is the inverse of the sector's
-`axes`: in d = 3 a class holds sectors whose axes are a 3-cycle of the
-representative's (sector (0,1,1) of class (1,1,0) has axes (2,0,1)), and a
-3-cycle is not its own inverse.  `DirectBoxSolver.sector_solve` is the
-solve on one sector's coefficients; the box spectra of
-`spectral.eigendecompose` on a box that `green` solves directly run their
-shift-invert eigensolves on it.
+class: 3 in d = 2 and 4 in d = 3, not 4 and 8.  The factors hold sum n0^2
+entries in d = 2 (about 3 M^2) and sum n2 n0^2 + (n0 n1)^2 in d = 3 (about 4
+(M+1)^4, `direct_fill`), built in O(M^6) work by one symmetric product
+(`dsyrk`) and one Cholesky per class.  A solve maps the whole box to sine
+coefficients and back with the orthonormal sine matrices of its
+`CenteredBoxSolver` (`coefficients` and `field`: one dense product per axis,
+as in box PCG), `CHUNK` right-hand sides at a time; in between each sector
+is solved on a strided view of the coefficients (odd frequencies sit at even
+indices), transposed into its representative's axis order.  That transpose
+is the inverse of the sector's `axes`: in d = 3 a class holds sectors whose
+axes are a 3-cycle of the representative's (sector (0,1,1) of class (1,1,0)
+has axes (2,0,1)), and a 3-cycle is not its own inverse.
+`DirectBoxSolver.sector_solve` is the solve on one sector's coefficients;
+the box spectra of `spectral.eigendecompose` on a box that `green` solves
+directly run their shift-invert eigensolves on it.
 
-A product by an L x L sine matrix costs 2L flops a point and axis, and an
-FFT of the period 2M + 2 is slow when that period has a large prime factor,
-as at the sizes used here (190 = 2 * 5 * 19 at M = 94, 94 = 2 * 47 at
-M = 46).  On 2 cores, 200 right-hand sides at M = 46 took 46-58 ms by the
-products against 92-143 ms by `scipy.fft.dstn`, and 49 at M = 94 took 63-93
-against 90-105 ms (medians of 9 solves in each of three processes); the
-two agree to about 3e-15 relative.
+The transforms are dense products and not FFTs: a product by an L x L sine
+matrix costs 2L flops a point and axis, and an FFT of the period 2M + 2 is
+slow when that period has a large prime factor, as at the sizes used here
+(190 = 2 * 5 * 19 at M = 94).  The contractions are `einsum` (no BLAS), so
+a d = 2 solve uses numpy's OpenBLAS only, for the transforms.  A d = 3
+solve also runs scipy's `dpotrs` on S, and scipy links its own OpenBLAS
+with its own thread pool, so it switches pools twice per chunk.  The
+factorizations and the build's one matrix product are scipy's.  README's
+numerical notes hold the measurements behind these choices.
 
-numpy and scipy each link their own OpenBLAS, with a thread pool each, and
-with 2 threads a switch between the two pools costs milliseconds: on a
-2-core machine, four alternations of a scipy `cho_solve` (648 x 648 factor,
-8 columns) with a numpy product of the same shape took 32 ms with 2 threads
-against 5.1 ms with 1.  The contractions are `einsum` (no BLAS), so a d = 2
-solve uses numpy's BLAS only, for the transforms.  A d = 3 solve also runs
-scipy's `dpotrs` on S, and so switches twice per chunk.  Storing S^-1 (one
-`dpotri` per class) and applying it by a numpy product took 8 right-hand
-sides at M = 17 from 40-103 to 33-40 ms and at M = 30 from 139-198 to
-132-154 ms (medians of 9 solves in each of three processes, 2 cores, with a
-neighbour's load), but made the builds slower, and the d3d4-box benchmark
-could not tell the two apart (0.283 s with `dpotrs` against 0.291 s,
-medians of 10 pairs), so the solve keeps `dpotrs`.  The factorizations and
-the build's one matrix product are scipy's.
-
-Any other R_h (a disk, a ball, an off-centre box) is solved directly by
-`TorusCapacitanceSolver`, the capacitance-matrix method of Buzbee, Dorr,
-George and Golub (1971) and of Proskurowski and Widlund (Math. Comp. 30,
-1976) on a periodic torus.  With P_i >= extent_i + 4 points per axis
-(`scipy.fft.next_fast_len`), A is exactly the principal submatrix on R_h of
-the periodic operator T = kappa^2 S_T, whose FFT symbol is mu(theta)^2
-(`lattice.mu_symbol` at theta_i = 2 pi f_i / P_i).  T is singular on the
-constants; G+ is its pseudo-inverse.  Let Gamma be the m torus points
-outside R_h that the bilaplacian stencil couples to R_h (a layer two points
-deep).  Then C = G+[Gamma, Gamma], gathered from one inverse FFT of the
-pseudo-inverse symbol, is symmetric positive definite (no vector supported
-on Gamma is constant), and is Cholesky-factored once, by sector.  A solve
-extends b by zero, computes x0 = G+ b, and finds w on Gamma and a constant
-c with
-
-    C w + c 1 = -x0|Gamma,    1^T w = -sum(b),
-
-by Cholesky solves and a rank-1 border.  Then x = G+(b + w) + c vanishes
-on Gamma and T x = b + w, so x restricted to R_h solves A x = b.
-
-C is factored by the symmetry of R_h (the group reduction of Allgower,
-Boehmer, Georg and Miranda, SIAM J. Numer. Anal. 29, 1992).  The group is
-read off the point set: the axes i whose mirror y_i -> s_i - y_i (about the
-midpoint of R_h's extent, x_i -> -x_i for a domain centred at 0) maps R_h to
-itself, and the swaps among those axes that keep R_h, where the extents
-agree.  The torus, Gamma and G+ (even in each coordinate) are invariant too,
-so C commutes with the group.  With k mirror axes, Gamma splits into the 2^k
-parity sectors s (the odd axes), with the orthonormal basis
-u_a = 2^(-(k+z_a)/2) sum_e chi_s(e) delta(e a) over the points a of the
-folded layer F = Gamma cap {y_i >= s_i / 2 on the mirror axes}: z_a counts
-a's coordinates on a mirror, chi_s(e) = -1 when e flips an odd number of
-the odd axes, and a point on the mirror of an odd axis of s drops out of
-sector s.  C is block diagonal in this basis, with blocks
-
-    C_s[a, b] = 2^(-(z_a+z_b)/2) sum_e chi_s(e) G+(a - e b).
-
-The constants on Gamma lie in the all-even sector, as the vector
-2^((k-z_a)/2), so the border lives only there.  A swap of two axes carries
-sector s onto the sector with the two parities swapped, and its block onto
-that sector's block by a permutation of F, so one factor serves a
-permutation class of sectors, as on the box (`parity_classes`): a unit ball
-has d+1 factors of about m / 2^d rows, not one of m.  The blocks are
-gathered one class at a time from a 2P-periodic tiling of G+ with int32
-flat indices, and the 2^k reflection blocks are never held at once.  A solve
-maps -x0|Gamma to the sector coefficients and back by a Walsh-Hadamard sum
-over the 2^k images of each point of F, and solves each class's sectors
-together by one Cholesky solve.  A domain without a mirror (an off-centre
-disk, most `--domain` specs) is the trivial group: one factor over the
-whole of Gamma, by the same code.
-
-The build is O(m^3) work, and a solve is two FFT pairs on the torus plus
-O(m^2).  In d = 3, m grows like n^(2/3), and the whole-Gamma factor loses
-to SuperLU on a ball, but the class factors win: on the unit ball at
-h = 1/20 (m = 7,784; rows 892 to 1,057) they build in about 0.3 s, against
-about 15 s for SuperLU's build and one solve (README).  `green` routes a d >= 3
-domain here when it has a mirror and 8 x (class factor entries) fits in
-`green.DIRECT_FACTOR_BUDGET` bytes, and to SuperLU otherwise.
+Every other R_h is solved on a periodic torus by
+`torus.TorusCapacitanceSolver`, which takes its sector classes from
+`parity_classes`.
 """
 
 from __future__ import annotations
@@ -198,7 +129,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lattice import WORKERS, Box, axis_classes, kappa, mu_symbol, neighborhood_offsets
+from .lattice import Box, axis_classes, kappa, mu_symbol
 
 
 @dataclass
@@ -221,9 +152,8 @@ def _along(a: np.ndarray, axis: int, mat: tuple) -> np.ndarray:
     """mat applied along one axis of a, as a new C-contiguous array.
 
     mat is `_oriented`: the last axis takes a @ mat.T, the others mat @ a,
-    so that BLAS never gets a transposed view.  With 2 numpy threads on 2
-    cores, a 93 x 93 product by a transposed view took about 16 ms in 2 of
-    20 fresh processes, against 0.05 ms by a C-contiguous copy."""
+    so that BLAS never gets a transposed view, on which a small product can
+    stall for milliseconds with 2 numpy threads (README)."""
     left, right = mat
     pre = a.shape[:axis]
     if axis == a.ndim - 1:
@@ -240,7 +170,8 @@ def block_pcg(apply_A, inv_diag: np.ndarray, B: np.ndarray, tol: float, maxiter:
     B is overwritten by the residual.  Iteration stops when every column's
     relative residual is at most tol, or when a residual is NaN.  Zero
     columns are solved by x = 0.  Returns (X, SolveInfo) with the worst
-    column's residual.
+    column's residual; raises RuntimeError when that residual is above tol
+    (or is NaN).
     """
     k = B.shape[0]
     col = (-1,) + (1,) * (B.ndim - 1)
@@ -273,6 +204,11 @@ def block_pcg(apply_A, inv_diag: np.ndarray, B: np.ndarray, tol: float, maxiter:
         P *= _ratio(rz_new, rz).reshape(col)
         P += Z
         rz = rz_new
+    if not info.relative_residual <= tol:
+        raise RuntimeError(
+            f"box PCG stopped at relative residual {info.relative_residual:.3e} "
+            f"after {info.iterations} iterations (tolerance {tol:.0e})"
+        )
     return X, info
 
 
@@ -360,17 +296,8 @@ class CenteredBoxSolver:
         cols = 1 if single else b.shape[1]
         rhs = self.coefficients((b[None, :] if single else b.T).reshape((cols,) + (self.L,) * self.d))
         C, info = block_pcg(self.apply, self._inv_lam, rhs, tol, maxiter)
-        _raise_if_short(info, tol)
         out = self.field(C).reshape(cols, -1).T
         return (out[:, 0] if single else out), info
-
-
-def _raise_if_short(info: SolveInfo, tol: float):
-    if not info.relative_residual <= tol:
-        raise RuntimeError(
-            f"box PCG stopped at relative residual {info.relative_residual:.3e} "
-            f"after {info.iterations} iterations (tolerance {tol:.0e})"
-        )
 
 
 def wedge(d: int, M: int):
@@ -429,7 +356,6 @@ def wedge_solve(box: CenteredBoxSolver, F: np.ndarray, orbit: np.ndarray, rhs: n
 
     # block_pcg overwrites its right-hand side, so it gets a fresh array
     Y, info = block_pcg(apply, 1.0 / lam, (root * rhs)[None], tol, maxiter)
-    _raise_if_short(info, tol)
     return Y[0] / root, info
 
 
@@ -643,201 +569,6 @@ class DirectBoxSolver:
             out[j:j + CHUNK] = self.box.field(y).reshape(len(y), self.n)
         out = out.T
         return out[:, 0] if single else out
-
-
-def _sector_classes(blocks: list, k: int) -> list:
-    """`parity_classes` over k symmetric axes, with the axes of each block
-    (positions in 0..k-1) interchangeable: the product of each block's
-    classes, as (rep, [(parity, axes), ...]) with parity[j] = rep[axes[j]]."""
-    classes = []
-    for choice in itertools.product(*(parity_classes(len(b)) for b in blocks)):
-        rep = [0] * k
-        for b, (rep_b, _) in zip(blocks, choice):
-            for j, p in zip(b, rep_b):
-                rep[j] = p
-        sectors = []
-        for combo in itertools.product(*(sec for _, sec in choice)):
-            axes = list(range(k))
-            for b, (_, axes_b) in zip(blocks, combo):
-                for j, a in zip(b, axes_b):
-                    axes[j] = b[a]
-            sectors.append((tuple(rep[a] for a in axes), tuple(axes)))
-        classes.append((tuple(rep), sectors))
-    return classes
-
-
-class TorusCapacitanceSolver:
-    """Direct solver for A u = b on any R_h, embedded in a periodic torus
-    (capacitance method), with one factor per class of reflection-parity
-    sectors.
-
-    Right-hand sides are flat over R_h in its row order, (n,) or (n, k).
-    `operator` needs only the torus; `factorize` builds the class factors,
-    which `solve` uses.  Known before `factorize`: `axes`, the axes whose
-    mirror maps R_h to itself (given axes must be among them; () gives the
-    trivial group, one factor over the whole of Gamma); `class_sizes`, the
-    rows of each class factor in `parity_classes` order (all-odd first);
-    `fill`, their entries.
-    """
-
-    def __init__(self, domain, axes: tuple = None):
-        import scipy.fft  # only this route transforms by FFT: a centred box never loads it
-
-        d = domain.d
-        pts = domain.rh_points
-        self.n = len(pts)
-        lo = pts.min(axis=0)
-        ext = pts.max(axis=0) - lo + 1
-        self.shape = tuple(scipy.fft.next_fast_len(int(e) + 4, real=True) for e in ext)
-        self._axes = tuple(range(-d, 0))
-        self._inside = np.ravel_multi_index(tuple((pts - lo + 2).T), self.shape)
-        mask = np.zeros(self.shape, dtype=bool)
-        mask.flat[self._inside] = True
-        near = np.zeros_like(mask)
-        for off in neighborhood_offsets(d):
-            near |= np.roll(mask, off, axis=self._axes)
-        self._gamma = np.flatnonzero(near & ~mask)  # the boundary layer
-        self.m = len(self._gamma)
-        freq = [np.arange(P) for P in self.shape[:-1]] + [np.arange(self.shape[-1] // 2 + 1)]
-        self._symbol = mu_symbol(np.ix_(*(2 * np.pi * f / P for f, P in zip(freq, self.shape)))) ** 2
-        self._pinv = np.divide(1.0, self._symbol, out=np.zeros_like(self._symbol), where=self._symbol > 0)
-        self._factors = None
-        # the group: the mirrors y_i -> s_i - y_i of torus coordinates that
-        # keep R_h (flip, then roll by s_i + 1 - P_i), and the swaps among
-        # those axes that keep it
-        self._mirror = ext + 3
-        self.axes = tuple(
-            i for i in (range(d) if axes is None else axes)
-            if np.array_equal(mask, np.roll(np.flip(mask, i), int(self._mirror[i]) + 1 - self.shape[i], axis=i))
-        )
-        if axes is not None and self.axes != tuple(axes):
-            raise ValueError(f"R_h is not symmetric in every axis of {tuple(axes)}")
-        blocks = []  # positions in axes; swaps within a block keep R_h
-        for j, i in enumerate(self.axes):
-            b = next((b for b in blocks if ext[self.axes[b[0]]] == ext[i]
-                      and np.array_equal(mask, mask.swapaxes(self.axes[b[0]], i))), None)
-            blocks.append([j]) if b is None else b.append(j)
-        k, sym = len(self.axes), list(self.axes)
-        pos = np.array(np.unravel_index(self._gamma, self.shape))
-        u = 2 * pos[sym] - self._mirror[sym, None]  # centred coordinates of the symmetric axes
-        fold = np.flatnonzero((u >= 0).all(axis=0))
-        self._pos, u = pos[:, fold], u[:, fold]  # the folded layer F
-        z = (u == 0).sum(axis=0)  # coordinates on a mirror
-        # reflection e flips the axes set in flips[e]; the character of sector
-        # s (odd axes set in the bits of s, axes[0] highest) there is H[s, e]
-        self._flips = list(itertools.product((False, True), repeat=k))
-        self._hadamard = np.array([[(-1) ** np.dot(p, f) for f in self._flips]
-                                   for p in itertools.product((0, 1), repeat=k)], dtype=float)
-        self._img = np.stack([np.searchsorted(self._gamma, self._flat(self._reflect(f), self.shape))
-                              for f in self._flips], axis=1)
-        self._to_sector = 2.0 ** (-0.5 * (k + z))[:, None]
-        self._from_sector = 2.0 ** (0.5 * (z - k))[:, None]
-        self._border = 2.0 ** (0.5 * (k - z))  # the constants on Gamma, in the all-even sector
-        self._z = z
-        # one factor per class; sector (s, rows) of a class solves its
-        # coefficients at rows, the points of F that its swap carries onto
-        # keep, the points of F off the mirrors of the class's odd axes
-        self._classes = []
-        flat, bit = self._gamma[fold], 1 << np.arange(k)[::-1]
-        for rep, sectors in _sector_classes(blocks, k):
-            keep = np.flatnonzero(~(u[np.array(rep, dtype=bool)] == 0).any(axis=0))
-            rows = []
-            for parity, ax in sectors:
-                image = self._pos.copy()
-                image[[sym[a] for a in ax]] = self._pos[sym]
-                to = np.empty(len(fold), dtype=np.intp)  # to[point of F] = its preimage
-                to[np.searchsorted(flat, self._flat(image, self.shape))] = np.arange(len(fold))
-                rows.append((int(np.dot(parity, bit)), to[keep]))
-            self._classes.append((int(np.dot(rep, bit)), keep, rows))
-        self.class_sizes = [len(keep) for _, keep, _ in self._classes]
-        self.fill = sum(r * r for r in self.class_sizes)
-
-    @staticmethod
-    def _flat(coords: np.ndarray, shape: tuple) -> np.ndarray:
-        return np.ravel_multi_index(tuple(coords), shape)
-
-    def _reflect(self, flip: tuple) -> np.ndarray:
-        """Torus coordinates (d, |F|) of the folded layer under the mirrors of
-        the symmetric axes flagged in flip."""
-        image = self._pos.copy()
-        for i, f in zip(self.axes, flip):
-            if f:
-                image[i] = self._mirror[i] - image[i]
-        return image
-
-    def _fft(self, grid: np.ndarray) -> np.ndarray:
-        return scipy.fft.rfftn(grid, axes=self._axes, workers=WORKERS)
-
-    def _ifft(self, coef: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfftn(coef, s=self.shape, axes=self._axes, workers=WORKERS)
-
-    def _embed(self, values: np.ndarray, where: np.ndarray) -> np.ndarray:
-        """Torus grids (k,) + shape that hold values (k, len(where)) at flat
-        positions where and zero elsewhere."""
-        grid = np.zeros((len(values), int(np.prod(self.shape))))
-        grid[:, where] = values
-        return grid.reshape((len(values),) + self.shape)
-
-    def operator(self, u: np.ndarray) -> np.ndarray:
-        """A u for a flat field u: the torus operator on u extended by zero,
-        restricted to R_h."""
-        grid = self._embed(u[None, :], self._inside)
-        return self._ifft(self._fft(grid) * self._symbol).reshape(-1)[self._inside]
-
-    def factorize(self) -> "TorusCapacitanceSolver":
-        """Cholesky-factor each class's block C_s of C = G+[Gamma, Gamma],
-        gathered from G+(x - e y) over the torus one class at a time, and
-        store C_0^{-1} applied to the border of the all-even sector."""
-        # G+(x - y) sits at x + (P - y) of the 2P-periodic tiling of G+, each
-        # coordinate in [1, 2P - 1]: one sum of flat indices per entry, no modulo
-        tiled = np.tile(self._ifft(self._pinv), (2,) * len(self.shape)).reshape(-1)
-        big = tuple(2 * P for P in self.shape)
-        dtype = np.int32 if tiled.size <= np.iinfo(np.int32).max else np.int64
-        x = self._flat(self._pos, big).astype(dtype)
-        ys = [self._flat(np.subtract(self.shape, self._reflect(f).T).T, big).astype(dtype) for f in self._flips]
-        self._factors = []
-        for rep, keep, _ in self._classes:
-            # C_s[a, b] = 2^{-(z_a + z_b)/2} sum_e H[s, e] G+(x_a - e x_b)
-            acc = np.empty((len(keep),) * 2)
-            idx, buf = np.empty(acc.shape, dtype=dtype), np.empty_like(acc)
-            for e, y in enumerate(ys):
-                np.add(x[keep, None], y[keep], out=idx)
-                np.take(tiled, idx, out=buf if e else acc, mode="clip")
-                if e:
-                    (np.add if self._hadamard[rep, e] > 0 else np.subtract)(acc, buf, out=acc)
-            g = 2.0 ** (-0.5 * self._z[keep])
-            acc *= g[:, None]
-            acc *= g
-            self._factors.append(scipy.linalg.cho_factor(acc, overwrite_a=True, check_finite=False))
-        self._ones = scipy.linalg.cho_solve(self._factors[-1], self._border, check_finite=False)
-        return self
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with A x = b for flat right-hand sides (n,) or (n, k), x of b's shape."""
-        b = np.asarray(b, dtype=float)
-        single = b.ndim == 1
-        B = b[None, :] if single else b.T
-        k = len(B)
-        coef = self._fft(self._embed(B, self._inside))
-        x0 = self._ifft(coef * self._pinv).reshape(k, -1)[:, self._gamma]
-        # C w + c 1 = -x0 on Gamma and 1^T w = -sum(b): x then vanishes on
-        # Gamma, and the torus operator gives back b on R_h.  Per sector, in
-        # the orthonormal sector coordinates of F; 1 is all-even.
-        r = np.einsum("kfe,se->kfs", x0[:, self._img], self._hadamard) * self._to_sector
-        w = np.zeros_like(r)
-        for (rep, keep, rows), factor in zip(self._classes, self._factors):
-            z = scipy.linalg.cho_solve(factor, np.concatenate([r[:, at, s].T for s, at in rows], axis=1),
-                                       check_finite=False)
-            if rep == 0:  # the all-even class, last, with the border
-                c = (B.sum(axis=1) - self._border @ z) / (self._border @ self._ones)
-                z += np.outer(self._ones, c)
-            for j, (s, at) in enumerate(rows):
-                w[:, at, s] = -z[:, j * k:(j + 1) * k].T
-        wg = np.empty((k, self.m))
-        wg[:, self._img] = np.einsum("kfs,se->kfe", w, self._hadamard) * self._from_sector
-        coef += self._fft(self._embed(wg, self._gamma))
-        x = self._ifft(coef * self._pinv).reshape(k, -1)[:, self._inside] + c[:, None]
-        return x[0] if single else x.T
 
 
 def centered_box_halfwidth(domain) -> int:

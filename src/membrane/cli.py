@@ -114,7 +114,7 @@ def _grid(args, cfg, h: float):
 
 
 def _route_facts(prec) -> dict:
-    """The solver route a precision took, the entries of the factors it
+    """The solver route of a precision, the entries of the factors it
     built (on the torus route also its symmetric axes and class sizes), and
     why a route of `green`'s table was refused."""
     facts = {"route": prec.route, "factor_fill": prec.factor_fill, **prec.sectors}

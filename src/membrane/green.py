@@ -12,9 +12,9 @@ dropped (the zero boundary).  The covariance G solves
 precision, and `PrecisionMatrix.route` records its pick, by dimension and
 domain:
 
-    domain          d = 2               d >= 3
-    centred box     box-direct          d = 3: box-direct, or box-pcg above
-                                        the factor budget; d >= 4: box-pcg
+    domain          d <= 2              d >= 3
+    centred box     d = 1: box-pcg      d = 3: box-direct, or box-pcg above
+                    d = 2: box-direct   the factor budget; d >= 4: box-pcg
     anything else   torus-capacitance   torus-capacitance if R_h has a mirror
                                         symmetry and the class factors fit
                                         the budget, else superlu
@@ -24,20 +24,20 @@ domain:
 DIRECT_FACTOR_BUDGET bytes (in d = 3 up to [-52, 52]^3); "box-pcg" is the
 sine-coefficient box PCG of `boxsolve`, at any size, and a solve that stops
 above its tolerance raises; "torus-capacitance" is the periodic-torus
-embedding and capacitance solve of `boxsolve.TorusCapacitanceSolver`, with
+embedding and capacitance solve of `torus.TorusCapacitanceSolver`, with
 one dense factor per class of the reflection-parity sectors of R_h's
 mirror group (one factor over the whole boundary layer when R_h has no
-mirror symmetry).  In d = 2 it takes every domain that is not a centred box;
-in d >= 3 only one whose R_h is mapped to itself by the mirror about its
-midpoint along some axis (x_i -> -x_i for a domain centred at 0), and whose
-class factors fit in DIRECT_FACTOR_BUDGET bytes (the unit ball up to
+mirror symmetry).  In d <= 2 it takes every domain that is not a centred
+box; in d >= 3 only one whose R_h is mapped to itself by the mirror about
+its midpoint along some axis (x_i -> -x_i for a domain centred at 0), and
+whose class factors fit in DIRECT_FACTOR_BUDGET bytes (the unit ball up to
 h = 1/34 in d = 3 and h = 1/10 in d = 4).
 Every domain that is not a centred box is bounded by FACTORIZATION_CAP rows,
 above which it raises.  A box or torus route builds its operator from the
 domain, so it is taken only when a seeded random probe (`operator_probe`)
 shows that the matrix given is that operator; the probes run before any
 factor is built.  Otherwise the matrix goes to SuperLU, and `route_reason`
-says why; it also says why a d = 3 box took box PCG.  `box_route` owns the
+says why; it also says why a d = 3 box goes to box PCG.  `box_route` owns the
 box half of the table, and the box spectra of `spectral` take the solver it
 builds.  `PrecisionMatrix.factor_fill` records the entries of the factors
 built: SuperLU's stored entries of L and U (`SuperLU.nnz`; building L and U
@@ -126,7 +126,7 @@ def box_route(A: sp.csr_matrix, domain: GridDomain):
     reason = operator_probe(A, box)
     if reason:
         return None, "", reason, 0
-    if d <= 3:
+    if d in (2, 3):
         nbytes = 8 * direct_fill(d, M)
         if nbytes <= DIRECT_FACTOR_BUDGET:
             direct = DirectBoxSolver(M, d)
@@ -141,8 +141,6 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain, boxed: Optional[tuple] = 
     entries of the factors built, and the torus route's symmetric axes and
     class sizes ({} on other routes).  boxed is `box_route(A, domain)` when
     the caller has it already."""
-    from .boxsolve import TorusCapacitanceSolver
-
     n, d = A.shape[0], domain.d
     # a centred box goes to its box route, any other domain to the torus
     # capacitance solve (in d >= 3 one with a mirror, within the budget), the
@@ -158,6 +156,8 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain, boxed: Optional[tuple] = 
             f"and {reason or 'the domain is not a centred box'}"
         )
     if not reason:  # not a centred box
+        from .torus import TorusCapacitanceSolver  # loads scipy.fft, which no box needs
+
         torus = TorusCapacitanceSolver(domain)
         if d >= 3 and not torus.axes:
             reason = "R_h has no mirror symmetry to split the torus capacitance"

@@ -771,7 +771,7 @@ def scaling_variance(
     out_tail *= sphere_area(d) * 2.0  # kernel <= 2 ||theta||^-4 out there
 
     # Riemann-sum (Poisson) correction: |L_N|^2 vs |fhat|^2
-    eps_pois = (3**d) * test.fhat_radial(np.pi * N * test.sigma**0)  # coarse sup bound
+    eps_pois = (3**d) * test.fhat_radial(np.pi * N)  # coarse sup bound
     # integral of kernel * (2 |fhat| eps + eps^2) <= eps * (2 * int kernel |fhat| + ...)
     def kernel_fhat(r):
         return r ** (d - 5) * test.fhat_radial(r)

@@ -33,9 +33,10 @@ of the precision on the torus, on Z^d and, in sine coefficients, of the
 box part B^2.  It is also the one place where a stencil meets the lattice:
 `apply_stencil_array` applies it to a grid array and `assemble` builds its
 sparse matrix on R_h with zero extension, whose infinity norm `inf_norm`
-reads off its CSR arrays.  `axis_classes` enumerates the
-axis permutations that the symmetry reductions of `boxsolve` and `infvol` share,
-and `WORKERS` is the thread count that both use.
+reads off its CSR arrays.  `axis_classes` enumerates the axis permutations
+that the symmetry reductions of `boxsolve`, `torus` and `infvol` share, and
+`WORKERS` is the thread count of the FFTs of `torus` and the walks of
+`infvol`.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ green's `boxsolve.DirectBoxSolver` (dense `eigh` when the class is small);
 on a box-pcg box whose largest sector has at most DENSE_EIG_CAP unknowns it
 is dense `eigh` of its block.  "dense" is `eigh` for any other matrix up to
 DENSE_EIG_CAP, and "shift-invert" `eigsh` above it, over the precision's
-solver (the route table in `green`'s docstring).  No `eigsh` sees a whole
-box-direct box.  Every `eigsh` starts from a fixed vector, so a repeated
-call repeats its result bit for bit.  Every route is gated against the
-assembled matrix.
+solver (`torus.TorusCapacitanceSolver` on a disk or a ball; the route table
+in `green`'s docstring).  No `eigsh` sees a whole box-direct box.  Every
+`eigsh` starts from a fixed vector, so a repeated call repeats its result
+bit for bit.  Every route is gated against the assembled matrix.
 
 Norms on the dual scale: || v ||_{-s}^2 = sum_j lambda_j^{-s/2} (v, u_j)^2.
 The random series  sum_j lambda_j^{-1/2} xi_j u_j  with i.i.d. standard

@@ -7,10 +7,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from membrane import boxsolve, green, spectral
-from membrane.boxsolve import CenteredBoxSolver, DirectBoxSolver, TorusCapacitanceSolver
+from membrane.boxsolve import CenteredBoxSolver, DirectBoxSolver, parity_classes
+from membrane.cli import main
 from membrane.green import PrecisionMatrix, assemble_precision, green_columns
 from membrane.lattice import Ball, Box, classify, kappa, unit_box
 from membrane.thomee import backward_error
+from membrane.torus import TorusCapacitanceSolver, _sector_classes
 
 
 def sector(full: np.ndarray, d: int, M: int) -> np.ndarray:
@@ -480,6 +482,20 @@ def test_box_routes_solve_the_matrix_they_are_given(monkeypatch, d, N):
         assert prec.route == route
 
 
+@pytest.mark.parametrize("N", [8, 64])
+def test_d1_boxes_take_box_pcg(tmp_path, N):
+    # the direct box solve takes d = 2 and 3 only; box PCG solves a d=1 box
+    prec = assemble_precision(classify(unit_box(1), 1 / N))
+    pts = [(0,), (2 - N,), (N // 3,)]
+    table = green_columns(prec, pts)
+    assert (prec.route, prec.route_reason, prec.factor_fill) == ("box-pcg", "", 0)
+    units = np.zeros((prec.n, len(pts)))
+    units[prec.domain.rh_indices(pts), np.arange(len(pts))] = 1.0
+    reference = spla.spsolve(prec.matrix.tocsc(), units).T
+    assert np.abs(table.values - reference).max() <= 1e-10 * np.abs(reference).max()
+    assert main(["--out", str(tmp_path), "green", "--shape", "box", "--d", "1", "--h", f"1/{N}"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # the torus capacitance solver of every other d=2 domain
 
@@ -623,6 +639,20 @@ def test_torus_group_is_read_off_the_point_set():
         assert np.abs(A @ X - B).max() <= 1e-10
     with pytest.raises(ValueError, match="not symmetric"):
         TorusCapacitanceSolver(classify(Ball([0.0, 0.3], 0.8), 1 / 16), axes=(1,))
+
+
+def test_sector_classes_list_every_parity_sector_once():
+    # one block of interchangeable axes is the box's enumeration
+    for k in range(1, 5):
+        assert _sector_classes([list(range(k))], k) == parity_classes(k)
+    for blocks in ([[0, 1], [2]], [[0], [1], [2]], [[0, 2], [1, 3]]):
+        k = sum(map(len, blocks))
+        sectors = []
+        for rep, members in _sector_classes(blocks, k):
+            for parity, axes in members:
+                assert all(parity[j] == rep[axes[j]] for j in range(k)), (blocks, rep, axes)
+                sectors.append(parity)
+        assert sorted(sectors) == list(itertools.product((0, 1), repeat=k)), blocks
 
 
 def test_d3_routing_follows_the_torus_factor_budget(monkeypatch):

@@ -46,6 +46,18 @@ def test_a_manifest_leaves_the_box_solvers_and_scipy_fft_unloaded(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+def test_importing_the_package_leaves_the_torus_solver_and_scipy_fft_unloaded():
+    # green imports the torus route lazily, so no module's import loads it
+    mods = ["membrane.torus", "scipy.fft"]
+    code = (
+        "import sys\n"
+        "import membrane.cli, membrane.green, membrane.spectral, membrane.sampler, membrane.thomee, membrane.boxsolve\n"
+        f"print([m for m in {mods!r} if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "shape,d,route,fft",
     [("box", 2, "box-direct", False), ("box", 3, "box-direct", False), ("ball", 2, "torus-capacitance", True)],
@@ -129,9 +141,9 @@ def test_green_symmetry_check_reads_the_asymmetry_as_solved(tmp_path, monkeypatc
 
 
 def test_recipes_record_the_solver_route(tmp_path, monkeypatch):
-    from membrane.boxsolve import TorusCapacitanceSolver
     from membrane.green import assemble_precision, factorize_spd
     from membrane.lattice import WORKERS, Ball, classify
+    from membrane.torus import TorusCapacitanceSolver
 
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

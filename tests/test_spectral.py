@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from membrane import boxsolve, green, spectral
+from membrane import boxsolve, green, spectral, torus
 from membrane.green import assemble_precision, green_full
 from membrane.lattice import Ball, Box, assemble, classify, stencil_weights, unit_box
 from membrane.spectral import (
@@ -279,8 +279,8 @@ def test_routes_above_the_cap(monkeypatch):
     assert (basis.route, basis.route_reason) == ("box-sectors", "centred box, largest parity sector 1521")
     # a d=2 disk above the cap goes to eigsh over torus-capacitance, not SuperLU
     built = []
-    factorize = boxsolve.TorusCapacitanceSolver.factorize
-    monkeypatch.setattr(boxsolve.TorusCapacitanceSolver, "factorize", lambda self: built.append(self.m) or factorize(self))
+    factorize = torus.TorusCapacitanceSolver.factorize
+    monkeypatch.setattr(torus.TorusCapacitanceSolver, "factorize", lambda self: built.append(self.m) or factorize(self))
     prec = assemble_precision(classify(Ball([0.0, 0.0], 1.0), 1 / 40))
     assert spectral.DENSE_EIG_CAP < prec.n < 5000
     basis = eigendecompose(prec, 4)  # the eigen gates run inside
