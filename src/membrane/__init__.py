@@ -5,8 +5,8 @@ Submodules:
     green     precision matrix, covariance solves, bound reports
     boxsolve  centred boxes: sine-coefficient PCG, its permutation wedge, the
               direct per-sector solve
-    torus     the torus capacitance solve by parity sector of other d<=2
-              domains and of mirror-symmetric d>=3 ones
+    torus     the torus capacitance solve by parity sector of every domain
+              that is not a centred box, in any d
     sampler   exact Gaussian sampling, simplex interpolation, maxima
     spectral  eigenpairs, dual Sobolev norms, random series, pairings
     thomee    finite-difference biharmonic Dirichlet solver and its error bound

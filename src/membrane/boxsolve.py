@@ -60,7 +60,8 @@ each axis: Lambda_s plus a rank-1 term per axis, on (M+1)^a M^(d-a)
 unknowns for a odd axes (the even-frequency sets are empty when M = 0).
 Sectors that differ by a permutation of the axes have the same block up to
 that permutation.  `parity_classes` groups the sectors by class
-(`lattice.axis_classes`), `sector_view` is a sector's part of the box's
+(`lattice.axis_classes`), `box_classes` keeps the nonempty classes with
+their shapes, `sector_view` is a sector's part of the box's
 coefficients, and `CenteredBoxSolver.sector_block` its dense block, which
 the box spectra of `spectral.eigendecompose` hand to dense `eigh`.
 
@@ -379,20 +380,42 @@ def centre_column(d: int, M: int, tol: float = 1e-10, maxiter: int = 400):
     return box.field(sector.reshape((n,) * d)).reshape(-1), info
 
 
-def parity_classes(d: int) -> list:
-    """The 2^d parity sectors of a d-dimensional box, by permutation class.
+def parity_classes(d: int, blocks: list = None) -> list:
+    """The 2^d parity sectors of d axes, by class under the permutations of
+    the axes within each block of `blocks` (lists of axes; by default one
+    block of all d, as on a box).
 
-    One entry per count a = d, ..., 0 of odd-frequency axes: the class
-    representative (1,)*a + (0,)*(d-a) and the class's sectors as
-    (parity, axes) with parity[j] = rep[axes[j]], so that an array over the
-    representative's frequencies, transposed by `axes`, is the same array
-    over the sector's.  The axes are `lattice.axis_classes(d)[a]`.  The
-    order of the list is the sector order.
+    One entry per class: its representative rep, odd on the first a axes of
+    each block for a = len(block), ..., 0 (the first block slowest), and the
+    class's sectors as (parity, axes) with parity[j] = rep[axes[j]], so that
+    an array over the representative's frequencies, transposed by `axes`,
+    is the same array over the sector's.  Within a block the axes are
+    `lattice.axis_classes`.  The order of the list is the sector order.
     """
-    return [
-        ((1,) * a + (0,) * (d - a), [(tuple(int(x < a) for x in axes), axes) for axes in perms])
-        for a, perms in reversed(list(enumerate(axis_classes(d))))
-    ]
+    blocks = [list(range(d))] if blocks is None else blocks
+    classes = []
+    for counts in itertools.product(*(range(len(b), -1, -1) for b in blocks)):
+        rep = [0] * d
+        for b, a in zip(blocks, counts):
+            for j in b[:a]:
+                rep[j] = 1
+        sectors = []
+        for perms in itertools.product(*(axis_classes(len(b))[a] for b, a in zip(blocks, counts))):
+            axes = list(range(d))
+            for b, perm in zip(blocks, perms):
+                for j, x in zip(b, perm):
+                    axes[j] = b[x]
+            sectors.append((tuple(rep[x] for x in axes), tuple(axes)))
+        classes.append((tuple(rep), sectors))
+    return classes
+
+
+def box_classes(d: int, M: int) -> list:
+    """The nonempty classes of `parity_classes(d)` on [-M, M]^d, as (rep,
+    sectors, shape): a sector has M + p frequencies along an axis of parity
+    p, so the even sectors of M = 0 are empty."""
+    return [(rep, sectors, shape) for rep, sectors in parity_classes(d)
+            for shape in [tuple(M + p for p in rep)] if math.prod(shape)]
 
 
 def sector_cell(parity: tuple) -> tuple:
@@ -410,12 +433,11 @@ def sector_view(c: np.ndarray, parity: tuple, axes: tuple) -> np.ndarray:
 
 def direct_fill(d: int, M: int) -> int:
     """Entries of the factors that `DirectBoxSolver(M, d)` holds, by arithmetic:
-    per nonempty class n0^2 in d = 2, and n2 n0^2 + (n0 n1)^2 in d = 3."""
+    per class n0^2 in d = 2, and n2 n0^2 + (n0 n1)^2 in d = 3."""
     fill = 0
-    for rep, _ in parity_classes(d):
-        n0, n1, n2 = [M + p for p in rep] + [1] * (3 - d)
-        if n0 * n1 * n2:
-            fill += n2 * n0 * n0 + (0 if d == 2 else (n0 * n1) ** 2)
+    for _, _, shape in box_classes(d, M):
+        n0, n1, n2 = shape + (1,) * (3 - d)
+        fill += n2 * n0 * n0 + (0 if d == 2 else (n0 * n1) ** 2)
     return fill
 
 
@@ -529,13 +551,12 @@ class DirectBoxSolver:
             raise ValueError("the direct box solve takes d = 2 or 3")
         self.box = box = CenteredBoxSolver(d, M)
         self.d, self.L, self.n = d, box.L, box.n
-        self._classes = parity_classes(d)
-        self._sectors = {}
-        for rep, _ in self._classes:
-            inv_lam = box._inv_lam[sector_cell(rep)]
-            if inv_lam.size:  # the even sectors of M = 0 are empty
-                w = [np.sqrt(2.0) * box._faces[sector_cell((p,))[0], 0] for p in rep]
-                self._sectors[rep] = _SectorSolve(inv_lam, w)
+        self._classes = box_classes(d, M)
+        self._sectors = {
+            rep: _SectorSolve(box._inv_lam[sector_cell(rep)],
+                              [np.sqrt(2.0) * box._faces[sector_cell((p,))[0], 0] for p in rep])
+            for rep, _, _ in self._classes
+        }
         self.fill = sum(s.fill for s in self._sectors.values())  # entries of the factors
 
     def _blocks(self, c: np.ndarray) -> np.ndarray:
@@ -561,11 +582,10 @@ class DirectBoxSolver:
         out = np.empty((k, self.n))
         for j in range(0, k, CHUNK):
             y = self.box.coefficients(B[j:j + CHUNK].reshape((-1,) + (self.L,) * self.d))
-            for rep, sectors in self._classes:
+            for rep, sectors, _ in self._classes:
                 for parity, axes in sectors:
-                    if rep in self._sectors:
-                        view = sector_view(y, parity, axes)
-                        self.sector_solve(rep, view, out=view)
+                    view = sector_view(y, parity, axes)
+                    self.sector_solve(rep, view, out=view)
             out[j:j + CHUNK] = self.box.field(y).reshape(len(y), self.n)
         out = out.T
         return out[:, 0] if single else out

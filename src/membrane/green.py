@@ -9,15 +9,11 @@ dropped (the zero boundary).  The covariance G solves
     Delta_1^2 G(x, .) = delta_x     on R_h,     G(x, .) = 0 outside.
 
 `PrecisionMatrix.solver()` is the one place that picks how to invert the
-precision, and `PrecisionMatrix.route` records its pick, by dimension and
-domain:
+precision, and `PrecisionMatrix.route` records its pick, by domain:
 
-    domain          d <= 2              d >= 3
-    centred box     d = 1: box-pcg      d = 3: box-direct, or box-pcg above
-                    d = 2: box-direct   the factor budget; d >= 4: box-pcg
-    anything else   torus-capacitance   torus-capacitance if R_h has a mirror
-                                        symmetry and the class factors fit
-                                        the budget, else superlu
+    centred box     box-direct in d = 2, and in d = 3 within the factor
+                    budget; box-pcg above it, and in d = 1 and d >= 4
+    anything else   torus-capacitance within the factor budget, else superlu
 
 "box-direct" is the sine-transform and per-sector capacitance solve of
 `boxsolve.DirectBoxSolver`, taken while its factors fit in
@@ -27,25 +23,24 @@ above its tolerance raises; "torus-capacitance" is the periodic-torus
 embedding and capacitance solve of `torus.TorusCapacitanceSolver`, with
 one dense factor per class of the reflection-parity sectors of R_h's
 mirror group (one factor over the whole boundary layer when R_h has no
-mirror symmetry).  In d <= 2 it takes every domain that is not a centred
-box; in d >= 3 only one whose R_h is mapped to itself by the mirror about
-its midpoint along some axis (x_i -> -x_i for a domain centred at 0), and
-whose class factors fit in DIRECT_FACTOR_BUDGET bytes (the unit ball up to
-h = 1/34 in d = 3 and h = 1/10 in d = 4).
+mirror symmetry), taken in every d while those factors fit in
+DIRECT_FACTOR_BUDGET bytes (the unit ball up to h = 1/34 in d = 3 and
+h = 1/10 in d = 4).
 Every domain that is not a centred box is bounded by FACTORIZATION_CAP rows,
 above which it raises.  A box or torus route builds its operator from the
 domain, so it is taken only when a seeded random probe (`operator_probe`)
 shows that the matrix given is that operator; the probes run before any
 factor is built.  Otherwise the matrix goes to SuperLU, and `route_reason`
-says why; it also says why a d = 3 box goes to box PCG.  `box_route` owns the
-box half of the table, and the box spectra of `spectral` take the solver it
-builds.  `PrecisionMatrix.factor_fill` records the entries of the factors
-built: SuperLU's stored entries of L and U (`SuperLU.nnz`; building L and U
-to count them would copy the factor), the sum of r^2 over the torus class
-factors of r rows (m^2 for one factor on m boundary points, about m^2 / 5
-for a disk), `boxsolve.direct_fill` for the sector factors of a box
-(2(M+1)^2 + M^2 for [-M, M]^2) and 0 for box PCG.  `PrecisionMatrix.sectors`
-holds the torus route's symmetric axes and class sizes.
+says why, as it says why a domain above the budget goes to box PCG or
+SuperLU.  `box_route` owns the box half of the table, and the box spectra
+of `spectral` take the solver it builds.  `PrecisionMatrix.factor_fill`
+records the entries of the factors built: SuperLU's stored entries of L and
+U (`SuperLU.nnz`; building L and U to count them would copy the factor),
+the sum of r^2 over the torus class factors of r rows (m^2 for one factor
+on m boundary points, about m^2 / 5 for a disk), `boxsolve.direct_fill` for
+the sector factors of a box (2(M+1)^2 + M^2 for [-M, M]^2) and 0 for box
+PCG.  `PrecisionMatrix.sectors` holds the torus route's symmetric axes and
+class sizes.
 The d=4 log-correlation study solves for the centre column by
 `boxsolve.centre_column`: the box PCG of the even sector |x_i|, run on the
 permutation wedge f_0 <= .. <= f_{d-1} of its sine coefficients.
@@ -71,7 +66,7 @@ DENSE_TABLE_CAP = 20_000
 FACTORIZATION_CAP = 600_000   # rows; above this only centred boxes are solved
 RHS_FLOAT_BUDGET = 16_000_000  # floats in one dense batch of right-hand sides
 PROBE_TOL = 1e-12             # route operator vs matrix, relative to ||A|| ||v||
-DIRECT_FACTOR_BUDGET = 2**28  # bytes of box-direct factors; a larger box takes box PCG
+DIRECT_FACTOR_BUDGET = 2**28  # bytes of box-direct or torus factors; above it box PCG or SuperLU
 
 
 @dataclass
@@ -141,10 +136,10 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain, boxed: Optional[tuple] = 
     entries of the factors built, and the torus route's symmetric axes and
     class sizes ({} on other routes).  boxed is `box_route(A, domain)` when
     the caller has it already."""
-    n, d = A.shape[0], domain.d
+    n = A.shape[0]
     # a centred box goes to its box route, any other domain to the torus
-    # capacitance solve (in d >= 3 one with a mirror, within the budget), the
-    # rest to SuperLU; a probe vets the box and torus routes
+    # capacitance solve within the budget, the rest to SuperLU; a probe vets
+    # the box and torus routes
     solver, route, reason, fill = boxed or box_route(A, domain)
     if route == "box-direct":
         return solver.solve, route, reason, fill, {}
@@ -159,15 +154,12 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain, boxed: Optional[tuple] = 
         from .torus import TorusCapacitanceSolver  # loads scipy.fft, which no box needs
 
         torus = TorusCapacitanceSolver(domain)
-        if d >= 3 and not torus.axes:
-            reason = "R_h has no mirror symmetry to split the torus capacitance"
-        elif d >= 3 and 8 * torus.fill > DIRECT_FACTOR_BUDGET:
+        if 8 * torus.fill > DIRECT_FACTOR_BUDGET:
             reason = f"torus class factors of {8 * torus.fill} bytes above DIRECT_FACTOR_BUDGET"
         else:
             reason = operator_probe(A, torus)
         if not reason:
-            sectors = {"symmetric_axes": list(torus.axes), "class_sizes": torus.class_sizes}
-            return torus.factorize().solve, "torus-capacitance", "", torus.fill, sectors
+            return torus.factorize().solve, "torus-capacitance", "", torus.fill, torus.sectors
     lu = factorize_spd(A)
     return lu.solve, "superlu", reason, lu.nnz, {}
 

@@ -18,10 +18,11 @@ green's `boxsolve.DirectBoxSolver` (dense `eigh` when the class is small);
 on a box-pcg box whose largest sector has at most DENSE_EIG_CAP unknowns it
 is dense `eigh` of its block.  "dense" is `eigh` for any other matrix up to
 DENSE_EIG_CAP, and "shift-invert" `eigsh` above it, over the precision's
-solver (`torus.TorusCapacitanceSolver` on a disk or a ball; the route table
-in `green`'s docstring).  No `eigsh` sees a whole box-direct box.  Every
-`eigsh` starts from a fixed vector, so a repeated call repeats its result
-bit for bit.  Every route is gated against the assembled matrix.
+solver (`torus.TorusCapacitanceSolver` on any domain that is not a centred
+box, within the factor budget; the route table in `green`'s docstring).
+No `eigsh` sees a whole box-direct box.  Every `eigsh` starts from a fixed
+vector, so a repeated call repeats its result bit for bit.  Every route is
+gated against the assembled matrix.
 
 Norms on the dual scale: || v ||_{-s}^2 = sum_j lambda_j^{-s/2} (v, u_j)^2.
 The random series  sum_j lambda_j^{-1/2} xi_j u_j  with i.i.d. standard
@@ -49,7 +50,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .boxsolve import CenteredBoxSolver, parity_classes, sector_view, wedge, wedge_solve
+from .boxsolve import CenteredBoxSolver, box_classes, centered_box_halfwidth, sector_view, wedge, wedge_solve
 from .green import GreenTable, PrecisionMatrix, _make_solver, box_route, factorize_spd
 from .lattice import GridDomain, assemble, kappa, stencil_weights, unit_ball_volume
 
@@ -127,11 +128,7 @@ def _sector_eigenpairs(box, direct, k: int):
     its n_c sine coefficients, with the sector solve of direct as the
     inverse, and no transform runs inside the eigensolve.
     """
-    classes = []  # (representative, sectors, shape) of each nonempty class
-    for rep, sectors in parity_classes(box.d):
-        shape = tuple(box.M + p for p in rep)
-        if math.prod(shape):  # the even sectors of M = 0 are empty
-            classes.append((rep, sectors, shape))
+    classes = box_classes(box.d, box.M)
     full = [min(k, math.prod(shape)) for _, _, shape in classes]
     want = full if direct is None else [_first_count(k, math.prod(shape), box.n) for _, _, shape in classes]
     pairs = [None] * len(classes)
@@ -205,7 +202,7 @@ def eigendecompose(precision: PrecisionMatrix, k: int) -> SpectralBasis:
     solver, route, reason, _ = boxed
     direct = solver if route == "box-direct" else None
     box = direct.box if direct else solver
-    largest = (box.M + 1) ** d if box else 0  # the all-odd sector
+    largest = math.prod(box_classes(d, box.M)[0][2]) if box else 0  # the all-odd sector
     if direct or (box and largest <= DENSE_EIG_CAP):
         route, reason = "box-sectors", f"centred box, largest parity sector {largest}"
         w, v = _sector_eigenpairs(box, direct, k)
@@ -515,10 +512,12 @@ def pairing_variance_study(
     solves on the permutation wedge of the even sector (`boxsolve.wedge_solve`,
     sine-coefficient PCG to 1e-12 on the exact operator); the variance is
     kappa^2 h^(d+4) sum_f orbit(f) cf(f) c(f) over the wedge, with cf the
-    coefficients of f and c those of A^{-1} f.  Grids with at most
-    cross_check_cap points also run unpreconditioned CG on the assembled
-    precision matrix, a route that shares no code with the box solver, and
-    report the relative gap between the two.
+    coefficients of f and c those of A^{-1} f, on R_h = [-M, M]^d with
+    M = floor((1/2 + 1e-9) / h) - 2 (1e-9 is `Box`'s tolerance).  Grids
+    with at most cross_check_cap points also run unpreconditioned CG on the
+    assembled precision matrix, a route that shares no code with the box
+    solver, and report the relative gap between the two; there a classified
+    R_h that is not [-M, M]^d raises ValueError.
     """
     from .green import assemble_precision
     from .lattice import Box, classify
@@ -528,8 +527,7 @@ def pairing_variance_study(
     kappa2 = kappa(d) ** 2
     variances, iterations, checks = [], [], []
     for h in hs:
-        Mv = int(round(0.5 / h))
-        M = Mv - 2
+        M = math.floor((0.5 + 1e-9) / h) - 2
         solver = CenteredBoxSolver(d, M, even=True)
         axis = np.arange(0, M + 1) * h
         coords = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
@@ -551,6 +549,8 @@ def pairing_variance_study(
         iterations.append(info.iterations)
         if (2 * M + 1) ** d <= cross_check_cap:
             dom = classify(box, h)
+            if centered_box_halfwidth(dom) != M:
+                raise ValueError(f"R_h at h={h:g} is not [-{M}, {M}]^{d}")
             A = assemble_precision(dom).matrix
             frh = np.asarray(f(dom.rh_coordinates()), dtype=float)
             w = _cg_direct(A, frh)

@@ -50,12 +50,11 @@ disk, most `--domain` specs) is the trivial group: one factor over the
 whole of Gamma, by the same code.
 
 The build is O(m^3) work, and a solve is two FFT pairs on the torus plus
-O(m^2); in d = 3, m grows like n^(2/3).  `green` takes this route for every
-d <= 2 domain that is not a centred box, and for a d >= 3 domain with a
-mirror whose class factors take at most `green.DIRECT_FACTOR_BUDGET` bytes,
-once a probe has matched `operator` to the assembled matrix.  It imports
-this module only for a domain that is not a centred box, so a centred box
-never loads `scipy.fft`.
+O(m^2); in d = 3, m grows like n^(2/3).  `green` takes this route, in every
+d, for a domain that is not a centred box and whose class factors take at
+most `green.DIRECT_FACTOR_BUDGET` bytes, once a probe has matched
+`operator` to the assembled matrix.  It imports this module only for a
+domain that is not a centred box, so a centred box never loads `scipy.fft`.
 """
 
 from __future__ import annotations
@@ -70,27 +69,6 @@ from .boxsolve import parity_classes
 from .lattice import WORKERS, mu_symbol, neighborhood_offsets
 
 
-def _sector_classes(blocks: list, k: int) -> list:
-    """`parity_classes` over k symmetric axes, with the axes of each block
-    (positions in 0..k-1) interchangeable: the product of each block's
-    classes, as (rep, [(parity, axes), ...]) with parity[j] = rep[axes[j]]."""
-    classes = []
-    for choice in itertools.product(*(parity_classes(len(b)) for b in blocks)):
-        rep = [0] * k
-        for b, (rep_b, _) in zip(blocks, choice):
-            for j, p in zip(b, rep_b):
-                rep[j] = p
-        sectors = []
-        for combo in itertools.product(*(sec for _, sec in choice)):
-            axes = list(range(k))
-            for b, (_, axes_b) in zip(blocks, combo):
-                for j, a in zip(b, axes_b):
-                    axes[j] = b[a]
-            sectors.append((tuple(rep[a] for a in axes), tuple(axes)))
-        classes.append((tuple(rep), sectors))
-    return classes
-
-
 class TorusCapacitanceSolver:
     """Direct solver for A u = b on any R_h, embedded in a periodic torus
     (capacitance method), with one factor per class of reflection-parity
@@ -102,7 +80,8 @@ class TorusCapacitanceSolver:
     mirror maps R_h to itself (given axes must be among them; () gives the
     trivial group, one factor over the whole of Gamma); `class_sizes`, the
     rows of each class factor in `parity_classes` order (all-odd first);
-    `fill`, their entries.
+    `fill`, their entries; `sectors`, the axes and class sizes as the
+    manifest records them.
     """
 
     def __init__(self, domain, axes: tuple = None):
@@ -162,7 +141,7 @@ class TorusCapacitanceSolver:
         # keep, the points of F off the mirrors of the class's odd axes
         self._classes = []
         flat, bit = self._gamma[fold], 1 << np.arange(k)[::-1]
-        for rep, sectors in _sector_classes(blocks, k):
+        for rep, sectors in parity_classes(k, blocks):
             keep = np.flatnonzero(~(u[np.array(rep, dtype=bool)] == 0).any(axis=0))
             rows = []
             for parity, ax in sectors:
@@ -174,6 +153,7 @@ class TorusCapacitanceSolver:
             self._classes.append((int(np.dot(rep, bit)), keep, rows))
         self.class_sizes = [len(keep) for _, keep, _ in self._classes]
         self.fill = sum(r * r for r in self.class_sizes)
+        self.sectors = {"symmetric_axes": list(self.axes), "class_sizes": self.class_sizes}
 
     @staticmethod
     def _flat(coords: np.ndarray, shape: tuple) -> np.ndarray:

@@ -12,7 +12,7 @@ from membrane.cli import main
 from membrane.green import PrecisionMatrix, assemble_precision, green_columns
 from membrane.lattice import Ball, Box, classify, kappa, unit_box
 from membrane.thomee import backward_error
-from membrane.torus import TorusCapacitanceSolver, _sector_classes
+from membrane.torus import TorusCapacitanceSolver
 
 
 def sector(full: np.ndarray, d: int, M: int) -> np.ndarray:
@@ -642,44 +642,84 @@ def test_torus_group_is_read_off_the_point_set():
 
 
 def test_sector_classes_list_every_parity_sector_once():
-    # one block of interchangeable axes is the box's enumeration
-    for k in range(1, 5):
-        assert _sector_classes([list(range(k))], k) == parity_classes(k)
-    for blocks in ([[0, 1], [2]], [[0], [1], [2]], [[0, 2], [1, 3]]):
+    # the box's enumeration (one block of all axes), pinned
+    assert parity_classes(2) == [
+        ((1, 1), [((1, 1), (0, 1))]),
+        ((1, 0), [((1, 0), (0, 1)), ((0, 1), (1, 0))]),
+        ((0, 0), [((0, 0), (0, 1))]),
+    ]
+    assert parity_classes(3) == [
+        ((1, 1, 1), [((1, 1, 1), (0, 1, 2))]),
+        ((1, 1, 0), [((1, 1, 0), (0, 1, 2)), ((1, 0, 1), (0, 2, 1)), ((0, 1, 1), (2, 0, 1))]),
+        ((1, 0, 0), [((1, 0, 0), (0, 1, 2)), ((0, 1, 0), (1, 0, 2)), ((0, 0, 1), (1, 2, 0))]),
+        ((0, 0, 0), [((0, 0, 0), (0, 1, 2))]),
+    ]
+    for blocks in ([[0, 1], [2]], [[0], [1], [2]], [[0, 2], [1, 3]], [[0, 1, 2, 3]]):
         k = sum(map(len, blocks))
         sectors = []
-        for rep, members in _sector_classes(blocks, k):
+        for rep, members in parity_classes(k, blocks):
             for parity, axes in members:
                 assert all(parity[j] == rep[axes[j]] for j in range(k)), (blocks, rep, axes)
                 sectors.append(parity)
         assert sorted(sectors) == list(itertools.product((0, 1), repeat=k)), blocks
 
 
+@pytest.mark.parametrize("d,M", [(2, 0), (2, 3), (3, 0), (3, 2), (4, 1)])
+def test_box_classes_are_the_nonempty_classes_with_their_shapes(d, M):
+    classes = boxsolve.box_classes(d, M)
+    assert [rep for rep, _, _ in classes] == [rep for rep, _ in parity_classes(d)][:len(classes)]
+    assert sum(len(sectors) * math.prod(shape) for _, sectors, shape in classes) == (2 * M + 1) ** d
+    assert classes[0][2] == (M + 1,) * d and len(classes) == (1 if M == 0 else d + 1)
+
+
 def test_d3_routing_follows_the_torus_factor_budget(monkeypatch):
     ball = classify(Ball([0.0] * 3, 1.0), 1 / 6)
-    solver = TorusCapacitanceSolver(ball)
-    pts = [(0, 0, 0), (1, -2, 3)]
-    for budget, route in [(8 * solver.fill, "torus-capacitance"), (8 * solver.fill - 1, "superlu")]:
-        monkeypatch.setattr(green, "DIRECT_FACTOR_BUDGET", budget)
-        prec = assemble_precision(ball)
-        assert green_columns(prec, pts).max_residual <= 1e-8
-        assert prec.route == route
-        if route == "superlu":
-            assert prec.route_reason == f"torus class factors of {8 * solver.fill} bytes above DIRECT_FACTOR_BUDGET"
-            assert prec.sectors == {}
-        else:
-            assert (prec.route_reason, prec.factor_fill) == ("", solver.fill)
-            assert prec.sectors == {"symmetric_axes": [0, 1, 2], "class_sizes": solver.class_sizes}
+    off = classify(Ball([0.3, -0.2, 0.15], 0.7), 1 / 6)  # no mirror: one whole-layer factor
+    for dom, pts, axes in [(ball, [(0, 0, 0), (1, -2, 3)], [0, 1, 2]), (off, [(2, -1, 1)], [])]:
+        solver = TorusCapacitanceSolver(dom)
+        A = assemble_precision(dom).matrix
+        reference = spla.spsolve(A.tocsc(), np.eye(dom.n_rh)[:, dom.rh_indices(pts)]).reshape(dom.n_rh, -1)
+        for budget, route in [(8 * solver.fill, "torus-capacitance"), (8 * solver.fill - 1, "superlu")]:
+            monkeypatch.setattr(green, "DIRECT_FACTOR_BUDGET", budget)
+            prec = assemble_precision(dom)
+            table = green_columns(prec, pts)
+            assert table.max_residual <= 1e-8 and _relative(table.values.T, reference) <= 1e-12
+            assert prec.route == route
+            if route == "superlu":
+                assert prec.route_reason == f"torus class factors of {8 * solver.fill} bytes above DIRECT_FACTOR_BUDGET"
+                assert prec.sectors == {}
+            else:
+                assert (prec.route_reason, prec.factor_fill) == ("", solver.fill)
+                assert prec.sectors == {"symmetric_axes": axes, "class_sizes": solver.class_sizes}
+        assert axes or solver.class_sizes == [solver.m]
     monkeypatch.undo()
-    # no mirror: SuperLU, with the reason; a perturbed matrix: the probe refuses it
-    prec = assemble_precision(classify(Ball([0.3, -0.2, 0.15], 0.7), 1 / 6))
-    assert green_columns(prec, [(2, -1, 1)]).max_residual <= 1e-8
-    assert (prec.route, prec.route_reason) == ("superlu", "R_h has no mirror symmetry to split the torus capacitance")
+    # a perturbed matrix: the probe refuses it
     prec = assemble_precision(ball)
     perturbed = PrecisionMatrix(domain=ball, matrix=(prec.matrix * (1.0 + 1e-6)).tocsr(), raw=prec.raw)
     monkeypatch.setattr(TorusCapacitanceSolver, "factorize", lambda self: pytest.fail("refused matrix was factorized"))
-    assert green_columns(perturbed, pts).max_residual <= 1e-8
+    assert green_columns(perturbed, [(0, 0, 0), (1, -2, 3)]).max_residual <= 1e-8
     assert perturbed.route == "superlu" and "probe mismatch" in perturbed.route_reason
+
+
+def test_d2_routing_follows_the_torus_factor_budget(monkeypatch):
+    # a long strip, not a centred box: its four class factors would take
+    # 0.31 GiB, above the budget, so it goes to SuperLU without building them
+    strip = classify(Box([(0, 400), (0, 1)]), 1 / 8)
+    fill = TorusCapacitanceSolver(strip).fill
+    monkeypatch.setattr(TorusCapacitanceSolver, "factorize", lambda self: pytest.fail("factors above the budget"))
+    prec = assemble_precision(strip)
+    assert green_columns(prec, [strip.rh_points[0], strip.rh_points[strip.n_rh // 2]]).max_residual <= 1e-8
+    reason = f"torus class factors of {8 * fill} bytes above DIRECT_FACTOR_BUDGET"
+    assert (prec.route, prec.route_reason, prec.sectors) == ("superlu", reason, {})
+    monkeypatch.undo()
+    # a disk at the budget and just above it
+    disk = classify(Ball([0.0, 0.0], 1.0), 1 / 16)
+    fill = TorusCapacitanceSolver(disk).fill
+    for budget, route in [(8 * fill, "torus-capacitance"), (8 * fill - 1, "superlu")]:
+        monkeypatch.setattr(green, "DIRECT_FACTOR_BUDGET", budget)
+        prec = assemble_precision(disk)
+        assert green_columns(prec, [(0, 0), (3, -5)]).max_residual <= 1e-8
+        assert prec.route == route
 
 
 def test_disk_class_factors_hold_at_most_a_third_of_the_whole_layer():

@@ -186,6 +186,20 @@ def test_recipes_record_the_solver_route(tmp_path, monkeypatch):
     assert facts["factor_fill"] > ball.n
 
 
+def test_green_recipe_records_the_whole_layer_factor_of_a_domain_without_a_mirror(tmp_path):
+    from membrane.lattice import Ball, classify
+    from membrane.torus import TorusCapacitanceSolver
+
+    spec = {"kind": "ball", "dimension": 3, "center": [0.3, -0.2, 0.15], "radius": 0.7}
+    (tmp_path / "ball.json").write_text(json.dumps(spec))
+    args = ["green", "--domain", str(tmp_path / "ball.json"), "--h", "1/6", "--columns", "2,-1,1"]
+    code, out = run_cli(args, tmp_path, "off")
+    assert code == 0
+    facts = json.loads((out / "manifest.json").read_text())["stage_facts"]["solve"]
+    m = TorusCapacitanceSolver(classify(Ball(spec["center"], spec["radius"]), 1 / 6)).m
+    assert facts == {"route": "torus-capacitance", "factor_fill": m**2, "symmetric_axes": [], "class_sizes": [m]}
+
+
 def test_recipes_record_the_d3_box_route_and_its_budget(tmp_path, monkeypatch):
     from membrane import green
     from membrane.boxsolve import direct_fill

@@ -515,6 +515,15 @@ def test_pairing_study_cross_checks_d2():
     assert all(v > 0 for v in study.variances)
 
 
+def test_pairing_study_solves_on_the_classified_grid(monkeypatch):
+    # 0.5 / h = 8.75 at h = 2/35: R_h is [-6, 6]^2, and a rounded M solved on [-7, 7]^2
+    study = pairing_variance_study(2, [2 / 35], bump_test_function())
+    assert study.cross_checks[0][1] <= 1e-8
+    monkeypatch.setattr(spectral, "centered_box_halfwidth", lambda dom: -1)
+    with pytest.raises(ValueError, match=r"is not \[-6, 6\]\^2"):
+        pairing_variance_study(2, [2 / 35], bump_test_function())
+
+
 def test_bump_function_support_and_values():
     f = bump_test_function(scale=4.0, power=6)
     x = np.array([[0.3, 0.0], [0.2, 0.0], [0.0, 0.0]])
