@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import RunManifest
-from .lattice import classify, shape_from_config, verify_b2star
+from .green import assemble_precision, green_columns, green_full
+from .lattice import classify, shape_from_config, unit_box, verify_b2star
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -143,8 +144,6 @@ def run_b2star(args, cfg) -> RunManifest:
 
 
 def run_green(args, cfg) -> RunManifest:
-    from .green import assemble_precision, green_columns, green_full
-
     spec, h = _grid(args, cfg, 1 / 8)
     man = RunManifest(args.out, {"recipe": "green", "domain": spec, "h": h, "columns": args.columns})
     dom = classify(shape_from_config(spec), h)
@@ -166,7 +165,6 @@ def run_green(args, cfg) -> RunManifest:
 
 
 def run_sample(args, cfg) -> RunManifest:
-    from .green import assemble_precision
     from .sampler import sample
 
     spec, h = _grid(args, cfg, 1 / 8)
@@ -186,8 +184,6 @@ def run_sample(args, cfg) -> RunManifest:
 
 
 def run_interpolate(args, cfg) -> RunManifest:
-    from .green import assemble_precision
-    from .lattice import unit_box
     from .sampler import InterpolatedField, sample
 
     d = _option(args, cfg, "d", 2, positive)
@@ -236,8 +232,6 @@ def run_max_scaling(args, cfg) -> RunManifest:
 
 
 def run_moment_check(args, cfg) -> RunManifest:
-    from .green import assemble_precision
-    from .lattice import unit_box
     from .sampler import moment_exponent
 
     d = _option(args, cfg, "d", 2, positive)
@@ -257,7 +251,6 @@ def run_moment_check(args, cfg) -> RunManifest:
 
 
 def run_spectrum(args, cfg) -> RunManifest:
-    from .green import assemble_precision
     from .spectral import eigendecompose, weyl_counting_fit
 
     spec, h = _grid(args, cfg, 1 / 16)

@@ -60,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import GridDomain, assemble, inf_norm, stencil_weights
+from .lattice import GridDomain, assemble, classify, inf_norm, stencil_weights, unit_box
 
 DENSE_TABLE_CAP = 20_000
 FACTORIZATION_CAP = 600_000   # rows; above this only centred boxes are solved
@@ -259,7 +259,7 @@ def solve_green_column(precision: PrecisionMatrix, x: Sequence[int]) -> np.ndarr
 
 def green_columns(precision: PrecisionMatrix, points: Sequence[Sequence[int]]) -> GreenTable:
     """Selected covariance columns, solved in batches against one solver."""
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, precision.domain.d)
+    pts = np.asarray(points, dtype=np.int64)
     idx = precision.domain.rh_indices(pts)
     if np.any(idx < 0):
         raise ValueError(f"point {tuple(pts[idx < 0][0])} is not in R_h")
@@ -370,8 +370,6 @@ def check_bounds(table: GreenTable, N: int) -> BoundReport:
 
 def central_variance(d: int, N: int) -> float:
     """G(0,0) on the box (-1,1)^d at h = 1/N (the centre-of-box variance)."""
-    from .lattice import classify, unit_box
-
     dom = classify(unit_box(d), 1.0 / N)
     prec = assemble_precision(dom)
     g = solve_green_column(prec, (0,) * d)

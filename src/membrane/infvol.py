@@ -729,11 +729,6 @@ def scaling_variance(
     if N < 2:
         raise ValueError("N must be >= 2")
     kappa2 = kappa(d) ** 2
-    if test.amplitude == 0.0:
-        return ScalingVariance(
-            N=N, value=0.0, radial_part=0.0, kernel_excess=0.0, error_budget=0.0,
-            budget_detail={},
-        )
     from scipy.integrate import quad
 
     radial = inv_laplacian_norm(test)

@@ -33,8 +33,12 @@ of the precision on the torus, on Z^d and, in sine coefficients, of the
 box part B^2.  It is also the one place where a stencil meets the lattice:
 `apply_stencil_array` applies it to a grid array and `assemble` builds its
 sparse matrix on R_h with zero extension, whose infinity norm `inf_norm`
-reads off its CSR arrays.  `axis_classes` enumerates the axis permutations
-that the symmetry reductions of `boxsolve`, `torus` and `infvol` share, and
+reads off its CSR arrays.  `_shifted_slices` is the one non-periodic shift
+of a lattice array: the stencils of `apply_stencil_array`, the erosions of
+`classify`, the axis rays of `verify_b2star` and, through
+`apply_stencil_array`, the forward differences of `thomee`; only the
+periodic torus rolls.  `axis_classes` enumerates the axis permutations that
+the symmetry reductions of `boxsolve`, `torus` and `infvol` share, and
 `WORKERS` is the thread count of the FFTs of `torus` and the walks of
 `infvol`.
 """
@@ -277,8 +281,17 @@ class GridDomain:
         return int(self.rh_indices(point))
 
     def rh_indices(self, points) -> np.ndarray:
-        """Row indices of integer lattice points of shape (..., d); -1 off R_h."""
-        p = np.asarray(points, dtype=np.int64) - self.origin
+        """Row indices of integer lattice points of shape (..., d); -1 off R_h.
+
+        An empty list is no points; points whose last axis is not d raise
+        ValueError.
+        """
+        p = np.asarray(points, dtype=np.int64)
+        if p.shape == (0,):
+            p = p.reshape(0, self.d)
+        if p.shape[-1:] != (self.d,):
+            raise ValueError(f"lattice points of shape {p.shape}: the last axis must have length d = {self.d}")
+        p = p - self.origin
         inside = np.all((p >= 0) & (p < np.array(self.mask_shape)), axis=-1)
         idx = np.full(inside.shape, -1, dtype=np.int64)
         idx[inside] = self.rh_index_grid[tuple(np.moveaxis(p[inside], -1, 0))]
@@ -305,11 +318,13 @@ class GridDomain:
 def _shifted_slices(offset: Offset, side: Tuple[int, ...]):
     """Slice tuples (src, dst) that pair each position y of dst with y + offset.
 
-    Positions whose partner y + offset falls off the array are left out of dst.
+    Positions whose partner y + offset falls off the array are left out of dst;
+    an offset at least as long as its side pairs nothing.
     """
     src = []
     dst = []
     for o, n in zip(offset, side):
+        o = max(-n, min(o, n))
         if o >= 0:
             src.append(slice(o, n))
             dst.append(slice(0, n - o))
@@ -473,52 +488,34 @@ class B2StarReport:
 def verify_b2star(domain: GridDomain, K: int = 4) -> B2StarReport:
     """Check that every B_h* point sees two consecutive B_h points along some axis ray.
 
-    Only the 2d axis rays are searched, within K steps.  Vacuously true when
-    B_h* is empty.
+    Only the 2d axis rays are searched, within K steps.  A point's witness is
+    its first ray in the order (axis, direction, step): the B_h mask is read
+    at y + step e and y + (step + 1) e through `_shifted_slices`, and the rays
+    are written last to first so that the first one stays.  Vacuously true
+    when B_h* is empty.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     d = domain.d
     bstar_pts = domain.points[domain.classes == CLASS_BHSTAR]
-    # B_h membership over the bounding grid
+    loc = tuple((bstar_pts - domain.origin).T)
     bh_mask = domain.inside_mask & ~domain.rh_mask
-    shape_grid = np.array(domain.mask_shape)
-
-    def is_bh(p: np.ndarray) -> bool:
-        q = p - domain.origin
-        if np.any(q < 0) or np.any(q >= shape_grid):
-            return False
-        return bool(bh_mask[tuple(q)])
-
-    witnesses = {}
-    failures = []
-    for p in bstar_pts:
-        found = None
-        for axis in range(d):
-            for direction in (1, -1):
-                run = 0
-                for step in range(1, K + 1):
-                    q = p.copy()
-                    q[axis] += direction * step
-                    if is_bh(q):
-                        run += 1
-                        if run == 2:
-                            found = (axis, direction, step - 1)
-                            break
-                    else:
-                        run = 0
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            witnesses[tuple(int(v) for v in p)] = found
-        else:
-            failures.append(tuple(int(v) for v in p))
+    rays = [(axis, direction, step) for axis in range(d) for direction in (1, -1) for step in range(1, K)]
+    first = np.full(len(bstar_pts), -1)
+    for r in reversed(range(len(rays))):
+        axis, direction, step = rays[r]
+        pair = np.ones_like(bh_mask)
+        for s in (step, step + 1):
+            src, dst = _shifted_slices(tuple(direction * s * (k == axis) for k in range(d)), bh_mask.shape)
+            seen = np.zeros_like(bh_mask)
+            seen[dst] = bh_mask[src]
+            pair &= seen
+        first[pair[loc]] = r
+    found = first >= 0
     return B2StarReport(
-        passed=not failures,
+        passed=bool(found.all()),
         K=K,
         n_checked=len(bstar_pts),
-        witnesses=witnesses,
-        failures=failures,
+        witnesses=dict(zip(map(tuple, bstar_pts[found].tolist()), map(rays.__getitem__, first[found].tolist()))),
+        failures=list(map(tuple, bstar_pts[~found].tolist())),
     )

@@ -27,8 +27,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .green import GreenTable, PrecisionMatrix, solve_block
-from .lattice import GridDomain, apply_stencil_array, field_on_grid, kappa, stencil_weights
+from .green import GreenTable, PrecisionMatrix, assemble_precision, solve_block
+from .lattice import GridDomain, apply_stencil_array, classify, field_on_grid, kappa, stencil_weights, unit_box
 
 
 @dataclass
@@ -79,7 +79,7 @@ def field_prefactor(d: int, N: int) -> float:
     return kappa(d) * float(N) ** ((d - 4) / 2.0)
 
 
-def simplex_weights(t: np.ndarray, N: int, d: int):
+def simplex_weights(t: np.ndarray, N: int):
     """Barycentric decomposition of points t (..., d) at scale N.
 
     Returns the simplex vertices (..., d+1, d) as integer lattice points and
@@ -93,7 +93,7 @@ def simplex_weights(t: np.ndarray, N: int, d: int):
     order = np.argsort(-frac, axis=-1, kind="stable")
     fs = np.take_along_axis(frac, order, axis=-1)
     # v_k = a + e_{order[0]} + ... + e_{order[k-1]}
-    steps = np.cumsum(np.eye(d, dtype=np.int64)[order], axis=-2)
+    steps = np.cumsum(np.eye(p.shape[-1], dtype=np.int64)[order], axis=-2)
     verts = a[..., None, :] + np.concatenate([np.zeros_like(steps[..., :1, :]), steps], axis=-2)
     wts = np.concatenate([1.0 - fs[..., :1], fs[..., :-1] - fs[..., 1:], fs[..., -1:]], axis=-1)
     return verts, wts
@@ -119,19 +119,20 @@ class InterpolatedField:
         return field_prefactor(self.d, self.N)
 
     def evaluate(self, t: Sequence[float]) -> float:
-        return float(self.evaluate_many(t)[0])
+        return float(self.evaluate_many(t))
 
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        """Psi_N at points ts (m, d); raises ValueError outside the closed box."""
-        ts = np.asarray(ts, dtype=float).reshape(-1, self.d)
+        """Psi_N at points ts (..., d) as (...); raises ValueError outside the
+        closed box or when the last axis is not d."""
+        ts = np.asarray(ts, dtype=float)
         if np.any(np.abs(ts) > 1.0 + 1e-12):
             raise ValueError("evaluation point outside the closed box")
-        verts, wts = simplex_weights(ts, self.N, self.d)
+        verts, wts = simplex_weights(ts, self.N)
         j = self.sample.domain.rh_indices(verts)
         phi = np.where(j >= 0, self.sample.values[j], 0.0)
-        acc = np.zeros(len(ts))
+        acc = np.zeros(wts.shape[:-1])
         for k in range(self.d + 1):  # the vertex order of a per-point sum
-            acc += wts[:, k] * phi[:, k]
+            acc += wts[..., k] * phi[..., k]
         return self.prefactor * acc
 
 
@@ -143,10 +144,10 @@ def rescaled_max(sample_: FieldSample, d: int, N: int) -> float:
 # ---------------------------------------------------------------------------
 # exact second moments of interpolated increments
 
-def increment_weight_vector(t, s, N: int, d: int):
+def increment_weight_vector(t, s, N: int):
     """Signed barycentric weights of Psi(t) - Psi(s) as a finite phi-combination."""
-    verts_t, w_t = simplex_weights(t, N, d)
-    verts_s, w_s = simplex_weights(s, N, d)
+    verts_t, w_t = simplex_weights(t, N)
+    verts_s, w_s = simplex_weights(s, N)
     combo = {}
     for v, w in zip(verts_t, w_t):
         combo[tuple(v)] = combo.get(tuple(v), 0.0) + w
@@ -157,7 +158,7 @@ def increment_weight_vector(t, s, N: int, d: int):
 
 def exact_increment_variance(table: GreenTable, t, s, d: int, N: int) -> float:
     """E |Psi_N(t) - Psi_N(s)|^2 evaluated exactly through the covariance table."""
-    combo = increment_weight_vector(t, s, N, d)
+    combo = increment_weight_vector(t, s, N)
     points = np.array(list(combo), dtype=np.int64)
     w = np.array(list(combo.values()))
     return field_prefactor(d, N) ** 2 * float(w @ table.block(points) @ w)
@@ -169,9 +170,8 @@ def increment_weights(ts: np.ndarray, ss: np.ndarray, N: int, domain: GridDomain
     Vertices off R_h drop out (phi is zero there); a vertex shared by both
     simplices gets the sum of its two weights.
     """
-    d = domain.d
-    verts_t, w_t = simplex_weights(ts, N, d)
-    verts_s, w_s = simplex_weights(ss, N, d)
+    verts_t, w_t = simplex_weights(ts, N)
+    verts_s, w_s = simplex_weights(ss, N)
     rows = domain.rh_indices(np.concatenate([verts_t, verts_s], axis=1))
     wts = np.concatenate([w_t, -w_s], axis=1)
     pair = np.broadcast_to(np.arange(len(ts))[:, None], rows.shape)
@@ -294,9 +294,6 @@ class MaxScalingReport:
 def max_scaling(d: int, Ns: Sequence[int], count: int, seed: int) -> MaxScalingReport:
     """Empirical distributions of the rescaled maximum at two or more distinct
     scales, and the KS distance between the first and the last."""
-    from .green import assemble_precision
-    from .lattice import classify, unit_box
-
     if len(Ns) < 2 or len(set(Ns)) < len(Ns):
         raise ValueError(f"N={list(Ns)}: give two or more distinct scales")
     maxima = {}

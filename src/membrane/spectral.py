@@ -51,8 +51,8 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .boxsolve import CenteredBoxSolver, box_classes, centered_box_halfwidth, sector_view, wedge, wedge_solve
-from .green import GreenTable, PrecisionMatrix, _make_solver, box_route, factorize_spd
-from .lattice import GridDomain, assemble, kappa, stencil_weights, unit_ball_volume
+from .green import GreenTable, PrecisionMatrix, _make_solver, assemble_precision, box_route, factorize_spd
+from .lattice import Box, GridDomain, assemble, classify, kappa, stencil_weights, unit_ball_volume
 
 DENSE_EIG_CAP = 4000
 
@@ -519,9 +519,6 @@ def pairing_variance_study(
     solver, and report the relative gap between the two; there a classified
     R_h that is not [-M, M]^d raises ValueError.
     """
-    from .green import assemble_precision
-    from .lattice import Box, classify
-
     hs = sorted(h_list, reverse=True)
     box = Box([(-0.5, 0.5)] * d)
     kappa2 = kappa(d) ** 2

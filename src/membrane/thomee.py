@@ -17,6 +17,10 @@ with M_k the sum of sup-norms of all derivatives of u through order k, so in
 particular || R_h e_h ||_{h,grid} = O(h^{1/2}).  The convergence study checks
 the measured error against this bound curve with a single fitted constant and
 reports the empirical order.
+
+The discrete Sobolev norms take forward differences of the zero-extended
+field with `lattice.apply_stencil_array`, so they shift the grid through
+`lattice._shifted_slices` like every other non-periodic lattice shift.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial.polynomial import polyder
 
+from .green import assemble_precision
 from .lattice import (
     Ball,
     GridDomain,
@@ -117,12 +122,9 @@ def grid_norm(values: np.ndarray, h: float, d: int) -> float:
 
 
 def _forward_diff(grid: np.ndarray, axis: int, h: float) -> np.ndarray:
-    shifted = np.roll(grid, -1, axis=axis)
-    # roll wraps; the wrapped slice is outside the support (zeros), clear it
-    sl = [slice(None)] * grid.ndim
-    sl[axis] = -1
-    shifted[tuple(sl)] = 0.0
-    return (shifted - grid) / h
+    """(f(x + h e_axis) - f(x)) / h, with f zero past the end of the array."""
+    e = tuple(int(k == axis) for k in range(grid.ndim))
+    return apply_stencil_array(grid, {(0,) * grid.ndim: -1, e: 1}) / h
 
 
 def sobolev_h2_norm(values_rh: np.ndarray, domain: GridDomain) -> float:
@@ -185,8 +187,6 @@ def solve_dirichlet(domain: GridDomain, f_rh: np.ndarray, residual_tol: float = 
     """
     if domain.n_rh == 0:
         raise ValueError("R_h is empty")
-    from .green import assemble_precision
-
     prec = assemble_precision(domain)  # matrix = kappa^2 S, S the integer stencil
     S = prec.raw                       # L_h = S / h^4
     b = domain.h**4 * np.asarray(f_rh, dtype=float)

@@ -227,6 +227,13 @@ def test_green_selected_columns(tmp_path):
     assert meta["columns"] == [[0, 0], [1, 1]]
 
 
+def test_green_refuses_a_column_of_another_length(tmp_path, capsys):
+    code, out = run_cli(["green", "--shape", "box", "--d", "2", "--h", "1/8", "--columns", "1,2,3,4"], tmp_path, "c4")
+    assert code == EXIT_USAGE
+    assert not (out / "manifest.json").exists()
+    assert "last axis" in capsys.readouterr().err
+
+
 def test_sample_determinism_byte_identical(tmp_path):
     args = ["sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "3"]
     code1, out1 = run_cli(["--seed", "5"] + args, tmp_path, "d1")

@@ -123,6 +123,17 @@ def test_selected_columns_match_full():
         cols.at((0, 1), (0, 0))
 
 
+def test_columns_refuse_points_of_another_length():
+    dom = classify(unit_box(2), 1 / 8)
+    prec = assemble_precision(dom)
+    for bad in ([(1, 2, 3, 4)], [(1,)], [(0, 0, 0)]):
+        with pytest.raises(ValueError, match="last axis"):
+            green_columns(prec, bad)
+    for empty in ([], np.zeros((0, 2), dtype=int)):
+        table = green_columns(prec, empty)
+        assert table.values.shape == (0, dom.n_rh) and table.max_residual == 0.0
+
+
 def test_box_route_raises_when_pcg_stops_short(monkeypatch):
     from membrane import boxsolve
 

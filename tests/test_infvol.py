@@ -669,6 +669,7 @@ def test_scaling_variance_zero_function():
     test.amplitude = 0.0
     sv = scaling_variance(test, 4)
     assert sv.value == 0.0
+    assert sv.error_budget == 0.0
 
 
 def test_scaling_variance_sequence_decreases_to_limit():

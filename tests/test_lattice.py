@@ -10,6 +10,7 @@ from membrane.lattice import (
     CLASS_BH,
     CLASS_BHSTAR,
     CLASS_RHSTAR,
+    _shifted_slices,
     apply_stencil_array,
     assemble,
     axis_classes,
@@ -380,6 +381,104 @@ def test_b2star_rejects_bad_K():
     dom = classify(unit_box(2), 0.5)
     with pytest.raises(ValueError):
         verify_b2star(dom, K=0)
+
+
+def test_rh_indices_refuse_points_of_another_length():
+    dom = classify(unit_box(2), 1 / 4)
+    assert dom.rh_indices([]).shape == (0,)
+    assert dom.rh_indices(np.zeros((0, 2), dtype=int)).shape == (0,)
+    assert dom.rh_indices([[1, 1], [9, 9]]).tolist() == [dom.rh_index_of((1, 1)), -1]
+    for bad in ([1], [[1]], [1, 1, 1], [[1, 1, 1, 1]], 1):
+        with pytest.raises(ValueError, match="last axis"):
+            dom.rh_indices(bad)
+    with pytest.raises(ValueError, match="last axis"):
+        dom.rh_index_of((1,))
+
+
+def b2star_per_point(domain, K):
+    """The per-point ray walk that verify_b2star replaced, as a reference:
+    (passed, n_checked, witnesses, failures)."""
+    d = domain.d
+    bstar_pts = domain.points[domain.classes == CLASS_BHSTAR]
+    # B_h membership over the bounding grid
+    bh_mask = domain.inside_mask & ~domain.rh_mask
+    shape_grid = np.array(domain.mask_shape)
+
+    def is_bh(p: np.ndarray) -> bool:
+        q = p - domain.origin
+        if np.any(q < 0) or np.any(q >= shape_grid):
+            return False
+        return bool(bh_mask[tuple(q)])
+
+    witnesses = {}
+    failures = []
+    for p in bstar_pts:
+        found = None
+        for axis in range(d):
+            for direction in (1, -1):
+                run = 0
+                for step in range(1, K + 1):
+                    q = p.copy()
+                    q[axis] += direction * step
+                    if is_bh(q):
+                        run += 1
+                        if run == 2:
+                            found = (axis, direction, step - 1)
+                            break
+                    else:
+                        run = 0
+                if found:
+                    break
+            if found:
+                break
+        if found:
+            witnesses[tuple(int(v) for v in p)] = found
+        else:
+            failures.append(tuple(int(v) for v in p))
+    return not failures, len(bstar_pts), witnesses, failures
+
+
+B2STAR_DOMAINS = {
+    "disk-h1/4": (Ball([0.0, 0.0], 1.0), 1 / 4),
+    "disk-h1/16": (Ball([0.0, 0.0], 1.0), 1 / 16),
+    "disk-h1/256": (Ball([0.0, 0.0], 1.0), 1 / 256),
+    "off-centre-ball-d3-h1/24": (Ball([0.3, -0.2, 0.1], 1.0), 1 / 24),
+    "ball-d3-h1/6": (Ball([0.0] * 3, 1.0), 1 / 6),
+    "cube-d3-h1/12": (unit_box(3), 1 / 12),
+    "strip-h1/16": (Box([(0, 1), (0, 0.3)]), 1 / 16),
+    "ball-d4-h1/5": (Ball([0.0] * 4, 1.0), 1 / 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(B2STAR_DOMAINS))
+def test_b2star_mask_rays_match_the_per_point_walk(name):
+    dom = classify(*B2STAR_DOMAINS[name])
+    assert dom.n_rh > 0
+    for K in (1, 2, 3, 4, 6, 40):
+        passed, n_checked, witnesses, failures = b2star_per_point(dom, K)
+        rep = verify_b2star(dom, K=K)
+        assert (rep.passed, rep.n_checked, rep.failures) == (passed, n_checked, failures)
+        assert list(rep.witnesses.items()) == list(witnesses.items())
+        assert all(type(v) is int for p in rep.witnesses.items() for t in p for v in t)
+
+
+def test_b2star_fails_partly_at_K_2_and_wholly_at_K_1():
+    dom = classify(Ball([0.0, 0.0], 1.0), 1 / 16)
+    two = verify_b2star(dom, K=2)
+    assert 0 < len(two.failures) < two.n_checked and not two.passed
+    one = verify_b2star(dom, K=1)
+    assert not one.witnesses and len(one.failures) == one.n_checked > 0
+
+
+@pytest.mark.parametrize("o", [15, 16, 40, -15, -16, -40])
+def test_shifted_slices_pair_nothing_past_the_side(o):
+    src, dst = _shifted_slices((o, 0), (15, 15))
+    a = np.arange(225).reshape(15, 15)
+    assert a[src].size == 0 and a[dst].size == 0
+    out = np.zeros_like(a)
+    out[dst] = a[src]
+    assert not out.any()
+    assert apply_stencil_array(a.astype(float), {(o, 0): 1}).sum() == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,21 @@ def test_lattice_point_identity(box16):
         assert f.evaluate(t) == pytest.approx(expect, abs=1e-14)
 
 
+def test_points_of_another_length_are_refused(box16):
+    _, prec, _ = box16
+    f = InterpolatedField(sample(prec, seed=3, count=1)[0], 16)
+    for bad in (np.zeros((4, 3)), np.full((3, 1), 0.25), np.zeros((2, 2, 4))):
+        with pytest.raises(ValueError, match="last axis"):
+            f.evaluate_many(bad)
+    for bad in ([0.3], [0.1, 0.2, 0.3, 0.4]):
+        with pytest.raises(ValueError, match="last axis"):
+            f.evaluate(bad)
+    assert f.evaluate_many(np.zeros((0, 2))).shape == (0,)
+    grid = np.full((2, 3, 2), 0.25)
+    assert f.evaluate_many(grid).shape == (2, 3)
+    assert np.array_equal(f.evaluate_many(grid).reshape(-1), f.evaluate_many(grid.reshape(-1, 2)))
+
+
 def test_boundary_evaluates_to_zero(box16):
     _, prec, _ = box16
     f = InterpolatedField(sample(prec, seed=3, count=1)[0], 16)
@@ -172,7 +187,7 @@ def test_simplex_weights_sum_to_one():
     for d in (2, 3):
         for _ in range(50):
             t = rng.uniform(-1, 1, size=d)
-            verts, wts = simplex_weights(t, 16, d)
+            verts, wts = simplex_weights(t, 16)
             assert wts.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(wts >= -1e-12)
             recon = sum(w * np.asarray(v) for v, w in zip(verts, wts)) / 16.0
@@ -306,7 +321,7 @@ def test_increment_variance_lattice_pair_formula(box16):
 
 
 def test_increment_weight_vector_cancels_at_t_equals_s():
-    combo = increment_weight_vector([0.13, 0.4], [0.13, 0.4], 16, 2)
+    combo = increment_weight_vector([0.13, 0.4], [0.13, 0.4], 16)
     assert all(abs(w) < 1e-15 for w in combo.values())
 
 

@@ -5,6 +5,7 @@ from membrane.green import assemble_precision, solve_green_column
 from membrane.lattice import Ball, classify, field_on_grid, unit_box
 from membrane.thomee import (
     ManufacturedProblem,
+    _forward_diff,
     attach_error,
     backward_error,
     bstar_count_scaling,
@@ -161,6 +162,31 @@ def test_grid_norm_formula():
     dom = classify(unit_box(2), 1 / 4)
     v = np.arange(dom.n_rh, dtype=float)
     assert grid_norm(v, dom.h, 2) == pytest.approx(np.sqrt(dom.h**2 * np.sum(v * v)))
+
+
+def roll_forward_diff(grid, axis, h):
+    """The np.roll forward difference that _forward_diff replaced, as a reference."""
+    shifted = np.roll(grid, -1, axis=axis)
+    # roll wraps; the wrapped slice is outside the support (zeros), clear it
+    sl = [slice(None)] * grid.ndim
+    sl[axis] = -1
+    shifted[tuple(sl)] = 0.0
+    return (shifted - grid) / h
+
+
+@pytest.mark.parametrize("d,h", [(2, 1 / 8), (2, 1 / 10), (3, 1 / 6)])
+def test_forward_difference_equals_the_roll_reference_bit_for_bit(d, h):
+    dom = classify(Ball([0.0] * d, 1.0), h)
+    rng = np.random.default_rng(11)
+    base = np.pad(field_on_grid(dom, rng.standard_normal(dom.n_rh)), 2)
+    for ax in range(d):
+        once = _forward_diff(base, ax, h)
+        assert np.array_equal(once, roll_forward_diff(base, ax, h))
+        for ax2 in range(d):
+            assert np.array_equal(_forward_diff(once, ax2, h), roll_forward_diff(once, ax2, h))
+    # a field that reaches the last layer: the difference there reads zero past the end
+    full = rng.standard_normal((5, 6))
+    assert np.array_equal(_forward_diff(full, 1, 0.5), roll_forward_diff(full, 1, 0.5))
 
 
 def test_sobolev_norm_zero_field():
