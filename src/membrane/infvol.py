@@ -16,7 +16,9 @@ exponential by a product of cosines.  The integrands are symmetric under
 swaps of axes that carry the same Gauss rule (the cosine product once those
 axes share one frequency set), so each level evaluates one box per
 permutation class and adds the rest of the class as transposes
-(`shell_quadrature`).
+(`shell_quadrature`).  Within a box, axes on the same half and rule get
+equal node arrays, so an integrand that is symmetric in them may also sum
+once per orbit of their nodes, as the scaling variance does.
 
 The independent check is Monte Carlo over simple random walks:
 
@@ -52,14 +54,14 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from operator import methodcaller
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import i0e
 
-from .lattice import WORKERS, axis_classes, kappa, mu_symbol, unit_ball_volume
+from .lattice import WORKERS, axis_classes, kappa, mu_symbol, unit_ball_volume, wedge
 
 TWO_PI = 2.0 * np.pi
 RHO0 = np.pi  # outer edge of the folded Brillouin zone [0, pi]^d
@@ -108,6 +110,12 @@ def shell_quadrature(
     and adds its orbit: C(d', j) times a scalar, or the sum of the C(d', j)
     transposes of an array (`lattice.axis_classes`), d' the number of
     permuting axes.
+
+    Within a box, axes on the same half and rule get equal node and weight
+    arrays, and the representative puts the upper halves first, so those
+    axes form runs of consecutive axes.  A scalar integrand that is
+    symmetric in them may therefore sum once per orbit of their nodes
+    (`scaling_variance`).
     """
     rules = {p: np.polynomial.legendre.leggauss(p) for p in (order, order_axis0) if p}
     first = 1 if order_axis0 else 0
@@ -395,19 +403,24 @@ def walk_tail_bound(M: int, d: int, parity: int) -> float:
 CHUNK = 4
 # odd multiplier of the target hash (2^64 / golden ratio), as a signed int64
 _HASH = 0x9E3779B97F4A7C15 - (1 << 64)
+# slots from which the target hash stops doubling for a window of one slot
+# (its keys then take 64 KiB)
+_WIDE = 1 << 13
 
 
 class _TargetHash:
     """Linear-probing hash of the target keys: 2^b slots, each key in slot
     (key * _HASH mod 2^64) >> (64 - b) or, taken, in the next free one.
-    2^b >= 2 ntar, doubled at most three times while some key sits more than
-    3 slots past its own (structured keys can cluster), so the size follows
-    the targets, not the box they span."""
+    2^b >= 2 ntar, doubled at most 8 times while some key sits past its own
+    slot, or, from _WIDE slots on, more than 3 past (structured keys can
+    cluster), so the size follows the targets, not the box they span.  A
+    small table thus finds a key with one read per walk, and a large one
+    keeps a window of up to 4 slots in place of growing."""
 
     def __init__(self, tkey: np.ndarray):
         self.ntar = len(tkey)
         least = (2 * self.ntar - 1).bit_length()
-        for bits in range(least, least + 4):
+        for bits in range(least, least + 9):
             self.shift, self.mask = 64 - bits, (1 << bits) - 1
             keys = np.full(1 << bits, -1, dtype=np.int64)  # keys are >= 0
             target = np.zeros(1 << bits, dtype=np.int32)
@@ -418,7 +431,7 @@ class _TargetHash:
                     p += 1
                 keys[(slot + p) & self.mask], target[(slot + p) & self.mask] = tkey[t], t
                 probes = max(probes, p)
-            if probes <= 3:
+            if probes <= (3 if 1 << bits >= _WIDE else 0):
                 break
         # each slot's probe window, so that one gather reads every slot a key can be in
         ring = (np.arange(1 << bits)[:, None] + np.arange(probes + 1)) & self.mask
@@ -722,6 +735,18 @@ def scaling_variance(
     functional) plus the nonnegative excess kappa^2 N^-4 mu(theta/N)^-2 -
     ||theta||^-4 integrated by dyadic shells; the Riemann-sum replacement of
     the lattice transform by fhat and all truncations go into the budget.
+
+    Orbit sum.  The excess times |fhat|^2 depends on theta only through
+    mu(theta/N) and ||theta||^2, sums over the axes, so on one box of
+    `shell_quadrature` it is symmetric under swaps of axes with equal node
+    arrays: a run of j upper axes and one of d - j lower ones.  Each run
+    sums over its multisets of node indices (`lattice.wedge`), each once
+    with its orbit, the number of its permutations: C(p + j - 1, j)
+    C(p + d - j - 1, d - j) points in place of the p^d of the Gauss tensor.
+    The sums of sin^2(theta_i / 2N) and of theta_i^2 are taken per run and
+    multiset and added as outer sums, and the weights are orbit(u)
+    orbit(l) prod w.  The multisets are enumerated once per (p, run
+    length) and call.
     """
     d = test.d
     if d <= 4:
@@ -735,12 +760,25 @@ def scaling_variance(
 
     theta_max = min(N * np.pi, test.fhat_radius(1e-34))
 
+    multisets = cache(lambda p, k: wedge(k, p - 1))
+
     def excess(nodes, weights):
-        mu = mu_symbol([t / N for t in nodes])
-        r2 = sum(t * t for t in nodes)
-        ker = kappa2 / (N**4 * mu * mu) - 1.0 / (r2 * r2)
-        fh = test.fhat_radial(np.sqrt(r2))
-        return _contract(ker * fh * fh, [w.reshape(-1, 1) for w in weights]).item()
+        # one axis per run of equal node arrays, over the run's multisets
+        nodes, weights = [t.ravel() for t in nodes], [w.ravel() for w in weights]
+        cut = [0] + [ax for ax in range(1, d) if (nodes[ax] != nodes[ax - 1]).any()] + [d]
+        sin2, sq, tables = 0.0, 0.0, []
+        for r, (lo, hi) in enumerate(zip(cut, cut[1:])):
+            t, w = nodes[lo], weights[lo]
+            rows, orbit = multisets(len(t), hi - lo)
+            shape = [1] * (len(cut) - 1)
+            shape[r] = -1
+            sin2 = sin2 + (np.sin(0.5 * (t / N)) ** 2)[rows].sum(axis=1).reshape(shape)
+            sq = sq + (t * t)[rows].sum(axis=1).reshape(shape)
+            tables.append((orbit * w[rows].prod(axis=1)).reshape(-1, 1))
+        mu = (2.0 / d) * sin2
+        ker = kappa2 / (N**4 * mu * mu) - 1.0 / (sq * sq)
+        fh = test.fhat_radial(np.sqrt(sq))
+        return _contract(ker * fh * fh, tables).item()
 
     v1 = shell_quadrature(d, theta_max, levels, excess, order=order)
     v2 = shell_quadrature(d, theta_max, levels + 4, excess, order=order + 2)

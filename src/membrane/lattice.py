@@ -38,9 +38,11 @@ of a lattice array: the stencils of `apply_stencil_array`, the erosions of
 `classify`, the axis rays of `verify_b2star` and, through
 `apply_stencil_array`, the forward differences of `thomee`; only the
 periodic torus rolls.  `axis_classes` enumerates the axis permutations that
-the symmetry reductions of `boxsolve`, `torus` and `infvol` share, and
-`WORKERS` is the thread count of the FFTs of `torus` and the walks of
-`infvol`.
+the symmetry reductions of `boxsolve`, `torus` and `infvol` share, `wedge`
+the multisets of indices with the number of permutations of each (the
+permutation wedge of `boxsolve` and `spectral`, the node orbits of a box in
+`infvol.scaling_variance`), and `WORKERS` is the thread count of the FFTs
+of `torus` and the walks of `infvol`.
 """
 
 from __future__ import annotations
@@ -221,6 +223,24 @@ def axis_classes(d: int, first: int = 0) -> list:
         orders = ([*range(first), *S, *(ax for ax in free if ax not in S)] for S in itertools.combinations(free, j))
         classes.append([tuple(sorted(range(d), key=order.__getitem__)) for order in orders])
     return classes
+
+
+def wedge(d: int, M: int):
+    """The permutation wedge of {0..M}^d: the sorted tuples f_0 <= .. <= f_{d-1},
+    one per row in colex order (f at row sum_i C(f_i + i, i + 1)), and the
+    orbit of each, the number of its permutations d! / prod_v (mult. of v)!."""
+    W = np.zeros((1, 0), dtype=np.intp)
+    for k in range(d):
+        # the (k+1)-tuples ending in t extend the k-tuples whose entries are
+        # at most t, which are the first C(t + k, k) rows
+        count = np.array([math.comb(t + k, k) for t in range(M + 1)])
+        rows = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        W = np.column_stack([W[rows], np.repeat(np.arange(M + 1), count)])
+    run, denom = np.ones(len(W)), np.ones(len(W))  # run: equal entries up to column j
+    for j in range(1, d):
+        run = np.where(W[:, j] == W[:, j - 1], run + 1.0, 1.0)
+        denom *= run
+    return W, math.factorial(d) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +512,11 @@ def verify_b2star(domain: GridDomain, K: int = 4) -> B2StarReport:
     its first ray in the order (axis, direction, step): the B_h mask is read
     at y + step e and y + (step + 1) e through `_shifted_slices`, and the rays
     are written last to first so that the first one stays.  Vacuously true
-    when B_h* is empty.
+    when B_h* is empty.  A witness pair ends at step t + 1 <= K, so K must be
+    at least 2.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    if K < 2:
+        raise ValueError("K must be >= 2")
     d = domain.d
     bstar_pts = domain.points[domain.classes == CLASS_BHSTAR]
     loc = tuple((bstar_pts - domain.origin).T)

@@ -50,9 +50,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .boxsolve import CenteredBoxSolver, box_classes, centered_box_halfwidth, sector_view, wedge, wedge_solve
+from .boxsolve import CenteredBoxSolver, box_classes, centered_box_halfwidth, sector_view, wedge_solve
 from .green import GreenTable, PrecisionMatrix, _make_solver, assemble_precision, box_route, factorize_spd
-from .lattice import Box, GridDomain, assemble, classify, kappa, stencil_weights, unit_ball_volume
+from .lattice import Box, GridDomain, assemble, classify, kappa, stencil_weights, unit_ball_volume, wedge
 
 DENSE_EIG_CAP = 4000
 

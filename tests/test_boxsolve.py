@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
-from membrane import boxsolve, green, spectral
+from membrane import boxsolve, green, lattice, spectral
 from membrane.boxsolve import CenteredBoxSolver, DirectBoxSolver, parity_classes
 from membrane.cli import main
 from membrane.green import PrecisionMatrix, assemble_precision, green_columns
@@ -174,9 +174,9 @@ def unfold(g: np.ndarray, d: int, M: int) -> np.ndarray:
     return g.reshape((M + 1,) * d)[np.ix_(*[m] * d)].reshape(-1)
 
 
-@pytest.mark.parametrize("d,M", [(2, 0), (2, 5), (3, 1), (3, 4), (4, 0), (4, 1), (4, 3), (5, 2)])
+@pytest.mark.parametrize("d,M", [(2, 0), (2, 5), (3, 1), (3, 4), (4, 0), (4, 1), (4, 3), (5, 2), (1, 7), (5, 9), (6, 7)])
 def test_wedge_holds_each_sorted_tuple_once_with_its_orbit(d, M):
-    rows, orbit = boxsolve.wedge(d, M)
+    rows, orbit = lattice.wedge(d, M)
     assert len(rows) == math.comb(M + d, d) and orbit.sum() == (M + 1) ** d
     ranks = sum(np.array([math.comb(int(f) + i, i + 1) for f in rows[:, i]], dtype=int) for i in range(d))
     assert np.array_equal(ranks, np.arange(len(rows)))

@@ -424,6 +424,7 @@ def test_a_given_flag_beats_the_config_key_even_at_zero(tmp_path):
         ["spectrum", "--shape", "box", "--d", "2", "--h", "1/8", "--k", "0"],
         ["interpolate", "--d", "2", "--N", "8", "--mesh", "0"],
         ["sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "-1"],
+        ["b2star", "--shape", "box", "--d", "2", "--h", "1/8", "--K", "1"],
     ],
 )
 def test_zero_or_negative_sizes_are_usage_errors(tmp_path, args):

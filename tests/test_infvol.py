@@ -15,6 +15,7 @@ from membrane.infvol import (
     FourierCovariance,
     SchwartzTest,
     WalkOracle,
+    _contract,
     eta2_trend,
     gaussian_test,
     green_infinite_fourier,
@@ -381,6 +382,21 @@ def test_target_hash_finds_every_key_and_no_other():
         assert len(table.find(others)[0]) == 0
 
 
+def test_target_hash_of_few_keys_reads_one_slot_per_key():
+    # the 21 class representatives of the span-2 box (the benchmark's
+    # targets) share a slot in 64 and 128 slots, and none does in 256
+    from membrane.infvol import _encode, _TargetHash
+
+    targets = np.array(sorted(symmetry_classes(2, 5)))
+    keys = _encode(targets, 2, 5)
+    table = _TargetHash(keys)
+    assert len(keys) == 21 and table.window.shape == (256, 1)
+    i, t = table.find(keys)
+    assert np.array_equal(i, np.arange(21)) and np.array_equal(t, np.arange(21))
+    others = np.setdiff1d(np.arange(5**5), keys)
+    assert len(table.find(others)[0]) == 0
+
+
 def test_walk_raises_an_exception_from_a_pool_thread(monkeypatch):
     from membrane import infvol
 
@@ -704,6 +720,46 @@ def test_scaling_variance_excess_matches_dense_mesh_reference():
 
 def test_scaling_variance_excess_matches_dense_mesh_reference_d6():
     check_excess_against_dense_mesh(6, N=4, levels=3, order=2, rel=1e-13)
+
+
+def full_tensor_excess(test, N, nodes, weights):
+    """The kernel excess of one box summed over its whole Gauss tensor, as
+    scaling_variance summed it before the orbit sum, and the same sum of
+    the terms' magnitudes times 1 + r^2 (the rounding of mu and r^2 moves a
+    term by about eps times that)."""
+    kappa2 = 1.0 / (2 * len(nodes)) ** 2
+    mu = mu_symbol([t / N for t in nodes])
+    r2 = sum(t * t for t in nodes)
+    fh2 = test.fhat_radial(np.sqrt(r2)) ** 2
+    tables = [w.reshape(-1, 1) for w in weights]
+    value = _contract((kappa2 / (N**4 * mu * mu) - 1.0 / (r2 * r2)) * fh2, tables).item()
+    scale = _contract((kappa2 / (N**4 * mu * mu) + 1.0 / (r2 * r2)) * (1.0 + r2) * fh2, tables).item()
+    return value, scale
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_excess_on_orbits_equals_the_full_tensor_sum(monkeypatch, d):
+    from membrane import infvol
+
+    N, test = 4, gaussian_test(d)
+    calls = []
+    monkeypatch.setattr(infvol, "shell_quadrature", lambda d, outer, levels, integrand, order: calls.append((outer, integrand)) or 0.0)
+    scaling_variance(test, N, budget_cap=1.0)
+    outer, excess = calls[0]
+    for k in (0, 4, 8, 16):  # boxes of shell_quadrature's levels k
+        a = outer * 0.5**k
+        for p in range(2, 9):
+            rule = np.polynomial.legendre.leggauss(p)
+            for j in range(d + 1):  # axes 0..j-1 on the upper half [a/2, a]
+                nodes, weights = [], []
+                for ax in range(d):
+                    shape = [1] * d
+                    shape[ax] = -1
+                    x, w = infvol._gauss(*((a / 2, a) if ax < j else (0.0, a / 2)), rule)
+                    nodes.append(x.reshape(shape))
+                    weights.append(w.reshape(shape))
+                value, scale = full_tensor_excess(test, N, nodes, weights)
+                assert abs(excess(nodes, weights) - value) <= 1e-14 * scale, (k, p, j)
 
 
 def test_quadrature_and_budget_gates_fail_on_nan(monkeypatch):

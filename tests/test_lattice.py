@@ -454,7 +454,7 @@ B2STAR_DOMAINS = {
 def test_b2star_mask_rays_match_the_per_point_walk(name):
     dom = classify(*B2STAR_DOMAINS[name])
     assert dom.n_rh > 0
-    for K in (1, 2, 3, 4, 6, 40):
+    for K in (2, 3, 4, 6, 40):
         passed, n_checked, witnesses, failures = b2star_per_point(dom, K)
         rep = verify_b2star(dom, K=K)
         assert (rep.passed, rep.n_checked, rep.failures) == (passed, n_checked, failures)
@@ -466,8 +466,9 @@ def test_b2star_fails_partly_at_K_2_and_wholly_at_K_1():
     dom = classify(Ball([0.0, 0.0], 1.0), 1 / 16)
     two = verify_b2star(dom, K=2)
     assert 0 < len(two.failures) < two.n_checked and not two.passed
-    one = verify_b2star(dom, K=1)
-    assert not one.witnesses and len(one.failures) == one.n_checked > 0
+    # a witness pair needs steps t and t + 1 <= K, so K = 1 is refused
+    with pytest.raises(ValueError, match="K must be >= 2"):
+        verify_b2star(dom, K=1)
 
 
 @pytest.mark.parametrize("o", [15, 16, 40, -15, -16, -40])
