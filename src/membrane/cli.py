@@ -187,6 +187,8 @@ def run_interpolate(args, cfg) -> RunManifest:
     from .sampler import InterpolatedField, sample
 
     d = _option(args, cfg, "d", 2, positive)
+    if d not in (2, 3):  # refused before any work: a d = 4 grid can hold millions of unknowns
+        raise ValueError("interpolation is defined for d in {2, 3}")
     N = _option(args, cfg, "N", 16, positive)
     seed = _option(args, cfg, "seed", 0, int)
     mesh = _option(args, cfg, "mesh", 4 * N, positive)

@@ -212,17 +212,6 @@ class GreenTable:
             raise KeyError(f"column for {tuple(x)} not stored")
         return float(self.values[self._row[i], j])
 
-    def block(self, points: np.ndarray) -> np.ndarray:
-        """G between all pairs of points (..., m, d) as (..., m, m), zero off R_h.
-
-        In columns mode every point in R_h must have a stored column."""
-        j = self.domain.rh_indices(points)
-        r = np.where(j >= 0, self._row[j], 0)
-        if np.any((j >= 0) & (r < 0)):
-            raise KeyError("a point in R_h has no stored column")
-        G = self.values[r[..., :, None], j[..., None, :]]
-        return np.where((j[..., :, None] >= 0) & (j[..., None, :] >= 0), G, 0.0)
-
 
 def solve_block(precision: PrecisionMatrix, W: sp.csc_matrix, take) -> float:
     """Solve A X = W for a sparse block W (n, k) of right-hand sides.

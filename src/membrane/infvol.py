@@ -50,7 +50,6 @@ excess, with the Riemann-sum and truncation terms carried in an error budget.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -448,20 +447,20 @@ class _TargetHash:
 
 
 class _Walks:
-    """Walks lo..hi-1 of one batch: positions, running keys, out-of-box counts
-    and the hit list, (walk - lo, target) as int32 with the value m + 1 of
-    its step."""
+    """Walks lo..hi-1 of one batch, started at the origin: positions, running
+    keys, out-of-box counts and the hit list, (walk - lo, target) as int32
+    with the value m + 1 of its step."""
 
-    def __init__(self, lo: int, hi: int, start: np.ndarray, start_key: int, span: int, table: _TargetHash):
-        n, d = hi - lo, len(start)
+    def __init__(self, lo: int, hi: int, d: int, span: int, table: _TargetHash):
+        n = hi - lo
         self.lo, self.hi, self.span, self.table = lo, hi, span, table
         # move k steps axis k >> 1 by step_of[k] and the running key by key_of[k]
         self.step_of = np.tile(np.array([-1, 1], dtype=np.int16), d)
         self.key_of = self.step_of * np.repeat((2 * span + 1) ** np.arange(d - 1, -1, -1), 2)
-        self.flat = np.tile(start, n)
+        self.flat = np.zeros(n * d, dtype=np.int16)
         self.rows = np.arange(0, n * d, d)
-        self.key = np.full(n, start_key, dtype=np.int64)
-        self.out = np.zeros(n, dtype=np.int8)  # coordinates with |x_i| > span; the start is inside
+        self.key = np.full(n, ((2 * span + 1) ** d - 1) // 2, dtype=np.int64)  # the origin's key
+        self.out = np.zeros(n, dtype=np.int8)  # coordinates with |x_i| > span; the origin is inside
         self.walks, self.targets, self.values = [], [], []
         self.record(0)
 
@@ -519,24 +518,19 @@ def _share(pool: ThreadPoolExecutor, work: Callable, items: list, first: Optiona
     return value
 
 
-def walk_estimate(
-    oracle: WalkOracle,
-    targets: Sequence[Sequence[int]],
-    start: Optional[Sequence[int]] = None,
-) -> WalkEstimate:
+def walk_estimate(oracle: WalkOracle, targets: Sequence[Sequence[int]]) -> WalkEstimate:
     """Per-target tally averages of sum_{m<=M} (m+1) 1{S_m = x} with standard
     errors from per-walk tallies, plus the closed-form tail bound
-    `walk_tail_bound` of the terms past M at the parity of x - start.
+    `walk_tail_bound` of the terms past M at the parity of x.
 
-    Walks start at `start` (origin by default); with a nonzero start this
-    estimates G(start, x), which by translation invariance equals
-    G(0, x - start).  An empty target list, a target listed twice, or a
-    target or start whose length is not oracle.d raises ValueError before
-    any walk.
+    Walks start at the origin, so this estimates G(0, x); G(y, x) is
+    G(0, x - y) by translation invariance.  An empty target list, a target
+    listed twice, or a target whose length is not oracle.d raises ValueError
+    before any walk.
 
     Each step costs O(1) array work per walk.  Every walk carries its key in
-    base 2 span + 1 (span = the largest |coordinate| of the targets and the
-    start), moved by a table entry per move, and the count of its
+    base 2 span + 1 (span = the largest |coordinate| of the targets), moved
+    by a table entry per move, and the count of its
     coordinates with |x_i| > span, moved when a step crosses +-span.  A walk
     is in the target box exactly when that count is 0; the keys of those
     walks are looked up in a linear-probing hash of the target keys
@@ -562,16 +556,14 @@ def walk_estimate(
     targets = np.asarray(targets, dtype=np.int64)
     if not len(targets):
         raise ValueError("no targets")
-    start_vec = np.asarray(start if start is not None else [0] * d, dtype=np.int16)
-    if targets.ndim != 2 or targets.shape[1] != d or start_vec.shape != (d,):
-        raise ValueError(f"targets of shape {targets.shape} and start {start_vec.tolist()} are not points of Z^{d}")
+    if targets.ndim != 2 or targets.shape[1] != d:
+        raise ValueError(f"targets of shape {targets.shape} are not points of Z^{d}")
     ntar = len(targets)
-    span = int(max(np.abs(targets).max(), np.abs(start_vec).max()))
+    span = int(np.abs(targets).max())
     tkey = _encode(targets, span, d)
     if len(np.unique(tkey)) < ntar:
         raise ValueError("a walk target is listed twice")
     table = _TargetHash(tkey)
-    start_key = int(_encode(start_vec[None, :].astype(np.int64), span, d)[0])
 
     sums = np.zeros(ntar)
     sqs = np.zeros(ntar)
@@ -588,7 +580,7 @@ def walk_estimate(
                 return rng.integers(0, 2 * d, size=(min(CHUNK, M + 1 - m), nw))
 
             edges = [nw * k // (2 * WORKERS) for k in range(2 * WORKERS + 1)]
-            slices = [_Walks(lo, hi, start_vec, start_key, span, table) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+            slices = [_Walks(lo, hi, d, span, table) for lo, hi in zip(edges, edges[1:]) if hi > lo]
             m, moves = 1, draw(1)
             while len(moves):
                 ahead = m + len(moves)
@@ -605,7 +597,7 @@ def walk_estimate(
     mean = sums / done
     var = np.maximum(sqs / done - mean**2, 0.0)
     se = np.sqrt(var / done)
-    parity = np.abs(targets - start_vec.astype(np.int64)).sum(axis=1) % 2
+    parity = np.abs(targets).sum(axis=1) % 2
     tails = np.array([walk_tail_bound(M, d, p) for p in (0, 1)])[parity]
     return WalkEstimate(
         targets=targets,
@@ -617,13 +609,16 @@ def walk_estimate(
     )
 
 
-def symmetry_classes(span: int, d: int):
-    """Representatives (sorted |x|) and class members for all ||x||_inf <= span."""
-    reps = {}
-    for x in itertools.product(range(-span, span + 1), repeat=d):
-        key = tuple(sorted(abs(v) for v in x))
-        reps.setdefault(key, []).append(x)
-    return reps
+def symmetry_classes(span: int, d: int) -> dict:
+    """The classes of the points with ||x||_inf <= span under the signed
+    permutations of the axes: representative (sorted |x|, a row of
+    `lattice.wedge(d, span)`) -> class size, the row's wedge orbit times 2
+    per nonzero entry.  A negative span raises ValueError."""
+    if span < 0:
+        raise ValueError(f"span={span} is negative")
+    reps, orbit = wedge(d, span)
+    sizes = orbit * 2.0 ** np.count_nonzero(reps, axis=1)
+    return {tuple(map(int, r)): int(n) for r, n in zip(reps, sizes)}
 
 
 # ---------------------------------------------------------------------------

@@ -144,24 +144,15 @@ def rescaled_max(sample_: FieldSample, d: int, N: int) -> float:
 # ---------------------------------------------------------------------------
 # exact second moments of interpolated increments
 
-def increment_weight_vector(t, s, N: int):
-    """Signed barycentric weights of Psi(t) - Psi(s) as a finite phi-combination."""
-    verts_t, w_t = simplex_weights(t, N)
-    verts_s, w_s = simplex_weights(s, N)
-    combo = {}
-    for v, w in zip(verts_t, w_t):
-        combo[tuple(v)] = combo.get(tuple(v), 0.0) + w
-    for v, w in zip(verts_s, w_s):
-        combo[tuple(v)] = combo.get(tuple(v), 0.0) - w
-    return combo
-
-
 def exact_increment_variance(table: GreenTable, t, s, d: int, N: int) -> float:
-    """E |Psi_N(t) - Psi_N(s)|^2 evaluated exactly through the covariance table."""
-    combo = increment_weight_vector(t, s, N)
-    points = np.array(list(combo), dtype=np.int64)
-    w = np.array(list(combo.values()))
-    return field_prefactor(d, N) ** 2 * float(w @ table.block(points) @ w)
+    """E |Psi_N(t) - Psi_N(s)|^2 = kappa^2 N^{d-4} w^T G w through a full
+    covariance table G, w the pair's `increment_weights`; the reference of
+    `moment_exponent`.  A columns table raises ValueError."""
+    if table.mode != "full":
+        raise ValueError("exact_increment_variance needs a full covariance table")
+    w = increment_weights(np.atleast_2d(t), np.atleast_2d(s), N, table.domain)
+    G = table.values[np.ix_(w.indices, w.indices)]
+    return field_prefactor(d, N) ** 2 * float(w.data @ G @ w.data)
 
 
 def increment_weights(ts: np.ndarray, ss: np.ndarray, N: int, domain: GridDomain) -> sp.csc_matrix:

@@ -34,9 +34,10 @@ The grid pairing against a test function f is
     (psi_h, f) = kappa * sum_{x in R_h} h^{(d+4)/2} phi_{x/h} f(x),
 
 a Gaussian linear functional with variance
-kappa^2 sum_{x,y} h^{d+4} G(x,y) f(x) f(y); the equivalent split form
-sum_x h^d H_h(x) f(x) runs through the discrete Dirichlet solve
-Lap_h^2 H_h = f and is used for cross-validation.
+kappa^2 h^{d+4} sum_{x,y} G(x,y) f(x) f(y) = kappa^2 h^{d+4} f^T A^{-1} f,
+A the precision matrix.  `pairing_variance_study` takes it from one solve
+A^{-1} f on the permutation wedge of the centred box, and on small grids
+once more by CG on the assembled matrix.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .boxsolve import CenteredBoxSolver, box_classes, centered_box_halfwidth, sector_view, wedge_solve
-from .green import GreenTable, PrecisionMatrix, _make_solver, assemble_precision, box_route, factorize_spd
+from .green import PrecisionMatrix, _make_solver, assemble_precision, box_route, factorize_spd
 from .lattice import Box, GridDomain, assemble, classify, kappa, stencil_weights, unit_ball_volume, wedge
 
 DENSE_EIG_CAP = 4000
@@ -302,13 +303,11 @@ def s_threshold(d: int) -> SobolevParams:
     return SobolevParams(d=d, l0=l0, l2=l2, l5=l5, s_d=s_d)
 
 
-def hs_norm(coefficients: np.ndarray, lambdas: np.ndarray, s: float, sign: int = -1) -> float:
-    """Partial sum  sum_j lambda_j^{sign * s/2} c_j^2  (sign=-1 gives the dual norm)."""
+def hs_norm(coefficients: np.ndarray, lambdas: np.ndarray, s: float) -> float:
+    """Partial sum  sum_j lambda_j^{-s/2} c_j^2  of the dual norm."""
     c = np.asarray(coefficients, dtype=float)
     lam = np.asarray(lambdas, dtype=float)[: len(c)]
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    return float(np.sum(lam ** (sign * s / 2.0) * c * c))
+    return float(np.sum(lam ** (-s / 2.0) * c * c))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +324,7 @@ class WienerSeries:
     def partial_norm(self, J: int) -> float:
         """|| . ||_{-s}^2 partial sum at truncation J."""
         J = min(J, len(self.xi))
-        return hs_norm(self.lambdas[:J] ** -0.5 * self.xi[:J], self.lambdas, self.s, sign=-1)
+        return hs_norm(self.lambdas[:J] ** -0.5 * self.xi[:J], self.lambdas, self.s)
 
 
 def wiener_series(lambdas: np.ndarray, s: float, seed: int, trial: int = 0) -> WienerSeries:
@@ -411,39 +410,6 @@ def expected_increment_ratio(
 
 # ---------------------------------------------------------------------------
 # pairing against test functions
-
-def pairing_value(field_rh: np.ndarray, f_rh: np.ndarray, domain: GridDomain) -> float:
-    """(psi_h, f) = kappa h^{(d+4)/2} sum phi f for a concrete field realization."""
-    d = domain.d
-    h = domain.h
-    return domain.kappa * h ** ((d + 4) / 2.0) * float(np.dot(field_rh, f_rh))
-
-
-@dataclass
-class PairingVariance:
-    direct: float              # kappa^2 h^{d+4} f^T G f
-    split: float               # h^d sum_x H_h(x) f(x), H_h from the Dirichlet solve
-    relative_gap: float
-
-
-def pairing_variance(table: GreenTable, f: Callable[[np.ndarray], np.ndarray]) -> PairingVariance:
-    """Exact variance of the pairing, both as the covariance double sum and in
-    the split form through the discrete Dirichlet solution."""
-    from .thomee import solve_dirichlet
-
-    if table.mode != "full":
-        raise ValueError("pairing_variance needs a full covariance table")
-    dom = table.domain
-    d = dom.d
-    h = dom.h
-    fv = np.asarray(f(dom.rh_coordinates()), dtype=float)
-    kappa2 = dom.kappa**2
-    direct = kappa2 * h ** (d + 4) * float(fv @ (table.values @ fv))
-    H = solve_dirichlet(dom, fv).u_h
-    split = h**d * float(H @ fv)
-    gap = abs(direct - split) / max(abs(direct), 1e-300)
-    return PairingVariance(direct=direct, split=split, relative_gap=gap)
-
 
 def bump_test_function(scale: float = 3.0, power: int = 6) -> Callable[[np.ndarray], np.ndarray]:
     """Compactly supported product bump prod_i (1 - u_i^2)^power, u = scale*x.

@@ -272,6 +272,20 @@ def test_interpolate_recipe_checks_every_lattice_point_of_the_mesh(tmp_path, mon
     assert code == 1
 
 
+@pytest.mark.parametrize("d", [1, 4])
+def test_interpolate_refuses_a_dimension_before_any_work(tmp_path, monkeypatch, d):
+    from membrane import cli, sampler
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a dimension interpolation refuses")
+
+    monkeypatch.setattr(cli, "classify", no_work)
+    monkeypatch.setattr(sampler, "sample", no_work)
+    code, out = run_cli(["interpolate", "--d", str(d), "--N", "32"], tmp_path, f"i{d}")
+    assert code == EXIT_USAGE
+    assert not (out / "manifest.json").exists()
+
+
 def test_max_scaling_recipe_quick(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ks_tolerance": 0.5}))

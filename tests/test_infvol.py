@@ -73,8 +73,6 @@ def test_targets_of_the_wrong_length_are_rejected_before_any_work(monkeypatch):
     oracle = WalkOracle(d=5, n_walks=10**9, max_steps=200, seed=3)
     with pytest.raises(ValueError, match="not points of Z\\^5"):
         walk_estimate(oracle, [(1, 0, 0, 0, 0, 7)])
-    with pytest.raises(ValueError, match="not points of Z\\^5"):
-        walk_estimate(oracle, [(1, 0, 0, 0, 0)], start=(0, 0, 0, 0))
 
 
 def bessel_reference(x, d=5):
@@ -231,9 +229,11 @@ def test_walk_agrees_with_fourier_within_budget():
 
 
 def check_walks_against_per_walk_loop(start, targets, M):
-    # the same (seed, batch) streams and rng.integers calls, one walk at a time
+    # the same (seed, batch) streams and rng.integers calls, one walk at a
+    # time from `start`; the library walks from the origin to targets - start,
+    # so the two agree bit for bit only by translation invariance
     oracle = WalkOracle(d=5, n_walks=300, max_steps=M, seed=12, batch=200)
-    est = walk_estimate(oracle, targets, start=start)
+    est = walk_estimate(oracle, np.array(targets) - start)
 
     d = oracle.d
     tallies = []
@@ -341,7 +341,7 @@ def test_walk_output_does_not_depend_on_the_worker_count(monkeypatch, n_walks, b
     try:
         for workers in (1, 2, 3, 8):
             monkeypatch.setattr(infvol, "WORKERS", workers)
-            est = walk_estimate(oracle, targets, start=start)
+            est = walk_estimate(oracle, np.array(targets) - start)
             assert np.array_equal(est.estimates, mean)
             assert np.array_equal(est.standard_errors, se)
             assert threading.active_count() == threads  # the pool ends with the call
@@ -350,16 +350,18 @@ def test_walk_output_does_not_depend_on_the_worker_count(monkeypatch, n_walks, b
 
 
 def test_walk_finds_every_point_of_the_span_2_box():
-    # from a start at span 3 the 3,125 keys are base-7 numbers, and in 8,192
-    # slots some sit past their first slot, so lookups must probe
+    # walked from (3, 0, 0, 0, 0), the box is the library's targets shifted
+    # to span 5: its 3,125 keys are base-11 numbers, and in 16,384 slots some
+    # sit past their first slot, so lookups must probe
     from membrane.infvol import _encode, _TargetHash
 
     targets = list(itertools.product(range(-2, 3), repeat=5))
     start = (3, 0, 0, 0, 0)
-    assert _TargetHash(_encode(np.array(targets), 3, 5)).window.shape[1] > 1
+    shifted = np.array(targets) - start
+    assert _TargetHash(_encode(shifted, 5, 5)).window.shape == (16384, 2)
     oracle = WalkOracle(d=5, n_walks=100, max_steps=14, seed=4, batch=64)
     mean, se = per_walk_reference(oracle, targets, start)
-    est = walk_estimate(oracle, targets, start=start)
+    est = walk_estimate(oracle, shifted)
     assert np.count_nonzero(mean) > 150
     assert np.array_equal(est.estimates, mean)
     assert np.array_equal(est.standard_errors, se)
@@ -555,9 +557,25 @@ def test_walk_agrees_with_fourier_on_every_class(class_greens, seed):
 
 def test_symmetry_classes_cover_span():
     reps = symmetry_classes(1, 3)
-    total = sum(len(v) for v in reps.values())
-    assert total == 27
+    assert sum(reps.values()) == 27
     assert set(reps) == {(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)}
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_symmetry_classes_match_the_per_point_loop(d):
+    for span in range(4):
+        members = {}
+        for x in itertools.product(range(-span, span + 1), repeat=d):
+            members.setdefault(tuple(sorted(abs(v) for v in x)), []).append(x)
+        sizes = symmetry_classes(span, d)
+        assert sorted(sizes) == sorted(members)
+        assert all(sizes[r] == len(xs) for r, xs in members.items())
+        assert sum(sizes.values()) == (2 * span + 1) ** d
+
+
+def test_symmetry_classes_reject_a_negative_span():
+    with pytest.raises(ValueError, match="negative"):
+        symmetry_classes(-1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -605,19 +623,6 @@ def test_eta2_ratio_approaches_the_riesz_constant(full_trend):
     assert full_trend.limit == riesz_constant(5)
     assert approach_in_band(full_trend, full_trend.limit)
     assert not approach_in_band(full_trend, 1.02 * full_trend.limit)
-
-
-def test_translation_invariance_via_shifted_walks():
-    # walks started at x tallying y estimate G(x, y) = G(0, y - x)
-    oracle = WalkOracle(d=5, n_walks=120_000, max_steps=120, seed=31)
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        x = rng.integers(-1, 2, size=5)
-        y = x + np.array([1, 0, 0, 0, 0]) * rng.choice([1, 2])
-        est = walk_estimate(oracle, [y.tolist()], start=x.tolist())
-        ref = green_infinite_fourier((y - x).tolist())
-        tol = 3 * est.standard_errors[0] + ref.error + est.tail_bounds[0]
-        assert abs(est.estimates[0] - ref.value) <= tol
 
 
 # ---------------------------------------------------------------------------

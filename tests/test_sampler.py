@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from membrane import green
-from membrane.green import assemble_precision, factorize_spd, green_full
+from membrane.green import assemble_precision, factorize_spd, green_columns, green_full
 from membrane.lattice import classify, unit_box
 from membrane.sampler import (
     FieldSample,
     InterpolatedField,
     exact_increment_variance,
     increment_pairs,
-    increment_weight_vector,
+    increment_weights,
     ks_distance,
     max_scaling,
     MIN_FIT_PAIRS,
@@ -320,9 +320,16 @@ def test_increment_variance_lattice_pair_formula(box16):
     assert got == pytest.approx(expect, rel=1e-12)
 
 
-def test_increment_weight_vector_cancels_at_t_equals_s():
-    combo = increment_weight_vector([0.13, 0.4], [0.13, 0.4], 16)
-    assert all(abs(w) < 1e-15 for w in combo.values())
+def test_increment_weights_cancel_at_t_equals_s(box16):
+    dom, _, _ = box16
+    W = increment_weights(np.array([[0.13, 0.4]]), np.array([[0.13, 0.4]]), 16, dom)
+    assert W.shape == (dom.n_rh, 1) and not W.data.any()
+
+
+def test_increment_variance_needs_a_full_table(box16):
+    _, prec, _ = box16
+    with pytest.raises(ValueError, match="full covariance table"):
+        exact_increment_variance(green_columns(prec, [(0, 0)]), [0.1, 0.2], [0.3, 0.2], 2, 16)
 
 
 def test_moment_exponent_quick():

@@ -16,8 +16,6 @@ from membrane.spectral import (
     eigendecompose,
     expected_increment_ratio,
     hs_norm,
-    pairing_value,
-    pairing_variance,
     pairing_variance_study,
     s_threshold,
     weyl_constant,
@@ -25,6 +23,7 @@ from membrane.spectral import (
     wiener_convergence_report,
     wiener_series,
 )
+from membrane.thomee import solve_dirichlet
 
 
 @pytest.fixture(scope="module")
@@ -366,7 +365,7 @@ def test_hs_norm_single_mode(basis16):
     s = 1.6
     c = np.zeros(basis.k)
     c[0] = 1.0
-    assert hs_norm(c, basis.lambdas, s, sign=-1) == pytest.approx(
+    assert hs_norm(c, basis.lambdas, s) == pytest.approx(
         basis.lambdas[0] ** (-s / 2)
     )
 
@@ -402,7 +401,7 @@ def test_wiener_norm_two_routes_agree(basis16):
     ws = wiener_series(basis.lambdas, s=0.8, seed=3)
     J = 20
     coeffs = basis.lambdas[:J] ** -0.5 * ws.xi[:J]
-    via_hs = hs_norm(coeffs, basis.lambdas, 0.8, sign=-1)
+    via_hs = hs_norm(coeffs, basis.lambdas, 0.8)
     assert ws.partial_norm(J) == pytest.approx(via_hs, rel=1e-10)
 
 
@@ -461,11 +460,20 @@ def table8():
     return dom, green_full(prec)
 
 
+def pairing_variances(table, f):
+    """Var(psi_h, f) two ways: kappa^2 h^(d+4) f^T G f over the full table,
+    and the split form h^d H . f with Lap_h^2 H = f from the Thomee solver."""
+    dom = table.domain
+    d, h = dom.d, dom.h
+    fv = np.asarray(f(dom.rh_coordinates()), dtype=float)
+    direct = dom.kappa**2 * h ** (d + 4) * float(fv @ (table.values @ fv))
+    split = h**d * float(solve_dirichlet(dom, fv).u_h @ fv)
+    return direct, split
+
+
 def test_pairing_zero_function(table8):
-    dom, table = table8
-    pv = pairing_variance(table, lambda x: np.zeros(x.shape[:-1]))
-    assert pv.direct == 0.0
-    assert pv.split == 0.0
+    _, table = table8
+    assert pairing_variances(table, lambda x: np.zeros(x.shape[:-1])) == (0.0, 0.0)
 
 
 def test_pairing_point_indicator(table8):
@@ -479,30 +487,18 @@ def test_pairing_point_indicator(table8):
         out[np.all(np.isclose(xs, target, atol=dom.h / 4), axis=-1)] = 1.0
         return out
 
-    pv = pairing_variance(table, f)
+    direct, split = pairing_variances(table, f)
     d = dom.d
     expect = dom.kappa**2 * dom.h ** (d + 4) * table.values[j, j]
-    assert pv.direct == pytest.approx(expect, rel=1e-12)
-    assert pv.split == pytest.approx(expect, rel=1e-8)
-
-
-def test_pairing_value_linearity(table8):
-    dom, _ = table8
-    rng = np.random.default_rng(6)
-    phi = rng.standard_normal(dom.n_rh)
-    f1 = rng.standard_normal(dom.n_rh)
-    f2 = rng.standard_normal(dom.n_rh)
-    a = pairing_value(phi, f1 + 3.0 * f2, dom)
-    b = pairing_value(phi, f1, dom) + 3.0 * pairing_value(phi, f2, dom)
-    assert a == pytest.approx(b, rel=1e-12)
+    assert direct == pytest.approx(expect, rel=1e-12)
+    assert split == pytest.approx(expect, rel=1e-8)
 
 
 def test_pairing_variance_split_matches_direct(table8):
     _, table = table8
-    f = bump_test_function(scale=1.2)
-    pv = pairing_variance(table, f)
-    assert pv.direct > 0
-    assert pv.relative_gap <= 1e-8
+    direct, split = pairing_variances(table, bump_test_function(scale=1.2))
+    assert direct > 0
+    assert abs(direct - split) <= 1e-8 * direct
 
 
 def test_pairing_study_cross_checks_d2():
