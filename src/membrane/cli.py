@@ -314,18 +314,17 @@ def run_infvol_green(args, cfg) -> RunManifest:
     d = _option(args, cfg, "d", 5, positive)
     targets = _option(args, cfg, "targets", [[1] + [0] * (d - 1)], _targets)
     man = RunManifest(args.out, {"recipe": "infvol-green", "d": d, "targets": targets, "method": args.method})
-    four = walk = oracle = None
-    if args.method != "fourier":  # the plan is checked before any quadrature
+    four = walk = None
+    if args.method != "fourier":  # walks first: a plan they refuse stops before any quadrature
         oracle = WalkOracle(
             d=d,
             n_walks=_option(args, cfg, "walks", 200_000, positive),
             max_steps=int(cfg.get("max_steps", 200)),
             seed=_option(args, cfg, "seed", 2024, int),
         )
+        walk = walk_estimate(oracle, targets)
     if args.method != "walk":
         four = green_infinite_fourier_many(targets, plan=FourierCovariance(d=d))
-    if oracle is not None:
-        walk = walk_estimate(oracle, targets)
     man.stage("estimate")
     rows = []
     for i, t in enumerate(targets):

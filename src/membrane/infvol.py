@@ -26,12 +26,12 @@ The independent check is Monte Carlo over simple random walks:
 
 truncated at m <= M; the tail past M is bounded in closed form by the
 return-probability envelope P[S_m = x] <= 2 i0e(2 floor(m/2) / d)^d (see
-`walk_tail_bound`), which needs nothing from the walks.  A walk carries a
-running key of its position in the target box and a count of its
-coordinates outside it, so a step costs the same whatever the box size; a
-key in the box is looked up in a hash of the target keys, and a hit is kept
-as a (walk, target) pair, so memory follows the targets and the hits, never
-the box or walks x targets.  A batch draws its moves a few steps at a time
+`walk_tail_bound`), which needs nothing from the walks.  A walk carries one
+integer key of its position, in a base wide enough for every point it can
+reach and every target, so a step costs the same whatever the box size;
+each key is looked up in a hash of the target keys, and a hit is kept as a
+(walk, target) pair, so memory follows the targets and the hits, never the
+box or walks x targets.  A batch draws its moves a few steps at a time
 from one stream per (seed, batch), and its walks are split into slices that
 the cores step in parallel; every tally is an integer, so the output is the
 same for any number of threads (`walk_estimate`).
@@ -352,11 +352,11 @@ class WalkEstimate:
     max_steps: int
 
 
-def _encode(pos: np.ndarray, span: int, d: int) -> np.ndarray:
+def _encode(pos: np.ndarray, R: int, d: int) -> np.ndarray:
     key = np.zeros(pos.shape[0], dtype=np.int64)
-    base = 2 * span + 1
+    base = 2 * R + 1
     for k in range(d):
-        key = key * base + (pos[:, k].astype(np.int64) + span)
+        key = key * base + (pos[:, k].astype(np.int64) + R)
     return key
 
 
@@ -447,41 +447,28 @@ class _TargetHash:
 
 
 class _Walks:
-    """Walks lo..hi-1 of one batch, started at the origin: positions, running
-    keys, out-of-box counts and the hit list, (walk - lo, target) as int32
-    with the value m + 1 of its step."""
+    """Walks lo..hi-1 of one batch, started at the origin: one key per walk,
+    its position in base 2 R + 1 (`walk_estimate`), and the hit list,
+    (walk - lo, target) as int32 with the value m + 1 of its step."""
 
-    def __init__(self, lo: int, hi: int, d: int, span: int, table: _TargetHash):
-        n = hi - lo
-        self.lo, self.hi, self.span, self.table = lo, hi, span, table
-        # move k steps axis k >> 1 by step_of[k] and the running key by key_of[k]
-        self.step_of = np.tile(np.array([-1, 1], dtype=np.int16), d)
-        self.key_of = self.step_of * np.repeat((2 * span + 1) ** np.arange(d - 1, -1, -1), 2)
-        self.flat = np.zeros(n * d, dtype=np.int16)
-        self.rows = np.arange(0, n * d, d)
-        self.key = np.full(n, ((2 * span + 1) ** d - 1) // 2, dtype=np.int64)  # the origin's key
-        self.out = np.zeros(n, dtype=np.int8)  # coordinates with |x_i| > span; the origin is inside
+    def __init__(self, lo: int, hi: int, d: int, R: int, table: _TargetHash):
+        self.lo, self.hi, self.table = lo, hi, table
+        # move k steps axis k >> 1 by -1 (k even) or +1 (k odd): the key by key_of[k]
+        self.key_of = np.tile([-1, 1], d) * np.repeat((2 * R + 1) ** np.arange(d - 1, -1, -1), 2)
+        self.key = np.full(hi - lo, ((2 * R + 1) ** d - 1) // 2, dtype=np.int64)  # the origin's key
         self.walks, self.targets, self.values = [], [], []
         self.record(0)
 
     def record(self, m: int) -> None:
-        idx = np.flatnonzero(self.out == 0)
-        i, t = self.table.find(self.key.take(idx))
+        i, t = self.table.find(self.key)
         # a walk is at one point, so no (walk, target) pair repeats within a step
-        self.walks.append(idx.take(i).astype(np.int32))
+        self.walks.append(i.astype(np.int32))
         self.targets.append(t)
         self.values.append(m + 1)
 
     def walk(self, moves: np.ndarray, m0: int) -> None:
         """Steps m0, m0 + 1, ... by this slice's columns of the chunk `moves`."""
         for r, move in enumerate(moves[:, self.lo : self.hi]):  # a row slice is contiguous
-            cell = self.rows + (move >> 1)
-            step = self.step_of.take(move)
-            old = self.flat.take(cell)
-            self.flat[cell] = old + step
-            edge = old * step  # span: the step leaves [-span, span]; -span - 1: it re-enters
-            self.out += edge == self.span
-            self.out -= edge == -self.span - 1
             self.key += self.key_of.take(move)
             self.record(m0 + r)
 
@@ -525,19 +512,19 @@ def walk_estimate(oracle: WalkOracle, targets: Sequence[Sequence[int]]) -> WalkE
 
     Walks start at the origin, so this estimates G(0, x); G(y, x) is
     G(0, x - y) by translation invariance.  An empty target list, a target
-    listed twice, or a target whose length is not oracle.d raises ValueError
-    before any walk.
+    listed twice, a target whose length is not oracle.d, or keys that do not
+    fit int64 (below) raise ValueError before any walk.
 
-    Each step costs O(1) array work per walk.  Every walk carries its key in
-    base 2 span + 1 (span = the largest |coordinate| of the targets), moved
-    by a table entry per move, and the count of its
-    coordinates with |x_i| > span, moved when a step crosses +-span.  A walk
-    is in the target box exactly when that count is 0; the keys of those
-    walks are looked up in a linear-probing hash of the target keys
-    (`_TargetHash`), whose size follows the number of targets.  A hit is
-    kept as its (walk, target) pair and value m + 1, and a batch reduces
-    these to per-walk tallies by `np.unique` and `np.bincount`, so no
-    (walks x targets) array is held.
+    Each step costs O(1) array work per walk: every walk carries the key of
+    its position in base 2 R + 1, R = max(span, M) with span the largest
+    |coordinate| of the targets, moved by a table entry per move.  A walk of
+    M steps stays in [-R, R]^d, so the key is exact, and every key is looked
+    up in a linear-probing hash of the target keys (`_TargetHash`), whose
+    size follows the number of targets.  The keys are int64: (2 R + 1)^d <=
+    2^63 - 1 allows R up to 3,103 in d = 5, 723 in d = 6, 255 in d = 7 and
+    116 in d = 8.  A hit is kept as its (walk, target) pair and value
+    m + 1, and a batch reduces these to per-walk tallies by `np.unique` and
+    `np.bincount`, so no (walks x targets) array is held.
 
     The random stream is one rng.integers(0, 2d) draw per step and batch,
     from (seed, batch); a batch draws CHUNK steps at a time as one
@@ -559,8 +546,10 @@ def walk_estimate(oracle: WalkOracle, targets: Sequence[Sequence[int]]) -> WalkE
     if targets.ndim != 2 or targets.shape[1] != d:
         raise ValueError(f"targets of shape {targets.shape} are not points of Z^{d}")
     ntar = len(targets)
-    span = int(np.abs(targets).max())
-    tkey = _encode(targets, span, d)
+    R = max(int(np.abs(targets).max()), M)
+    if (2 * R + 1) ** d > 2**63 - 1:
+        raise ValueError(f"R = max(span, max_steps) = {R}: keys in base 2 R + 1 overflow int64 in d = {d}")
+    tkey = _encode(targets, R, d)
     if len(np.unique(tkey)) < ntar:
         raise ValueError("a walk target is listed twice")
     table = _TargetHash(tkey)
@@ -580,7 +569,7 @@ def walk_estimate(oracle: WalkOracle, targets: Sequence[Sequence[int]]) -> WalkE
                 return rng.integers(0, 2 * d, size=(min(CHUNK, M + 1 - m), nw))
 
             edges = [nw * k // (2 * WORKERS) for k in range(2 * WORKERS + 1)]
-            slices = [_Walks(lo, hi, d, span, table) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+            slices = [_Walks(lo, hi, d, R, table) for lo, hi in zip(edges, edges[1:]) if hi > lo]
             m, moves = 1, draw(1)
             while len(moves):
                 ahead = m + len(moves)

@@ -228,7 +228,10 @@ def axis_classes(d: int, first: int = 0) -> list:
 def wedge(d: int, M: int):
     """The permutation wedge of {0..M}^d: the sorted tuples f_0 <= .. <= f_{d-1},
     one per row in colex order (f at row sum_i C(f_i + i, i + 1)), and the
-    orbit of each, the number of its permutations d! / prod_v (mult. of v)!."""
+    orbit of each, the number of its permutations d! / prod_v (mult. of v)!.
+    A negative d or M raises ValueError."""
+    if d < 0 or M < 0:
+        raise ValueError(f"wedge(d={d}, M={M}) needs d, M >= 0")
     W = np.zeros((1, 0), dtype=np.intp)
     for k in range(d):
         # the (k+1)-tuples ending in t extend the k-tuples whose entries are

@@ -187,6 +187,12 @@ def test_wedge_holds_each_sorted_tuple_once_with_its_orbit(d, M):
     assert np.array_equal(rows[lex], tuples) and np.array_equal(orbit[lex], counts)
 
 
+@pytest.mark.parametrize("d,M", [(3, -1), (-1, 3)])
+def test_wedge_rejects_a_negative_dimension_or_size(d, M):
+    with pytest.raises(ValueError, match="needs d, M >= 0"):
+        lattice.wedge(d, M)
+
+
 @given(d=st.sampled_from([2, 3, 4]), M=st.integers(0, 6))
 @example(d=2, M=0)
 @example(d=2, M=1)

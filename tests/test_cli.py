@@ -400,6 +400,29 @@ def test_infvol_green_rejects_repeated_target(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["infvol", "green", "--x", "4000,0,0,0,0", "--method", "walk"],
+        ["infvol", "green", "--d", "8"],
+    ],
+    ids=["far-target", "d8-200-steps"],
+)
+def test_infvol_green_refuses_walk_keys_that_overflow_int64(tmp_path, monkeypatch, args):
+    """A target at 4000, or d = 8 at the default 200 steps, keys walks past
+    int64: exit 2 before any walk or quadrature, with no manifest."""
+    from membrane import infvol
+
+    def no_work(*a, **k):
+        raise AssertionError("work started on a plan whose keys overflow int64")
+
+    monkeypatch.setattr(infvol, "shell_quadrature", no_work)
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    code, out = run_cli(args, tmp_path, "o")
+    assert code == EXIT_USAGE
+    assert not (out / "manifest.json").exists()
+
+
 def test_infvol_variance_recipe_small(tmp_path):
     code, out = run_cli(["infvol", "variance", "--d", "5", "--N", "4,8"], tmp_path, "j")
     assert code == 0

@@ -273,7 +273,7 @@ def test_walk_matches_per_walk_reference_loop():
 
 def test_walk_matches_per_walk_reference_loop_leaving_the_box():
     # span 3 and a start off the origin: walks leave the target box and come
-    # back, so the out-of-box count moves both ways
+    # back, so a key must not alias outside the box
     start = (2, -1, 0, 1, 0)
     targets = [(3, 0, 0, 0, 0), (2, -1, 0, 1, 0), (0, 0, -3, 0, 0), (2, 0, 0, 1, 1), (1, -1, 0, 2, 0)]
     tallies = check_walks_against_per_walk_loop(start, targets, 40)
@@ -351,20 +351,59 @@ def test_walk_output_does_not_depend_on_the_worker_count(monkeypatch, n_walks, b
 
 def test_walk_finds_every_point_of_the_span_2_box():
     # walked from (3, 0, 0, 0, 0), the box is the library's targets shifted
-    # to span 5: its 3,125 keys are base-11 numbers, and in 16,384 slots some
-    # sit past their first slot, so lookups must probe
+    # to span 5; 14 steps key them in base 2 * 14 + 1 = 29, and in 65,536
+    # slots some sit past their first slot, so lookups must probe
     from membrane.infvol import _encode, _TargetHash
 
     targets = list(itertools.product(range(-2, 3), repeat=5))
     start = (3, 0, 0, 0, 0)
     shifted = np.array(targets) - start
-    assert _TargetHash(_encode(shifted, 5, 5)).window.shape == (16384, 2)
+    assert _TargetHash(_encode(shifted, 14, 5)).window.shape == (65536, 4)
     oracle = WalkOracle(d=5, n_walks=100, max_steps=14, seed=4, batch=64)
     mean, se = per_walk_reference(oracle, targets, start)
     est = walk_estimate(oracle, shifted)
     assert np.count_nonzero(mean) > 150
     assert np.array_equal(est.estimates, mean)
     assert np.array_equal(est.standard_errors, se)
+
+
+def test_walk_key_is_exact_beyond_the_steps_a_walk_can_take():
+    # in base 2 M + 1 the key of (0, 2 M + 1, 0, 0, 0) is that of
+    # (1, 0, 0, 0, 0); no walk of M steps reaches the first, and the second
+    # must still get the per-walk tallies
+    M = 6
+    targets = [(1, 0, 0, 0, 0), (0, 2 * M + 1, 0, 0, 0), (0, 0, 0, 0, 0)]
+    oracle = WalkOracle(d=5, n_walks=300, max_steps=M, seed=13, batch=200)
+    mean, se = per_walk_reference(oracle, targets, (0,) * 5)
+    est = walk_estimate(oracle, targets)
+    assert est.estimates[1] == 0.0 and est.standard_errors[1] == 0.0
+    assert mean[0] > 0
+    assert np.array_equal(est.estimates, mean)
+    assert np.array_equal(est.standard_errors, se)
+
+
+def test_walk_keys_fit_int64_up_to_116_steps_in_d8():
+    # 233^8 < 2^63 - 1 < 235^8
+    targets = [(0,) * 8, (1,) + (0,) * 7, (0,) * 7 + (-2,)]
+    oracle = WalkOracle(d=8, n_walks=40, max_steps=116, seed=5, batch=40)
+    mean, se = per_walk_reference(oracle, targets, (0,) * 8)
+    est = walk_estimate(oracle, targets)
+    assert mean[0] >= 1.0
+    assert np.array_equal(est.estimates, mean)
+    assert np.array_equal(est.standard_errors, se)
+
+
+@pytest.mark.parametrize(
+    "d, M, target",
+    [(8, 117, (1,) + (0,) * 7), (5, 200, (4000, 0, 0, 0, 0)), (5, 3104, (0,) * 5), (6, 724, (0,) * 6)],
+)
+def test_walk_keys_that_overflow_int64_are_refused_before_any_walk(monkeypatch, d, M, target):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("walks started on keys that overflow int64")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    with pytest.raises(ValueError, match="overflow int64"):
+        walk_estimate(WalkOracle(d=d, n_walks=10, max_steps=M, seed=1), [target])
 
 
 def test_target_hash_finds_every_key_and_no_other():
@@ -386,17 +425,20 @@ def test_target_hash_finds_every_key_and_no_other():
 
 def test_target_hash_of_few_keys_reads_one_slot_per_key():
     # the 21 class representatives of the span-2 box (the benchmark's
-    # targets) share a slot in 64 and 128 slots, and none does in 256
+    # targets): keyed at span 2 they share a slot in 64 and 128 slots, and
+    # none does in 256; keyed at the benchmark's 200 steps none does in 2,048
     from membrane.infvol import _encode, _TargetHash
 
     targets = np.array(sorted(symmetry_classes(2, 5)))
-    keys = _encode(targets, 2, 5)
-    table = _TargetHash(keys)
-    assert len(keys) == 21 and table.window.shape == (256, 1)
-    i, t = table.find(keys)
-    assert np.array_equal(i, np.arange(21)) and np.array_equal(t, np.arange(21))
-    others = np.setdiff1d(np.arange(5**5), keys)
-    assert len(table.find(others)[0]) == 0
+    box = np.array(list(itertools.product(range(-2, 3), repeat=5)))
+    for R, slots in [(2, 256), (200, 2048)]:
+        keys = _encode(targets, R, 5)
+        table = _TargetHash(keys)
+        assert len(keys) == 21 and table.window.shape == (slots, 1)
+        i, t = table.find(keys)
+        assert np.array_equal(i, np.arange(21)) and np.array_equal(t, np.arange(21))
+        others = np.setdiff1d(_encode(box, R, 5), keys)
+        assert len(others) == 5**5 - 21 and len(table.find(others)[0]) == 0
 
 
 def test_walk_raises_an_exception_from_a_pool_thread(monkeypatch):
