@@ -62,6 +62,15 @@ def _h_list(v) -> list:
     return [_h(t) for t in (v.split(",") if isinstance(v, str) else v)]
 
 
+def _int(v) -> int:
+    """An integer, "4" or 4 (or 4.0 from a config); a fraction such as 0.5
+    raises ValueError where int() would truncate it."""
+    n = int(v)
+    if not isinstance(v, str) and n != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return n
+
+
 def _ints(v) -> list:
     """Integers, "4,8,16", a range "5..15" or a list."""
     if isinstance(v, str):
@@ -69,7 +78,7 @@ def _ints(v) -> list:
             a, b = v.split("..")
             return list(range(int(a), int(b) + 1))
         v = v.split(",")
-    return [int(t) for t in v]
+    return [_int(t) for t in v]
 
 
 def _targets(v) -> list:
@@ -79,7 +88,7 @@ def _targets(v) -> list:
 
 def positive(v) -> int:
     """A size: an integer of at least 1."""
-    n = int(v)
+    n = _int(v)
     if n < 1:
         raise ValueError(f"{v!r} is not a positive integer")
     return n
@@ -129,7 +138,7 @@ def _route_facts(prec) -> dict:
 
 def run_b2star(args, cfg) -> RunManifest:
     spec, h = _grid(args, cfg, 1 / 16)
-    K = _option(args, cfg, "K", 4, int)
+    K = _option(args, cfg, "K", 4, _int)
     man = RunManifest(args.out, {"recipe": "b2star", "domain": spec, "h": h, "K": K})
     dom = classify(shape_from_config(spec), h)
     man.stage("classify")
@@ -168,8 +177,8 @@ def run_sample(args, cfg) -> RunManifest:
     from .sampler import sample
 
     spec, h = _grid(args, cfg, 1 / 8)
-    count = _option(args, cfg, "count", 1, int)
-    seed = _option(args, cfg, "seed", 0, int)
+    count = _option(args, cfg, "count", 1, _int)
+    seed = _option(args, cfg, "seed", 0, _int)
     man = RunManifest(args.out, {"recipe": "sample", "domain": spec, "h": h, "count": count, "seed": seed})
     dom = classify(shape_from_config(spec), h)
     prec = assemble_precision(dom)
@@ -190,7 +199,7 @@ def run_interpolate(args, cfg) -> RunManifest:
     if d not in (2, 3):  # refused before any work: a d = 4 grid can hold millions of unknowns
         raise ValueError("interpolation is defined for d in {2, 3}")
     N = _option(args, cfg, "N", 16, positive)
-    seed = _option(args, cfg, "seed", 0, int)
+    seed = _option(args, cfg, "seed", 0, _int)
     mesh = _option(args, cfg, "mesh", 4 * N, positive)
     man = RunManifest(args.out, {"recipe": "interpolate", "d": d, "N": N, "seed": seed, "mesh": mesh})
     dom = classify(unit_box(d), 1.0 / N)
@@ -223,7 +232,7 @@ def run_max_scaling(args, cfg) -> RunManifest:
     d = _option(args, cfg, "d", 2, positive)
     Ns = _option(args, cfg, "N", [32, 64], _ints)
     count = _option(args, cfg, "count", 500, positive)
-    seed = _option(args, cfg, "seed", 0, int)
+    seed = _option(args, cfg, "seed", 0, _int)
     ks_tol = float(cfg.get("ks_tolerance", 0.1))
     man = RunManifest(args.out, {"recipe": "max-scaling", "d": d, "N": Ns, "count": count, "seed": seed})
     rep = max_scaling(d, Ns, count, seed)
@@ -238,8 +247,8 @@ def run_moment_check(args, cfg) -> RunManifest:
 
     d = _option(args, cfg, "d", 2, positive)
     N = _option(args, cfg, "N", 32, positive)
-    pairs = int(cfg.get("pairs", 200))
-    seed = _option(args, cfg, "seed", 7, int)
+    pairs = _int(cfg.get("pairs", 200))
+    seed = _option(args, cfg, "seed", 7, _int)
     lo, hi = cfg.get("exponent_range", [1.5, 2.1] if d == 2 else [0.9, 1.3])
     man = RunManifest(args.out, {"recipe": "moment-check", "d": d, "N": N, "pairs": pairs, "seed": seed})
     dom = classify(unit_box(d), 1.0 / N)
@@ -256,7 +265,7 @@ def run_spectrum(args, cfg) -> RunManifest:
     from .spectral import eigendecompose, weyl_counting_fit
 
     spec, h = _grid(args, cfg, 1 / 16)
-    k = _option(args, cfg, "k", 60, int)
+    k = _option(args, cfg, "k", 60, _int)
     man = RunManifest(args.out, {"recipe": "spectrum", "domain": spec, "h": h, "k": k})
     dom = classify(shape_from_config(spec), h)
     prec = assemble_precision(dom)
@@ -319,8 +328,8 @@ def run_infvol_green(args, cfg) -> RunManifest:
         oracle = WalkOracle(
             d=d,
             n_walks=_option(args, cfg, "walks", 200_000, positive),
-            max_steps=int(cfg.get("max_steps", 200)),
-            seed=_option(args, cfg, "seed", 2024, int),
+            max_steps=_int(cfg.get("max_steps", 200)),
+            seed=_option(args, cfg, "seed", 2024, _int),
         )
         walk = walk_estimate(oracle, targets)
     if args.method != "walk":

@@ -27,11 +27,13 @@ The independent check is Monte Carlo over simple random walks:
 truncated at m <= M; the tail past M is bounded in closed form by the
 return-probability envelope P[S_m = x] <= 2 i0e(2 floor(m/2) / d)^d (see
 `walk_tail_bound`), which needs nothing from the walks.  A walk carries one
-integer key of its position, in a base wide enough for every point it can
-reach and every target, so a step costs the same whatever the box size;
-each key is looked up in a hash of the target keys, and a hit is kept as a
-(walk, target) pair, so memory follows the targets and the hits, never the
-box or walks x targets.  A batch draws its moves a few steps at a time
+hashed integer key of its position: its index in a base wide enough for
+every point it can reach and every target, times an odd constant mod 2^64.
+A step adds a table entry to it, and the key's top bits are its slot in a
+hash of the target keys, read one flat probe column at a time, so a step
+costs the same whatever the box size.  A hit is kept as a (walk, target)
+pair, so memory follows the targets and the hits, never the box or
+walks x targets.  A batch draws its moves a few steps at a time
 from one stream per (seed, batch), and its walks are split into slices that
 the cores step in parallel; every tally is an integer, so the output is the
 same for any number of threads (`walk_estimate`).
@@ -199,6 +201,17 @@ class FourierValue:
         return self.quadrature_error + self.center_bound
 
 
+def _lattice_points(targets) -> np.ndarray:
+    """targets as an int64 array; an empty list, or a coordinate that is not
+    an integer (which the cast would truncate), raises ValueError."""
+    points = np.asarray(targets, dtype=np.int64)
+    if not len(points):
+        raise ValueError("no targets")
+    if not np.array_equal(points, targets):
+        raise ValueError("a target coordinate is not an integer")
+    return points
+
+
 def _green_integrand(targets: np.ndarray, d: int, order_axis0: Optional[int]):
     """Weighted sums of mu^-2 prod_i cos(f_i theta_i) over one box, on a frequency grid.
 
@@ -241,11 +254,10 @@ def green_infinite_fourier_many(
 
     d is the length of the targets; the default plan is FourierCovariance(d).
     An empty target list, or targets whose length is not plan.d, raises
-    ValueError before any quadrature.
+    ValueError before any quadrature, as does a coordinate that is not an
+    integer.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    if not len(targets):
-        raise ValueError("no targets")
+    targets = _lattice_points(targets)
     if plan is None:
         plan = FourierCovariance(d=targets.shape[-1])
     d = plan.d
@@ -352,14 +364,6 @@ class WalkEstimate:
     max_steps: int
 
 
-def _encode(pos: np.ndarray, R: int, d: int) -> np.ndarray:
-    key = np.zeros(pos.shape[0], dtype=np.int64)
-    base = 2 * R + 1
-    for k in range(d):
-        key = key * base + (pos[:, k].astype(np.int64) + R)
-    return key
-
-
 def walk_tail_bound(M: int, d: int, parity: int) -> float:
     """Bound on sum_{m > M, m = parity mod 2} (m + 1) P[S_m = x], for every x
     with sum_i |x_i| = parity mod 2 (P[S_m = x] = 0 at the other parity).
@@ -397,65 +401,86 @@ def walk_tail_bound(M: int, d: int, parity: int) -> float:
 
 
 # steps drawn per rng call: a (CHUNK, nw) int64 array, two of them alive while
-# the next is drawn (at nw = 100,000 the walk's tracemalloc peak is 14 MB, and
-# 33 MB with 16)
+# the next is drawn (at nw = 100,000 the walk's tracemalloc peak is 9.5 MB,
+# and 29 MB with 16)
 CHUNK = 4
-# odd multiplier of the target hash (2^64 / golden ratio), as a signed int64
+# odd multiplier of the key hash (2^64 / golden ratio), as a signed int64
 _HASH = 0x9E3779B97F4A7C15 - (1 << 64)
 # slots from which the target hash stops doubling for a window of one slot
 # (its keys then take 64 KiB)
 _WIDE = 1 << 13
 
 
-class _TargetHash:
-    """Linear-probing hash of the target keys: 2^b slots, each key in slot
-    (key * _HASH mod 2^64) >> (64 - b) or, taken, in the next free one.
-    2^b >= 2 ntar, doubled at most 8 times while some key sits past its own
-    slot, or, from _WIDE slots on, more than 3 past (structured keys can
-    cluster), so the size follows the targets, not the box they span.  A
-    small table thus finds a key with one read per walk, and a large one
-    keeps a window of up to 4 slots in place of growing."""
+def _encode(pos: np.ndarray, R: int, d: int) -> np.ndarray:
+    """The hashed key of each row of pos: its index in base 2 R + 1 times
+    _HASH, mod 2^64 as int64.  _HASH is odd, so keys stay distinct."""
+    key = np.zeros(pos.shape[0], dtype=np.int64)
+    base = 2 * R + 1
+    for k in range(d):
+        key = key * base + (pos[:, k].astype(np.int64) + R)
+    return key * _HASH  # int64 products wrap mod 2^64
 
-    def __init__(self, tkey: np.ndarray):
-        self.ntar = len(tkey)
+
+class _TargetHash:
+    """Linear-probing hash of the targets' hashed keys (`_encode`): 2^b
+    slots, each key in the slot of its top b bits (as uint64) or, taken, in
+    the next free one.  2^b >= 2 ntar, doubled at most 8 times while some
+    key sits past its own slot, or, from _WIDE slots on, more than 3 past
+    (structured keys can cluster), so the size follows the targets, not the
+    box they span.  A small table thus finds a key with one read per walk,
+    and a large one keeps a window of up to 4 slots in place of growing.
+    The window is held as one column per probe offset p, whose row s is
+    slot s + p, so a lookup reads each column with one flat gather."""
+
+    def __init__(self, hkey: np.ndarray):
+        self.ntar = len(hkey)
+        empty = -_HASH  # the hashed key of -1, which no key in [0, 2^63) has
         least = (2 * self.ntar - 1).bit_length()
         for bits in range(least, least + 9):
-            self.shift, self.mask = 64 - bits, (1 << bits) - 1
-            keys = np.full(1 << bits, -1, dtype=np.int64)  # keys are >= 0
+            self.shift, mask = np.uint64(64 - bits), (1 << bits) - 1
+            keys = np.full(1 << bits, empty, dtype=np.int64)
             target = np.zeros(1 << bits, dtype=np.int32)
             probes = 0  # the longest probe of any key
-            for t, slot in enumerate(self.slots(tkey)):
+            for t, slot in enumerate(self.slots(hkey)):
                 p = 0
-                while keys[(slot + p) & self.mask] >= 0:
+                while keys[(slot + p) & mask] != empty:
                     p += 1
-                keys[(slot + p) & self.mask], target[(slot + p) & self.mask] = tkey[t], t
+                keys[(slot + p) & mask], target[(slot + p) & mask] = hkey[t], t
                 probes = max(probes, p)
             if probes <= (3 if 1 << bits >= _WIDE else 0):
                 break
-        # each slot's probe window, so that one gather reads every slot a key can be in
-        ring = (np.arange(1 << bits)[:, None] + np.arange(probes + 1)) & self.mask
-        self.window, self.target = keys[ring], target[ring]
+        ring = (np.arange(probes + 1)[:, None] + np.arange(1 << bits)) & mask
+        self.keys, self.target = keys[ring], target[ring]  # (probe offsets, slots)
 
-    def slots(self, key: np.ndarray) -> np.ndarray:
-        return ((key * _HASH) >> self.shift) & self.mask  # int64 products wrap mod 2^64
+    def slots(self, hkey: np.ndarray) -> np.ndarray:
+        return (hkey.view(np.uint64) >> self.shift).view(np.int64)  # below 2^63
 
-    def find(self, key: np.ndarray):
-        """(i, t) with key[i] the key of target t, for every key that is one."""
-        slot = self.slots(key)
-        i, p = np.nonzero(self.window.take(slot, axis=0) == key[:, None])
-        return i, self.target[slot.take(i), p]
+    def find(self, hkey: np.ndarray):
+        """(i, t) with hkey[i] the hashed key of target t, for every key that
+        is one, i ascending."""
+        slot = self.slots(hkey)
+        i = [np.flatnonzero(keys.take(slot) == hkey) for keys in self.keys]
+        t = [target.take(slot.take(h)) for target, h in zip(self.target, i)]
+        if len(i) == 1:
+            return i[0], t[0]
+        i, t = np.concatenate(i), np.concatenate(t)
+        order = np.argsort(i)  # a key sits in one column at most
+        return i[order], t[order]
 
 
 class _Walks:
-    """Walks lo..hi-1 of one batch, started at the origin: one key per walk,
-    its position in base 2 R + 1 (`walk_estimate`), and the hit list,
-    (walk - lo, target) as int32 with the value m + 1 of its step."""
+    """Walks lo..hi-1 of one batch, started at the origin: one hashed key per
+    walk, of its position in base 2 R + 1 (`_encode`), and the hit list,
+    (walk - lo, target) as int32 with the value m + 1 of its step.  A step
+    is a gather and an add on the keys, then one `find`."""
 
     def __init__(self, lo: int, hi: int, d: int, R: int, table: _TargetHash):
         self.lo, self.hi, self.table = lo, hi, table
-        # move k steps axis k >> 1 by -1 (k even) or +1 (k odd): the key by key_of[k]
-        self.key_of = np.tile([-1, 1], d) * np.repeat((2 * R + 1) ** np.arange(d - 1, -1, -1), 2)
-        self.key = np.full(hi - lo, ((2 * R + 1) ** d - 1) // 2, dtype=np.int64)  # the origin's key
+        # move k steps axis k >> 1 by -1 (k even) or +1 (k odd): the index in
+        # base 2 R + 1 by that times (2 R + 1)^(d - 1 - (k >> 1)), and the
+        # hashed key by key_of[k], that times _HASH
+        self.key_of = np.tile([-1, 1], d) * np.repeat((2 * R + 1) ** np.arange(d - 1, -1, -1), 2) * _HASH
+        self.key = np.repeat(_encode(np.zeros((1, d)), R, d), hi - lo)  # the origin's
         self.walks, self.targets, self.values = [], [], []
         self.record(0)
 
@@ -512,17 +537,23 @@ def walk_estimate(oracle: WalkOracle, targets: Sequence[Sequence[int]]) -> WalkE
 
     Walks start at the origin, so this estimates G(0, x); G(y, x) is
     G(0, x - y) by translation invariance.  An empty target list, a target
-    listed twice, a target whose length is not oracle.d, or keys that do not
-    fit int64 (below) raise ValueError before any walk.
+    listed twice, a target whose length is not oracle.d, a coordinate that
+    is not an integer, or keys that do not fit int64 (below) raise
+    ValueError before any walk.
 
-    Each step costs O(1) array work per walk: every walk carries the key of
-    its position in base 2 R + 1, R = max(span, M) with span the largest
-    |coordinate| of the targets, moved by a table entry per move.  A walk of
-    M steps stays in [-R, R]^d, so the key is exact, and every key is looked
-    up in a linear-probing hash of the target keys (`_TargetHash`), whose
-    size follows the number of targets.  The keys are int64: (2 R + 1)^d <=
-    2^63 - 1 allows R up to 3,103 in d = 5, 723 in d = 6, 255 in d = 7 and
-    116 in d = 8.  A hit is kept as its (walk, target) pair and value
+    Each step costs one flat pass of array work over the walks: every walk
+    carries the hashed key of its position (`_encode`), its index in base
+    2 R + 1, R = max(span, M) with span the largest |coordinate| of the
+    targets, times the odd _HASH mod 2^64, and a move adds its table entry,
+    the move's change of the index times _HASH.  A walk of M steps stays in
+    [-R, R]^d, so the index is exact, and multiplying by an odd number mod
+    2^64 is one-to-one, so a hashed key is a position too.  Its top bits
+    are its slot in a linear-probing hash of the targets' hashed keys
+    (`_TargetHash`), whose size follows the number of targets; the lookup
+    is one shift, then per probe column a gather, a compare and
+    `np.flatnonzero`.  The indices are below 2^63: (2 R + 1)^d <= 2^63 - 1
+    allows R up to 3,103 in d = 5, 723 in d = 6, 255 in d = 7 and 116 in
+    d = 8.  A hit is kept as its (walk, target) pair and value
     m + 1, and a batch reduces these to per-walk tallies by `np.unique` and
     `np.bincount`, so no (walks x targets) array is held.
 
@@ -540,9 +571,7 @@ def walk_estimate(oracle: WalkOracle, targets: Sequence[Sequence[int]]) -> WalkE
     """
     d = oracle.d
     M = oracle.max_steps
-    targets = np.asarray(targets, dtype=np.int64)
-    if not len(targets):
-        raise ValueError("no targets")
+    targets = _lattice_points(targets)
     if targets.ndim != 2 or targets.shape[1] != d:
         raise ValueError(f"targets of shape {targets.shape} are not points of Z^{d}")
     ntar = len(targets)

@@ -523,3 +523,35 @@ def test_values_a_recipe_cannot_use_are_usage_errors(tmp_path, args, config):
     code, out = run_cli(args, tmp_path, "v")
     assert code == EXIT_USAGE
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["infvol", "green"], {"targets": [[0.5, 0, 0, 0, 0]]}),
+        (["infvol", "green", "--x", "0.5,0,0,0,0"], None),
+        (["infvol", "green"], {"walks": 1000.5}),
+        (["infvol", "green"], {"seed": 2.5}),
+        (["infvol", "variance"], {"N": [4, 8.5]}),
+        (["infvol", "eta2"], {"radii": [5, 6.5]}),
+        (["max-scaling", "--count", "5"], {"N": [8, 12.5]}),
+    ],
+    ids=["targets", "x-flag", "walks", "seed", "variance-N", "radii", "max-scaling-N"],
+)
+def test_fractional_integer_options_are_usage_errors(tmp_path, monkeypatch, args, config):
+    """An integer option given a fraction exits 2 before any walk or
+    quadrature, with no manifest; int() would have truncated it."""
+    from membrane import infvol
+
+    def no_work(*a, **k):
+        raise AssertionError("work started on a truncated option")
+
+    monkeypatch.setattr(infvol, "shell_quadrature", no_work)
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = ["--config", str(cfg)] + args
+    code, out = run_cli(args, tmp_path, "f")
+    assert code == EXIT_USAGE
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import subprocess
@@ -73,6 +74,25 @@ def test_targets_of_the_wrong_length_are_rejected_before_any_work(monkeypatch):
     oracle = WalkOracle(d=5, n_walks=10**9, max_steps=200, seed=3)
     with pytest.raises(ValueError, match="not points of Z\\^5"):
         walk_estimate(oracle, [(1, 0, 0, 0, 0, 7)])
+
+
+def test_fractional_targets_are_refused_before_any_work(monkeypatch):
+    # np.asarray(..., dtype=np.int64) would truncate (0.5, 0, 0, 0, 0) to the origin
+    from membrane import infvol
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a fractional target")
+
+    monkeypatch.setattr(infvol, "shell_quadrature", no_work)
+    monkeypatch.setattr(infvol, "_encode", no_work)
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    targets = [(0, 0, 0, 0, 0), (0.5, 0, 0, 0, 0)]
+    with pytest.raises(ValueError, match="not an integer"):
+        green_infinite_fourier_many(targets, plan=FourierCovariance(d=5))
+    with pytest.raises(ValueError, match="not an integer"):
+        green_infinite_fourier(np.array([1.0, 0, 0, 0, 0.25]))
+    with pytest.raises(ValueError, match="not an integer"):
+        walk_estimate(WalkOracle(d=5, n_walks=2000, max_steps=10, seed=3), targets)
 
 
 def bessel_reference(x, d=5):
@@ -328,20 +348,25 @@ def per_walk_reference(oracle, targets, start):
     ],
 )
 def test_walk_output_does_not_depend_on_the_worker_count(monkeypatch, n_walks, batch, M):
-    from membrane import infvol
-
     start = (1, 0, -1, 0, 0)
     targets = [(1, 0, -1, 0, 0), (2, 0, -1, 0, 0), (0, 0, 0, 0, 0), (1, 1, -1, 0, 0), (0, 0, -1, 0, 0)]
     oracle = WalkOracle(d=5, n_walks=n_walks, max_steps=M, seed=21, batch=batch)
     mean, se = per_walk_reference(oracle, targets, start)
     assert np.count_nonzero(mean) >= (2 if M else 1)
+    check_every_worker_count(monkeypatch, oracle, np.array(targets) - start, mean, se)
+
+
+def check_every_worker_count(monkeypatch, oracle, targets, mean, se):
+    """walk_estimate under 1, 2, 3 and 8 WORKERS gives the reference mean and SE bit for bit."""
+    from membrane import infvol
+
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # threads switch often, so a slice stepped twice or not at all would show
     try:
         for workers in (1, 2, 3, 8):
             monkeypatch.setattr(infvol, "WORKERS", workers)
-            est = walk_estimate(oracle, np.array(targets) - start)
+            est = walk_estimate(oracle, targets)
             assert np.array_equal(est.estimates, mean)
             assert np.array_equal(est.standard_errors, se)
             assert threading.active_count() == threads  # the pool ends with the call
@@ -349,22 +374,35 @@ def test_walk_output_does_not_depend_on_the_worker_count(monkeypatch, n_walks, b
         sys.setswitchinterval(interval)
 
 
-def test_walk_finds_every_point_of_the_span_2_box():
+def test_walk_finds_every_point_of_the_span_2_box(monkeypatch):
     # walked from (3, 0, 0, 0, 0), the box is the library's targets shifted
     # to span 5; 14 steps key them in base 2 * 14 + 1 = 29, and in 65,536
-    # slots some sit past their first slot, so lookups must probe
+    # slots some sit past their first slot, so lookups must probe, under
+    # every worker count
     from membrane.infvol import _encode, _TargetHash
 
     targets = list(itertools.product(range(-2, 3), repeat=5))
     start = (3, 0, 0, 0, 0)
     shifted = np.array(targets) - start
-    assert _TargetHash(_encode(shifted, 14, 5)).window.shape == (65536, 4)
+    assert _TargetHash(_encode(shifted, 14, 5)).keys.shape == (4, 65536)  # (probe offsets, slots)
     oracle = WalkOracle(d=5, n_walks=100, max_steps=14, seed=4, batch=64)
     mean, se = per_walk_reference(oracle, targets, start)
-    est = walk_estimate(oracle, shifted)
     assert np.count_nonzero(mean) > 150
-    assert np.array_equal(est.estimates, mean)
-    assert np.array_equal(est.standard_errors, se)
+    check_every_worker_count(monkeypatch, oracle, shifted, mean, se)
+
+
+def test_walk_output_on_the_benchmark_targets_is_pinned(monkeypatch):
+    # the SHA-256 of the estimates, standard errors and tail bounds (float64,
+    # little-endian) on the benchmark's 21 targets, as walks gave it when
+    # they stepped unhashed keys; WORKERS 1, 2 and 3 cut the batch differently
+    from membrane import infvol
+
+    oracle = WalkOracle(d=5, n_walks=20_000, max_steps=200, seed=7)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(infvol, "WORKERS", workers)
+        est = walk_estimate(oracle, sorted(symmetry_classes(2, 5)))
+        digest = hashlib.sha256(np.concatenate([est.estimates, est.standard_errors, est.tail_bounds]).tobytes())
+        assert digest.hexdigest() == "4fbf4835034df3395db16c4d27d3423d347a21af6698c9e6a277969d5330f925"
 
 
 def test_walk_key_is_exact_beyond_the_steps_a_walk_can_take():
@@ -409,17 +447,17 @@ def test_walk_keys_that_overflow_int64_are_refused_before_any_walk(monkeypatch, 
 def test_target_hash_finds_every_key_and_no_other():
     # the span-2 box keyed at span 14 clusters in 8,192 slots (a key 117
     # slots past its own), so the table grows until no key sits more than 3 past
-    from membrane.infvol import _encode, _TargetHash
+    from membrane.infvol import _HASH, _encode, _TargetHash
 
     rng = np.random.default_rng(5)
     box = np.array(list(itertools.product(range(-2, 3), repeat=5)))
     for points, span in [(box, 2), (box, 3), (box, 14), (box[rng.choice(len(box), 40, replace=False)], 3)]:
         keys = _encode(points, span, 5)
         table = _TargetHash(keys)
-        assert table.window.shape[1] <= 4 and len(table.window) < 32 * len(keys)
+        assert len(table.keys) <= 4 and table.keys.shape[1] < 32 * len(keys)
         i, t = table.find(keys)
         assert np.array_equal(i, np.arange(len(keys))) and np.array_equal(t, np.arange(len(keys)))
-        others = np.setdiff1d(rng.integers(0, (2 * span + 1) ** 5, 20_000), keys)
+        others = np.setdiff1d(rng.integers(0, (2 * span + 1) ** 5, 20_000) * _HASH, keys)
         assert len(table.find(others)[0]) == 0
 
 
@@ -434,7 +472,7 @@ def test_target_hash_of_few_keys_reads_one_slot_per_key():
     for R, slots in [(2, 256), (200, 2048)]:
         keys = _encode(targets, R, 5)
         table = _TargetHash(keys)
-        assert len(keys) == 21 and table.window.shape == (slots, 1)
+        assert len(keys) == 21 and table.keys.shape == (1, slots)
         i, t = table.find(keys)
         assert np.array_equal(i, np.arange(21)) and np.array_equal(t, np.arange(21))
         others = np.setdiff1d(_encode(box, R, 5), keys)
