@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ class RunManifest:
     versions: dict = field(default_factory=dict)
     threads: dict = field(default_factory=dict)      # thread settings the run saw
     stages: dict = field(default_factory=dict)       # stage -> seconds
+    peak_rss_mb: dict = field(default_factory=dict)  # stage -> peak RSS of the process so far
     stage_facts: dict = field(default_factory=dict)  # stage -> solver facts of that stage
     assertions: list = field(default_factory=list)   # {name, passed, detail}
     files: dict = field(default_factory=dict)        # name of a file this run wrote -> sha256
@@ -57,9 +59,11 @@ class RunManifest:
         self._stage_start = time.perf_counter()
 
     def stage(self, name: str, **facts) -> None:
-        """Close a stage: book its wall time and any facts about how it ran."""
+        """Close a stage: book its wall time, the process's peak RSS so far
+        in MB (`ru_maxrss`) and any facts about how it ran."""
         now = time.perf_counter()
         self.stages[name] = round(now - self._stage_start, 6)
+        self.peak_rss_mb[name] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
         self._stage_start = now
         if facts:
             self.stage_facts[name] = facts
@@ -102,6 +106,7 @@ class RunManifest:
             "versions": self.versions,
             "threads": self.threads,
             "wall_clock_s": self.stages,
+            "peak_rss_mb": self.peak_rss_mb,
             "stage_facts": self.stage_facts,
             "assertions": self.assertions,
             "passed": self.all_passed,

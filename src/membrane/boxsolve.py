@@ -118,7 +118,8 @@ numerical notes hold the measurements behind these choices.
 
 Every other R_h is solved on a periodic torus by
 `torus.TorusCapacitanceSolver`, which takes its sector classes from
-`parity_classes`.
+`parity_classes`.  Both direct routes factor through `cholesky` (LAPACK
+`dpotrf`) and solve against an upper factor by `dpotrs`.
 """
 
 from __future__ import annotations
@@ -414,7 +415,7 @@ def sector_view(c: np.ndarray, parity: tuple, axes: tuple) -> np.ndarray:
 
 
 def direct_fill(d: int, M: int) -> int:
-    """Entries of the factors that `DirectBoxSolver(M, d)` holds, by arithmetic:
+    """Entries of the factors that `DirectBoxSolver` holds on [-M, M]^d, by arithmetic:
     per class n0^2 in d = 2, and n2 n0^2 + (n0 n1)^2 in d = 3."""
     fill = 0
     for _, _, shape in box_classes(d, M):
@@ -423,9 +424,10 @@ def direct_fill(d: int, M: int) -> int:
     return fill
 
 
-def _cholesky(a: np.ndarray, lower: bool = True) -> np.ndarray:
+def cholesky(a: np.ndarray, lower: bool = True) -> np.ndarray:
     """Cholesky factor of a symmetric positive definite matrix (LAPACK dpotrf,
-    which reads one triangle); raises LinAlgError when a is not one."""
+    which reads one triangle), the one Cholesky of the box and torus routes;
+    raises LinAlgError when a is not one."""
     c, info = scipy.linalg.lapack.dpotrf(a, lower=lower, overwrite_a=True)
     if info:
         raise np.linalg.LinAlgError(f"Cholesky factorization failed (LAPACK info {info})")
@@ -457,7 +459,7 @@ class _SectorSolve:
         # with Cholesky factors L_r, stored inverted
         B = -np.einsum("pqr,sqr->rps", ad * (w1 * w1)[:, None], ad)
         B[:, i, i] += 1.0 + np.einsum("q,pqr->rp", w1 * w1, inv)
-        L = [_cholesky(b) for b in B]
+        L = [cholesky(b) for b in B]
         L_inv = np.stack([scipy.linalg.lapack.dtrtri(l, lower=1)[0] for l in L])
         self.b_inv = np.einsum("rji,rjk->rik", L_inv, L_inv)  # B^-1 = L^-T L^-1
         self.fill = self.b_inv.size
@@ -476,7 +478,7 @@ class _SectorSolve:
         C[:, i, i] += 1.0 + np.einsum("r,pqr->qp", w2 * w2, inv)
         q = np.arange(n1)
         S.T.reshape(n0, n1, n0, n1)[:, q, :, q] += C
-        self.schur = _cholesky(S, lower=False)
+        self.schur = cholesky(S, lower=False)
         self.fill += S.size
 
     def solve(self, c: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -521,19 +523,19 @@ class DirectBoxSolver:
     """Direct solver for A u = b on the box [-M, M]^d, d in {2, 3}
     (capacitance method per parity sector).
 
-    Uses the symbol and face vectors of `box`, the `CenteredBoxSolver(d, M)`
-    it keeps; right-hand sides are flat over the box, (n,) or (n, k).
+    Built on `box`, the `CenteredBoxSolver(d, M)` of the full box, whose
+    symbol, face vectors and transforms it uses; right-hand sides are flat
+    over the box, (n,) or (n, k).
     `sector_solve` acts on the sine coefficients of one sector, named by the
     representative of its class in `parity_classes(d)`, of shape
     (n0, .., n_{d-1}) or (k, n0, .., n_{d-1}).
     """
 
-    def __init__(self, M: int, d: int = 2):
-        if d not in (2, 3):
-            raise ValueError("the direct box solve takes d = 2 or 3")
-        self.box = box = CenteredBoxSolver(d, M)
-        self.d, self.L, self.n = d, box.L, box.n
-        self._classes = box_classes(d, M)
+    def __init__(self, box: CenteredBoxSolver):
+        if box.d not in (2, 3) or box.L != 2 * box.M + 1:
+            raise ValueError("the direct box solve takes the full box in d = 2 or 3")
+        self.box, self.d, self.L, self.n = box, box.d, box.L, box.n
+        self._classes = box_classes(box.d, box.M)
         self._sectors = {
             rep: _SectorSolve(box._inv_lam[sector_cell(rep)],
                               [np.sqrt(2.0) * box._faces[sector_cell((p,))[0], 0] for p in rep])

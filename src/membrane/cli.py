@@ -7,8 +7,10 @@ usage error, which writes no manifest.  `infvol` has three modes, `green`,
 `eta2` and `variance`, each a subcommand that takes only its own flags.
 
 Every option resolves by one rule (`_option`): the flag when it was given,
-0 included, else its key in the JSON `--config`, else the recipe's default.
-All randomness derives from one explicit seed.
+0 included, else its key in the JSON `--config`, else the recipe's default;
+a domain recipe's `--d` and key `d` come before the domain's `dimension`.
+All randomness derives from one explicit seed, and a recipe that draws
+nothing refuses a seed as a usage error.
 """
 
 from __future__ import annotations
@@ -101,6 +103,12 @@ def _option(args, cfg, name, default, read):
     return flag if flag is not None else read(cfg.get(name, default))
 
 
+def _no_seed(args, cfg, recipe: str) -> None:
+    """Refuse a seed, by flag or config key, given to a recipe that draws nothing."""
+    if args.seed is not None or "seed" in cfg:
+        raise ValueError(f"{recipe} draws nothing, so it takes no seed")
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -116,8 +124,8 @@ def _grid(args, cfg, h: float):
         spec.update(_load_config(args.domain))
     if args.shape is not None:
         spec["kind"] = args.shape
-    if args.d is not None:
-        spec["dimension"] = args.d
+    if args.d is not None or "d" in cfg:
+        spec["dimension"] = _option(args, cfg, "d", None, positive)
     if "kind" not in spec:
         raise ValueError("no domain kind: give --shape, --domain or a 'domain' in --config")
     return spec, _option(args, cfg, "h", h, _h)
@@ -137,6 +145,7 @@ def _route_facts(prec) -> dict:
 # recipes
 
 def run_b2star(args, cfg) -> RunManifest:
+    _no_seed(args, cfg, "b2star")
     spec, h = _grid(args, cfg, 1 / 16)
     K = _option(args, cfg, "K", 4, _int)
     man = RunManifest(args.out, {"recipe": "b2star", "domain": spec, "h": h, "K": K})
@@ -153,6 +162,7 @@ def run_b2star(args, cfg) -> RunManifest:
 
 
 def run_green(args, cfg) -> RunManifest:
+    _no_seed(args, cfg, "green")
     spec, h = _grid(args, cfg, 1 / 8)
     man = RunManifest(args.out, {"recipe": "green", "domain": spec, "h": h, "columns": args.columns})
     dom = classify(shape_from_config(spec), h)
@@ -234,7 +244,9 @@ def run_max_scaling(args, cfg) -> RunManifest:
     count = _option(args, cfg, "count", 500, positive)
     seed = _option(args, cfg, "seed", 0, _int)
     ks_tol = float(cfg.get("ks_tolerance", 0.1))
-    man = RunManifest(args.out, {"recipe": "max-scaling", "d": d, "N": Ns, "count": count, "seed": seed})
+    man = RunManifest(
+        args.out, {"recipe": "max-scaling", "d": d, "N": Ns, "count": count, "seed": seed, "ks_tolerance": ks_tol}
+    )
     rep = max_scaling(d, Ns, count, seed)
     man.stage("sample")
     man.csv("rescaled_maxima", ["N", "rescaled_max"], [[N, float(v)] for N in Ns for v in rep.maxima[N]])
@@ -250,7 +262,10 @@ def run_moment_check(args, cfg) -> RunManifest:
     pairs = _int(cfg.get("pairs", 200))
     seed = _option(args, cfg, "seed", 7, _int)
     lo, hi = cfg.get("exponent_range", [1.5, 2.1] if d == 2 else [0.9, 1.3])
-    man = RunManifest(args.out, {"recipe": "moment-check", "d": d, "N": N, "pairs": pairs, "seed": seed})
+    man = RunManifest(
+        args.out,
+        {"recipe": "moment-check", "d": d, "N": N, "pairs": pairs, "seed": seed, "exponent_range": [lo, hi]},
+    )
     dom = classify(unit_box(d), 1.0 / N)
     prec = assemble_precision(dom)
     fit = moment_exponent(prec, d, N, n_pairs=pairs, seed=seed)
@@ -264,6 +279,7 @@ def run_moment_check(args, cfg) -> RunManifest:
 def run_spectrum(args, cfg) -> RunManifest:
     from .spectral import eigendecompose, weyl_counting_fit
 
+    _no_seed(args, cfg, "spectrum")
     spec, h = _grid(args, cfg, 1 / 16)
     k = _option(args, cfg, "k", 60, _int)
     man = RunManifest(args.out, {"recipe": "spectrum", "domain": spec, "h": h, "k": k})
@@ -284,6 +300,7 @@ def run_spectrum(args, cfg) -> RunManifest:
 def run_pair(args, cfg) -> RunManifest:
     from .spectral import bump_test_function, pairing_variance_study
 
+    _no_seed(args, cfg, "pair")
     d = _option(args, cfg, "d", 4, positive)
     hs = _option(args, cfg, "h_list", ["1/16", "1/32", "1/64"], _h_list)
     man = RunManifest(args.out, {"recipe": "pair", "d": d, "h_list": hs, "f": "bump"})
@@ -299,6 +316,7 @@ def run_pair(args, cfg) -> RunManifest:
 def run_thomee(args, cfg) -> RunManifest:
     from .thomee import convergence_study, manufactured_disk
 
+    _no_seed(args, cfg, "thomee")
     d = _option(args, cfg, "d", 2, positive)
     hs = _option(args, cfg, "h_list", ["1/8", "1/16", "1/32", "1/64"], _h_list)
     man = RunManifest(args.out, {"recipe": "thomee", "d": d, "h_list": hs})
@@ -322,15 +340,17 @@ def run_infvol_green(args, cfg) -> RunManifest:
 
     d = _option(args, cfg, "d", 5, positive)
     targets = _option(args, cfg, "targets", [[1] + [0] * (d - 1)], _targets)
-    man = RunManifest(args.out, {"recipe": "infvol-green", "d": d, "targets": targets, "method": args.method})
+    config = {"recipe": "infvol-green", "d": d, "targets": targets, "method": args.method}
+    if args.method == "fourier":
+        _no_seed(args, cfg, "infvol green --method fourier")
+    else:  # the walk plan, echoed in full
+        config["walks"] = _option(args, cfg, "walks", 200_000, positive)
+        config["max_steps"] = _int(cfg.get("max_steps", 200))
+        config["seed"] = _option(args, cfg, "seed", 2024, _int)
+    man = RunManifest(args.out, config)
     four = walk = None
     if args.method != "fourier":  # walks first: a plan they refuse stops before any quadrature
-        oracle = WalkOracle(
-            d=d,
-            n_walks=_option(args, cfg, "walks", 200_000, positive),
-            max_steps=_int(cfg.get("max_steps", 200)),
-            seed=_option(args, cfg, "seed", 2024, _int),
-        )
+        oracle = WalkOracle(d=d, n_walks=config["walks"], max_steps=config["max_steps"], seed=config["seed"])
         walk = walk_estimate(oracle, targets)
     if args.method != "walk":
         four = green_infinite_fourier_many(targets, plan=FourierCovariance(d=d))
@@ -352,6 +372,7 @@ def run_infvol_green(args, cfg) -> RunManifest:
 def run_infvol_eta2(args, cfg) -> RunManifest:
     from .infvol import eta2_trend
 
+    _no_seed(args, cfg, "infvol eta2")
     d = _option(args, cfg, "d", 5, positive)
     radii = _option(args, cfg, "radii", "5..15", _ints)
     man = RunManifest(args.out, {"recipe": "infvol-eta2", "d": d, "radii": radii})
@@ -370,6 +391,7 @@ def run_infvol_eta2(args, cfg) -> RunManifest:
 def run_infvol_variance(args, cfg) -> RunManifest:
     from .infvol import gaussian_test, inv_laplacian_norm, scaling_variance
 
+    _no_seed(args, cfg, "infvol variance")
     d = _option(args, cfg, "d", 5, positive)
     Ns = _option(args, cfg, "N", [4, 8, 16], _ints)
     man = RunManifest(args.out, {"recipe": "infvol-variance", "d": d, "N": Ns, "f": "gaussian"})

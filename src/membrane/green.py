@@ -14,20 +14,21 @@ precision, and `PrecisionMatrix.route` records its pick, by domain:
     centred box     box-direct in d = 2, and in d = 3 within the factor
                     budget; box-pcg above it, and in d = 1 and d >= 4
     anything else   torus-capacitance within the factor budget, else superlu
+                    up to FACTORIZATION_CAP rows
 
 "box-direct" is the sine-transform and per-sector capacitance solve of
-`boxsolve.DirectBoxSolver`, taken while its factors fit in
-DIRECT_FACTOR_BUDGET bytes (in d = 3 up to [-52, 52]^3); "box-pcg" is the
-sine-coefficient box PCG of `boxsolve`, at any size, and a solve that stops
-above its tolerance raises; "torus-capacitance" is the periodic-torus
-embedding and capacitance solve of `torus.TorusCapacitanceSolver`, with
-one dense factor per class of the reflection-parity sectors of R_h's
-mirror group (one factor over the whole boundary layer when R_h has no
-mirror symmetry), taken in every d while those factors fit in
-DIRECT_FACTOR_BUDGET bytes (the unit ball up to h = 1/34 in d = 3 and
-h = 1/10 in d = 4).
-Every domain that is not a centred box is bounded by FACTORIZATION_CAP rows,
-above which it raises.  A box or torus route builds its operator from the
+`boxsolve.DirectBoxSolver`, built on the sine box that its probe vetted and
+taken while its factors fit in DIRECT_FACTOR_BUDGET bytes (in d = 3 up to
+[-52, 52]^3); "box-pcg" is the sine-coefficient box PCG of `boxsolve`, at
+any size, and a solve that stops above its tolerance raises;
+"torus-capacitance" is the periodic-torus embedding and capacitance solve of
+`torus.TorusCapacitanceSolver`, with one dense factor per class of the
+reflection-parity sectors of R_h's mirror group (one factor over the whole
+boundary layer when R_h has no mirror symmetry), taken in every d and at
+any number of rows while those factors fit in DIRECT_FACTOR_BUDGET bytes
+(the unit ball up to h = 1/34 in d = 3 and h = 1/10 in d = 4).
+FACTORIZATION_CAP bounds SuperLU alone: a matrix that would go to it with
+more rows raises.  A box or torus route builds its operator from the
 domain, so it is taken only when a seeded random probe (`operator_probe`)
 shows that the matrix given is that operator; the probes run before any
 factor is built.  Otherwise the matrix goes to SuperLU, and `route_reason`
@@ -63,7 +64,7 @@ import scipy.sparse.linalg as spla
 from .lattice import GridDomain, assemble, classify, inf_norm, stencil_weights, unit_box
 
 DENSE_TABLE_CAP = 20_000
-FACTORIZATION_CAP = 600_000   # rows; above this only centred boxes are solved
+FACTORIZATION_CAP = 600_000   # rows; above this SuperLU is refused
 RHS_FLOAT_BUDGET = 16_000_000  # floats in one dense batch of right-hand sides
 PROBE_TOL = 1e-12             # route operator vs matrix, relative to ||A|| ||v||
 DIRECT_FACTOR_BUDGET = 2**28  # bytes of box-direct or torus factors; above it box PCG or SuperLU
@@ -124,7 +125,7 @@ def box_route(A: sp.csr_matrix, domain: GridDomain):
     if d in (2, 3):
         nbytes = 8 * direct_fill(d, M)
         if nbytes <= DIRECT_FACTOR_BUDGET:
-            direct = DirectBoxSolver(M, d)
+            direct = DirectBoxSolver(box)
             return direct, "box-direct", "", direct.fill
         reason = f"direct factors of {nbytes} bytes above DIRECT_FACTOR_BUDGET"
     return box, "box-pcg", reason, 0
@@ -136,20 +137,14 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain, boxed: Optional[tuple] = 
     entries of the factors built, and the torus route's symmetric axes and
     class sizes ({} on other routes).  boxed is `box_route(A, domain)` when
     the caller has it already."""
-    n = A.shape[0]
     # a centred box goes to its box route, any other domain to the torus
-    # capacitance solve within the budget, the rest to SuperLU; a probe vets
-    # the box and torus routes
+    # capacitance solve within the budget, the rest to SuperLU within its
+    # row cap; a probe vets the box and torus routes
     solver, route, reason, fill = boxed or box_route(A, domain)
     if route == "box-direct":
         return solver.solve, route, reason, fill, {}
     if route == "box-pcg":
         return (lambda rhs: solver.solve(rhs, tol=1e-11)[0]), route, reason, fill, {}
-    if n > FACTORIZATION_CAP:
-        raise ValueError(
-            f"system size {n} is above the factorization cap {FACTORIZATION_CAP} "
-            f"and {reason or 'the domain is not a centred box'}"
-        )
     if not reason:  # not a centred box
         from .torus import TorusCapacitanceSolver  # loads scipy.fft, which no box needs
 
@@ -160,6 +155,8 @@ def _make_solver(A: sp.csr_matrix, domain: GridDomain, boxed: Optional[tuple] = 
             reason = operator_probe(A, torus)
         if not reason:
             return torus.factorize().solve, "torus-capacitance", "", torus.fill, torus.sectors
+    if A.shape[0] > FACTORIZATION_CAP:
+        raise ValueError(f"system size {A.shape[0]} is above the factorization cap {FACTORIZATION_CAP} and {reason}")
     lu = factorize_spd(A)
     return lu.solve, "superlu", reason, lu.nnz, {}
 
@@ -268,14 +265,13 @@ def green_columns(precision: PrecisionMatrix, points: Sequence[Sequence[int]]) -
     )
 
 
-def green_full(precision: PrecisionMatrix, cap: int = DENSE_TABLE_CAP) -> GreenTable:
+def green_full(precision: PrecisionMatrix) -> GreenTable:
     """All covariance columns against one solver, symmetrized after the
-    asymmetry as solved is checked and stored on the table."""
+    asymmetry as solved is checked and stored on the table; R_h above
+    DENSE_TABLE_CAP points raises."""
     n = precision.n
-    if n > cap:
-        raise ValueError(
-            f"|R_h| = {n} exceeds the dense cap {cap}; use green_columns instead"
-        )
+    if n > DENSE_TABLE_CAP:
+        raise ValueError(f"|R_h| = {n} exceeds the dense cap {DENSE_TABLE_CAP}; use green_columns instead")
     G = np.empty((n, n))
 
     def store(c, X):

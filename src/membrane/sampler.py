@@ -54,7 +54,8 @@ def sample(
     """Draw `count` independent N(0, A^{-1}) samples.
 
     Streams are keyed by (seed, stream, sample index), so samples are
-    reproducible independent of scheduling.
+    reproducible independent of scheduling.  A draw that is not finite raises
+    RuntimeError.
     """
     if count < 0:
         raise ValueError(f"count={count} is negative")
@@ -67,6 +68,8 @@ def sample(
         w = rng.standard_normal(dom.mask_shape)
         y = apply_stencil_array(w, st1)[rh_loc]
         phi = precision.solve(y)
+        if not np.isfinite(phi).all():
+            raise RuntimeError(f"draw {i} of seed {seed}, stream {stream} is not finite")
         out.append(FieldSample(domain=dom, values=phi, seed=seed, stream=stream))
     return out
 

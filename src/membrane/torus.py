@@ -11,8 +11,10 @@ torus points outside R_h that the bilaplacian stencil couples to R_h (a
 layer two points deep).  Then C = G+[Gamma, Gamma], gathered from one
 inverse FFT of the pseudo-inverse symbol, is symmetric positive definite (no
 vector supported on Gamma is constant), and is Cholesky-factored once, by
-sector.  A solve extends b by zero, computes x0 = G+ b, and finds w on Gamma
-and a constant c with
+sector, through `boxsolve.cholesky` (LAPACK `dpotrf` on the upper triangle)
+as the box route's factors are, and solved against by `dpotrs`.  A solve
+extends b by zero, computes x0 = G+ b, and finds w on Gamma and a constant
+c with
 
     C w + c 1 = -x0|Gamma,    1^T w = -sum(b),
 
@@ -65,7 +67,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .boxsolve import parity_classes
+from .boxsolve import cholesky, parity_classes
 from .lattice import WORKERS, mu_symbol, neighborhood_offsets
 
 
@@ -211,8 +213,8 @@ class TorusCapacitanceSolver:
             g = 2.0 ** (-0.5 * self._z[keep])
             acc *= g[:, None]
             acc *= g
-            self._factors.append(scipy.linalg.cho_factor(acc, overwrite_a=True, check_finite=False))
-        self._ones = scipy.linalg.cho_solve(self._factors[-1], self._border, check_finite=False)
+            self._factors.append(cholesky(acc, lower=False))
+        self._ones = scipy.linalg.lapack.dpotrs(self._factors[-1], self._border)[0]
         return self
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -229,8 +231,7 @@ class TorusCapacitanceSolver:
         r = np.einsum("kfe,se->kfs", x0[:, self._img], self._hadamard) * self._to_sector
         w = np.zeros_like(r)
         for (rep, keep, rows), factor in zip(self._classes, self._factors):
-            z = scipy.linalg.cho_solve(factor, np.concatenate([r[:, at, s].T for s, at in rows], axis=1),
-                                       check_finite=False)
+            z = scipy.linalg.lapack.dpotrs(factor, np.concatenate([r[:, at, s].T for s, at in rows], axis=1))[0]
             if rep == 0:  # the all-even class, last, with the border
                 c = (B.sum(axis=1) - self._border @ z) / (self._border @ self._ones)
                 z += np.outer(self._ones, c)

@@ -110,23 +110,50 @@ def test_zero_columns_are_solved_by_zero():
     assert np.array_equal(prec.solve(np.zeros(prec.n)), np.zeros(prec.n))
 
 
-def test_above_factorization_cap_only_centred_boxes_are_solved(monkeypatch):
-    box = classify(unit_box(2), 1 / 10)
-    pts = [(0, 0), (3, -2), (-8, 8)]
-    units = np.zeros((box.n_rh, len(pts)))
-    units[box.rh_indices(pts), np.arange(len(pts))] = 1.0
-    reference = spla.spsolve(assemble_precision(box).matrix.tocsc(), units).T
+def test_above_factorization_cap_only_superlu_is_refused(monkeypatch):
+    # the row cap guards SuperLU alone: a centred box and a disk above it are
+    # solved by their box and torus routes, and the disk goes to SuperLU, and
+    # is refused, only when its torus factors are above the budget
+    cases = [(classify(unit_box(2), 1 / 10), [(0, 0), (3, -2), (-8, 8)], "box-direct"),
+             (classify(Ball([0.0, 0.0], 1.0), 1 / 8), [(0, 0), (2, -5), (-6, 0)], "torus-capacitance")]
+    references = []
+    for dom, pts, _ in cases:
+        units = np.zeros((dom.n_rh, len(pts)))
+        units[dom.rh_indices(pts), np.arange(len(pts))] = 1.0
+        references.append(spla.spsolve(assemble_precision(dom).matrix.tocsc(), units).T)
 
     def no_factorization(*args, **kwargs):
         raise AssertionError("splu called above the factorization cap")
 
     monkeypatch.setattr(green, "FACTORIZATION_CAP", 10)
     monkeypatch.setattr(green.spla, "splu", no_factorization)
+    for (dom, pts, route), reference in zip(cases, references):
+        prec = assemble_precision(dom)
+        table = green_columns(prec, pts)
+        assert prec.route == route
+        assert np.abs(table.values - reference).max() <= 1e-9 * np.abs(reference).max()
+        assert table.max_residual <= 1e-8
+    disk = cases[1][0]
+    monkeypatch.setattr(green, "DIRECT_FACTOR_BUDGET", 8 * TorusCapacitanceSolver(disk).fill - 1)
     with pytest.raises(ValueError, match="factorization cap"):
-        assemble_precision(classify(Ball([0.0, 0.0], 1.0), 1 / 4)).solver()
-    table = green_columns(assemble_precision(box), pts)
-    assert np.abs(table.values - reference).max() <= 1e-9 * np.abs(reference).max()
-    assert table.max_residual <= 1e-8
+        assemble_precision(disk).solver()
+
+
+def test_box_direct_builds_one_sine_box(monkeypatch):
+    built = []
+    init = CenteredBoxSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CenteredBoxSolver, "__init__", counted)
+    for d, N in ((2, 12), (3, 8)):
+        built.clear()
+        prec = assemble_precision(classify(unit_box(d), 1 / N))
+        prec.solver()
+        assert prec.route == "box-direct"
+        assert built == [(d, N - 2)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -282,7 +309,7 @@ def test_direct_solve_matches_dense_solve(M, k, seed):
     A = assemble_precision(classify(unit_box(2), 1.0 / (M + 2))).matrix.toarray()
     B = np.random.default_rng(seed).standard_normal((A.shape[0], k))
     ref = np.linalg.solve(A, B)
-    X = DirectBoxSolver(M).solve(B)
+    X = DirectBoxSolver(CenteredBoxSolver(2, M)).solve(B)
     assert X.shape == B.shape
     assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -297,7 +324,7 @@ def test_direct_solve_matches_spsolve(M, seed):
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((A.shape[0], 3))
     ref = spla.spsolve(A.tocsc(), B)
-    direct = DirectBoxSolver(M)
+    direct = DirectBoxSolver(CenteredBoxSolver(2, M))
     assert np.abs(direct.solve(B) - ref).max() <= 1e-12 * np.abs(ref).max()
     assert direct.fill == 2 * (M + 1) ** 2 + M**2 - (M == 0)  # the (1,0) class has no unknowns at M = 0
     # each sector solve inverts the sector's dense block, on 2 coefficient arrays at once
@@ -313,12 +340,12 @@ def test_direct_solve_matches_spsolve(M, seed):
 def test_direct_solve_is_backward_stable(N):
     A = assemble_precision(classify(unit_box(2), 1.0 / N)).matrix
     b = np.random.default_rng(N).standard_normal(A.shape[0])
-    assert backward_error(A, DirectBoxSolver(N - 2).solve(b), b) <= 1e-14
+    assert backward_error(A, DirectBoxSolver(CenteredBoxSolver(2, N - 2)).solve(b), b) <= 1e-14
 
 
 def test_direct_unit_columns_match_box_pcg_and_single_solves():
     M = 14
-    direct, pcg = DirectBoxSolver(M), CenteredBoxSolver(2, M)
+    direct, pcg = DirectBoxSolver(CenteredBoxSolver(2, M)), CenteredBoxSolver(2, M)
     idx = np.random.default_rng(5).choice(direct.n, size=6, replace=False)
     E = np.zeros((direct.n, len(idx)))
     E[idx, np.arange(len(idx))] = 1.0
@@ -341,7 +368,7 @@ def test_direct_solve_matches_spsolve_at_awkward_periods(d, M):
     A = assemble_precision(classify(unit_box(d), 1.0 / (M + 2))).matrix
     B = np.random.default_rng(M).standard_normal((A.shape[0], 3))
     ref = spla.spsolve(A.tocsc(), B)
-    X = DirectBoxSolver(M, d).solve(B)
+    X = DirectBoxSolver(CenteredBoxSolver(d, M)).solve(B)
     assert X.shape == B.shape
     assert max(backward_error(A, X[:, j], B[:, j]) for j in range(B.shape[1])) <= 1e-14
     assert np.abs(X - ref).max() <= 1e-16 * (M + 2) ** 4 * np.abs(ref).max()
@@ -352,7 +379,7 @@ def test_direct_solve_takes_any_number_of_right_hand_sides(d, M):
     # batches around the transform chunk: a chunk dropped, repeated or
     # misplaced changes some column, which is checked against itself solved alone
     A = assemble_precision(classify(unit_box(d), 1.0 / (M + 2))).matrix
-    direct = DirectBoxSolver(M, d)
+    direct = DirectBoxSolver(CenteredBoxSolver(d, M))
     B = np.random.default_rng(d).standard_normal((direct.n, 49))
     alone = np.stack([direct.solve(b) for b in B.T], axis=1)
     ref = spla.spsolve(A.tocsc(), B)
@@ -372,7 +399,7 @@ def test_direct_d3_solve_matches_spsolve(M, seed):
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((A.shape[0], 3))
     ref = spla.spsolve(A.tocsc(), B)
-    direct = DirectBoxSolver(M, 3)
+    direct = DirectBoxSolver(CenteredBoxSolver(3, M))
     X = direct.solve(B)
     assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(direct.solve(B[:, 0]) - X[:, 0]).max() <= 1e-13 * np.abs(X[:, 0]).max()
@@ -391,7 +418,7 @@ def test_direct_d3_solve_matches_spsolve(M, seed):
 @pytest.mark.parametrize("N", [8, 19])
 def test_direct_d3_solve_is_backward_stable_and_matches_box_pcg(N):
     A = assemble_precision(classify(unit_box(3), 1.0 / N)).matrix
-    direct = DirectBoxSolver(N - 2, 3)
+    direct = DirectBoxSolver(CenteredBoxSolver(3, N - 2))
     B = np.random.default_rng(N).standard_normal((A.shape[0], 4))
     X = direct.solve(B)
     assert max(backward_error(A, X[:, j], B[:, j]) for j in range(B.shape[1])) <= 1e-14

@@ -555,3 +555,94 @@ def test_fractional_integer_options_are_usage_errors(tmp_path, monkeypatch, args
     code, out = run_cli(args, tmp_path, "f")
     assert code == EXIT_USAGE
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["infvol", "green", "--method", "walk"], {"walks": 2000, "seed": 11, "max_steps": 12}),
+        (["moment-check", "--d", "2", "--N", "32"], {"pairs": 20, "exponent_range": [0.5, 3.5]}),
+        (["max-scaling", "--d", "2", "--N", "8,12", "--count", "20"], {"ks_tolerance": 0.75}),
+    ],
+    ids=["infvol-green-walk-plan", "moment-check-exponent-range", "max-scaling-ks-tolerance"],
+)
+def test_manifest_echoes_every_config_value_a_recipe_reads(tmp_path, args, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run_cli(["--config", str(cfg)] + args, tmp_path, "echo")
+    assert code in (0, 1)
+    man = json.loads((out / "manifest.json").read_text())
+    assert {k: man["config"][k] for k in config} == config
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["b2star", "--shape", "box", "--d", "2", "--h", "1/8"],
+        ["green", "--shape", "box", "--d", "2", "--h", "1/8"],
+        ["spectrum", "--shape", "box", "--d", "2", "--h", "1/8", "--k", "4"],
+        ["pair", "--d", "4", "--h-list", "1/8,1/12"],
+        ["thomee", "--d", "2", "--h", "1/8,1/16"],
+        ["infvol", "eta2", "--radii", "5..6"],
+        ["infvol", "variance", "--N", "4,8"],
+        ["infvol", "green", "--method", "fourier"],
+    ],
+    ids=["b2star", "green", "spectrum", "pair", "thomee", "infvol-eta2", "infvol-variance", "infvol-green-fourier"],
+)
+@pytest.mark.parametrize("by", ["flag", "config"])
+def test_a_seed_given_to_a_recipe_that_draws_nothing_is_a_usage_error(tmp_path, monkeypatch, capsys, args, by):
+    from membrane import cli
+
+    def no_work(*a, **k):
+        raise AssertionError("work started for a recipe given a seed it cannot use")
+
+    monkeypatch.setattr(cli, "RunManifest", no_work)
+    monkeypatch.setattr(cli, "classify", no_work)
+    if by == "flag":
+        args = ["--seed", "9"] + args
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 9}))
+        args = ["--config", str(cfg)] + args
+    code, out = run_cli(args, tmp_path, "s")
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    assert "draws nothing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, flag, dimension",
+    [
+        ({"d": 3}, [], 3),
+        ({"d": 3, "domain": {"dimension": 2}}, [], 3),
+        ({"domain": {"dimension": 3}}, [], 3),
+        ({"d": 3}, ["--d", "2"], 2),
+    ],
+    ids=["key-d", "key-d-over-domain", "domain-dimension", "flag-over-key-d"],
+)
+def test_a_domain_recipe_reads_its_dimension_by_one_rule(tmp_path, config, flag, dimension):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run_cli(["--config", str(cfg), "sample", "--shape", "box", "--h", "1/4"] + flag, tmp_path, "dim")
+    assert code == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"]["domain"]["dimension"] == dimension
+    assert json.loads((out / "samples.json").read_text())["shape"] == [1, 5**dimension]
+
+
+@pytest.mark.parametrize(
+    "args, stages",
+    [
+        (["sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "2"], ["factorize", "sample"]),
+        (["interpolate", "--d", "2", "--N", "8", "--mesh", "16"], ["sample", "evaluate"]),
+    ],
+    ids=["sample", "interpolate"],
+)
+def test_manifest_records_the_peak_rss_after_each_stage(tmp_path, args, stages):
+    code, out = run_cli(args, tmp_path, "rss")
+    assert code == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert set(man["peak_rss_mb"]) == set(man["wall_clock_s"]) == set(stages)
+    peaks = [man["peak_rss_mb"][s] for s in stages]
+    assert all(p > 0 for p in peaks)
+    assert peaks == sorted(peaks)

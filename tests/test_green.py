@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from membrane import green
 from membrane.boxsolve import CenteredBoxSolver
 from membrane.green import (
     assemble_precision,
@@ -101,11 +102,12 @@ def test_green_symmetry_and_positive_diagonal():
     assert np.all(np.diag(table.values) > 0)
 
 
-def test_green_full_cap():
+def test_green_full_cap(monkeypatch):
     dom = classify(unit_box(2), 1 / 8)
     prec = assemble_precision(dom)
+    monkeypatch.setattr(green, "DENSE_TABLE_CAP", 10)
     with pytest.raises(ValueError):
-        green_full(prec, cap=10)
+        green_full(prec)
 
 
 def test_selected_columns_match_full():

@@ -388,6 +388,13 @@ def test_moment_exponent_raises_on_nan_solve():
         moment_exponent(prec, 2, 32, n_pairs=40, seed=3)
 
 
+def test_sample_raises_on_a_draw_that_is_not_finite():
+    prec = assemble_precision(classify(unit_box(2), 1 / 16))
+    prec._solver = lambda rhs: np.full(np.shape(rhs), np.nan)
+    with pytest.raises(RuntimeError, match="draw 0 of seed 3, stream 0 is not finite"):
+        sample(prec, seed=3, count=2)
+
+
 def _d3_increment_constant(N, seed=17):
     """max E|Psi(t)-Psi(s)|^2 / |t-s| over lattice pairs in the bulk."""
     from membrane.green import green_columns

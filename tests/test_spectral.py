@@ -195,7 +195,7 @@ def test_d3_box_spectrum_matches_dense_eigh_for_every_k(monkeypatch):
 def test_d2_box_spectra_run_eigsh_on_sectors_only(monkeypatch, N):
     prec = assemble_precision(classify(unit_box(2), 1 / N))
     # the whole-box shift-invert over box-direct, the route d=2 boxes took before
-    solve = boxsolve.DirectBoxSolver(N - 2).solve
+    solve = boxsolve.DirectBoxSolver(boxsolve.CenteredBoxSolver(2, N - 2)).solve
     full = spectral._shift_invert(lambda x: solve(x) / 16.0, prec.n, 100)[0]  # S = 16 A
     sizes = []
     eigsh = spectral.spla.eigsh
