@@ -6,11 +6,16 @@ into the exit code: 0 if every assertion passed, 1 if one failed, 2 on a
 usage error, which writes no manifest.  `infvol` has three modes, `green`,
 `eta2` and `variance`, each a subcommand that takes only its own flags.
 
-Every option resolves by one rule (`_option`): the flag when it was given,
-0 included, else its key in the JSON `--config`, else the recipe's default;
-a domain recipe's `--d` and key `d` come before the domain's `dimension`.
-All randomness derives from one explicit seed, and a recipe that draws
-nothing refuses a seed as a usage error.
+A recipe gets every value from one reader, `Options`, which `main` builds
+from the parsed flags, the JSON `--config` and the recipe's name.  An
+option is the flag when it was given, 0 included, else its config key, else
+the recipe's default; the flag's argparse type is the function that parses
+its key, and a key it cannot parse is a usage error that names the key.  A
+domain recipe's `--d` and key `d` come before the domain's `dimension`.
+The reader records every value it returns, and the manifest's config
+echoes exactly those.  All randomness derives from one explicit seed; a
+recipe that reads no seed refuses one, by flag or key, as a usage error
+before any work.
 """
 
 from __future__ import annotations
@@ -88,25 +93,28 @@ def _targets(v) -> list:
     return [_ints(v)] if isinstance(v, str) else [_ints(t) for t in v]
 
 
+def _count(v) -> int:
+    """A number of draws: an integer of at least 0."""
+    n = _int(v)
+    if n < 0:
+        raise ValueError(f"{v!r} is negative")
+    return n
+
+
 def positive(v) -> int:
     """A size: an integer of at least 1."""
-    n = _int(v)
+    n = _count(v)
     if n < 1:
         raise ValueError(f"{v!r} is not a positive integer")
     return n
 
 
-def _option(args, cfg, name, default, read):
-    """The flag `name` when it was given, else the config key `name`, else the
-    default; `read` parses those two as the flag's argparse type parses the flag."""
-    flag = getattr(args, name)
-    return flag if flag is not None else read(cfg.get(name, default))
-
-
-def _no_seed(args, cfg, recipe: str) -> None:
-    """Refuse a seed, by flag or config key, given to a recipe that draws nothing."""
-    if args.seed is not None or "seed" in cfg:
-        raise ValueError(f"{recipe} draws nothing, so it takes no seed")
+def _interval(v) -> list:
+    """Two numbers lo < hi, a list [lo, hi]."""
+    lo, hi = map(float, v)
+    if not lo < hi:
+        raise ValueError(f"{v!r} is not an interval [lo, hi] with lo < hi")
+    return [lo, hi]
 
 
 def _load_config(path):
@@ -116,19 +124,57 @@ def _load_config(path):
         return json.load(fh)
 
 
-def _grid(args, cfg, h: float):
-    """The domain spec and grid spacing of a recipe that takes a domain; h is
-    the recipe's default spacing."""
-    spec = dict(cfg.get("domain", {}))
-    if args.domain is not None:
-        spec.update(_load_config(args.domain))
-    if args.shape is not None:
-        spec["kind"] = args.shape
-    if args.d is not None or "d" in cfg:
-        spec["dimension"] = _option(args, cfg, "d", None, positive)
-    if "kind" not in spec:
-        raise ValueError("no domain kind: give --shape, --domain or a 'domain' in --config")
-    return spec, _option(args, cfg, "h", h, _h)
+class Options:
+    """The one way a recipe gets a value, built by `main` from the parsed
+    flags, the `--config` mapping and the recipe's name.
+
+    `read` returns the flag when it was given, else the config key, else the
+    default, the last two parsed by `parse`, the flag's argparse type; it
+    records every value it returns in `config`, which `manifest` echoes.  A
+    seed is refused there when the recipe read none, so a recipe that draws
+    nothing cannot take one."""
+
+    def __init__(self, args, cfg: dict, recipe: str):
+        self._args, self._cfg, self.config = args, self._parse("--config", cfg, dict), {"recipe": recipe}
+
+    def _parse(self, name, value, parse):
+        try:
+            return parse(value)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
+
+    def read(self, name, default, parse):
+        """The flag `name` if given, else the config key `name`, else `default`."""
+        flag = getattr(self._args, name, None)
+        self.config[name] = value = flag if flag is not None else self._parse(name, self._cfg.get(name, default), parse)
+        return value
+
+    def flag(self, name):
+        """A flag that has no config key, at its argparse default unless given."""
+        self.config[name] = value = getattr(self._args, name)
+        return value
+
+    def domain(self, h: float):
+        """The shape and grid spacing of a recipe that takes a domain; h is the
+        default spacing.  The spec is the key `domain`, updated by the
+        `--domain` file, by `--shape` (its kind) and by `--d` or the key `d`
+        (its dimension)."""
+        spec = self._parse("domain", self._cfg.get("domain", {}), dict)
+        spec.update(self._parse("--domain", _load_config(self._args.domain), dict))
+        if self._args.shape is not None:
+            spec["kind"] = self._args.shape
+        if self._args.d is not None or "d" in self._cfg:
+            spec["dimension"] = self.read("d", None, positive)
+        if "kind" not in spec:
+            raise ValueError("no domain kind: give --shape, --domain or a 'domain' in --config")
+        self.config["domain"] = spec
+        return self._parse("domain", spec, shape_from_config), self.read("h", h, _h)
+
+    def manifest(self, **facts) -> RunManifest:
+        """The run's manifest: every value read, and the recipe's fixed `facts`."""
+        if "seed" not in self.config and (self._args.seed is not None or "seed" in self._cfg):
+            raise ValueError(f"this {self.config['recipe']} run draws nothing, so it takes no seed")
+        return RunManifest(self._args.out, self.config | facts)
 
 
 def _route_facts(prec) -> dict:
@@ -144,12 +190,11 @@ def _route_facts(prec) -> dict:
 # ---------------------------------------------------------------------------
 # recipes
 
-def run_b2star(args, cfg) -> RunManifest:
-    _no_seed(args, cfg, "b2star")
-    spec, h = _grid(args, cfg, 1 / 16)
-    K = _option(args, cfg, "K", 4, _int)
-    man = RunManifest(args.out, {"recipe": "b2star", "domain": spec, "h": h, "K": K})
-    dom = classify(shape_from_config(spec), h)
+def run_b2star(opt) -> RunManifest:
+    shape, h = opt.domain(1 / 16)
+    K = opt.read("K", 4, _int)
+    man = opt.manifest()
+    dom = classify(shape, h)
     man.stage("classify")
     report = verify_b2star(dom, K=K)
     man.stage("verify")
@@ -161,21 +206,21 @@ def run_b2star(args, cfg) -> RunManifest:
     return man
 
 
-def run_green(args, cfg) -> RunManifest:
-    _no_seed(args, cfg, "green")
-    spec, h = _grid(args, cfg, 1 / 8)
-    man = RunManifest(args.out, {"recipe": "green", "domain": spec, "h": h, "columns": args.columns})
-    dom = classify(shape_from_config(spec), h)
+def run_green(opt) -> RunManifest:
+    shape, h = opt.domain(1 / 8)
+    columns = opt.flag("columns")
+    man = opt.manifest()
+    dom = classify(shape, h)
     prec = assemble_precision(dom)
     man.stage("assemble")
-    meta = {"ordering": "lexicographic R_h", "domain": spec, "h": h}
-    if args.columns == "all":
+    meta = {"ordering": "lexicographic R_h", "domain": man.config["domain"], "h": h}
+    if columns == "all":
         table = green_full(prec)
         man.array("green", table.values, meta | {"max_residual": table.max_residual})
         man.check("symmetry", table.asymmetry <= 1e-10, f"max relative asym {table.asymmetry:.2e} as solved")
         man.check("diagonal_positive", bool(np.all(np.diag(table.values) > 0)))
     else:
-        pts = [[int(v) for v in c.split(",")] for c in args.columns.split(";")]
+        pts = [[int(v) for v in c.split(",")] for c in columns.split(";")]
         table = green_columns(prec, pts)
         man.array("green_columns", table.values, meta | {"columns": pts, "max_residual": table.max_residual})
     man.check("residual", table.max_residual <= 1e-8, f"max residual {table.max_residual:.2e}")
@@ -183,14 +228,14 @@ def run_green(args, cfg) -> RunManifest:
     return man
 
 
-def run_sample(args, cfg) -> RunManifest:
+def run_sample(opt) -> RunManifest:
     from .sampler import sample
 
-    spec, h = _grid(args, cfg, 1 / 8)
-    count = _option(args, cfg, "count", 1, _int)
-    seed = _option(args, cfg, "seed", 0, _int)
-    man = RunManifest(args.out, {"recipe": "sample", "domain": spec, "h": h, "count": count, "seed": seed})
-    dom = classify(shape_from_config(spec), h)
+    shape, h = opt.domain(1 / 8)
+    count = opt.read("count", 1, _count)
+    seed = opt.read("seed", 0, _int)
+    man = opt.manifest()
+    dom = classify(shape, h)
     prec = assemble_precision(dom)
     prec.solver()
     man.stage("factorize", **_route_facts(prec))
@@ -202,16 +247,16 @@ def run_sample(args, cfg) -> RunManifest:
     return man
 
 
-def run_interpolate(args, cfg) -> RunManifest:
+def run_interpolate(opt) -> RunManifest:
     from .sampler import InterpolatedField, sample
 
-    d = _option(args, cfg, "d", 2, positive)
+    d = opt.read("d", 2, positive)
     if d not in (2, 3):  # refused before any work: a d = 4 grid can hold millions of unknowns
         raise ValueError("interpolation is defined for d in {2, 3}")
-    N = _option(args, cfg, "N", 16, positive)
-    seed = _option(args, cfg, "seed", 0, _int)
-    mesh = _option(args, cfg, "mesh", 4 * N, positive)
-    man = RunManifest(args.out, {"recipe": "interpolate", "d": d, "N": N, "seed": seed, "mesh": mesh})
+    N = opt.read("N", 16, positive)
+    seed = opt.read("seed", 0, _int)
+    mesh = opt.read("mesh", 4 * N, positive)
+    man = opt.manifest()
     dom = classify(unit_box(d), 1.0 / N)
     prec = assemble_precision(dom)
     fld = InterpolatedField(sample(prec, seed=seed, count=1)[0], N)
@@ -236,17 +281,15 @@ def run_interpolate(args, cfg) -> RunManifest:
     return man
 
 
-def run_max_scaling(args, cfg) -> RunManifest:
+def run_max_scaling(opt) -> RunManifest:
     from .sampler import max_scaling
 
-    d = _option(args, cfg, "d", 2, positive)
-    Ns = _option(args, cfg, "N", [32, 64], _ints)
-    count = _option(args, cfg, "count", 500, positive)
-    seed = _option(args, cfg, "seed", 0, _int)
-    ks_tol = float(cfg.get("ks_tolerance", 0.1))
-    man = RunManifest(
-        args.out, {"recipe": "max-scaling", "d": d, "N": Ns, "count": count, "seed": seed, "ks_tolerance": ks_tol}
-    )
+    d = opt.read("d", 2, positive)
+    Ns = opt.read("N", [32, 64], _ints)
+    count = opt.read("count", 500, positive)
+    seed = opt.read("seed", 0, _int)
+    ks_tol = opt.read("ks_tolerance", 0.1, float)
+    man = opt.manifest()
     rep = max_scaling(d, Ns, count, seed)
     man.stage("sample")
     man.csv("rescaled_maxima", ["N", "rescaled_max"], [[N, float(v)] for N in Ns for v in rep.maxima[N]])
@@ -254,18 +297,15 @@ def run_max_scaling(args, cfg) -> RunManifest:
     return man
 
 
-def run_moment_check(args, cfg) -> RunManifest:
+def run_moment_check(opt) -> RunManifest:
     from .sampler import moment_exponent
 
-    d = _option(args, cfg, "d", 2, positive)
-    N = _option(args, cfg, "N", 32, positive)
-    pairs = _int(cfg.get("pairs", 200))
-    seed = _option(args, cfg, "seed", 7, _int)
-    lo, hi = cfg.get("exponent_range", [1.5, 2.1] if d == 2 else [0.9, 1.3])
-    man = RunManifest(
-        args.out,
-        {"recipe": "moment-check", "d": d, "N": N, "pairs": pairs, "seed": seed, "exponent_range": [lo, hi]},
-    )
+    d = opt.read("d", 2, positive)
+    N = opt.read("N", 32, positive)
+    pairs = opt.read("pairs", 200, _int)
+    seed = opt.read("seed", 7, _int)
+    lo, hi = opt.read("exponent_range", [1.5, 2.1] if d == 2 else [0.9, 1.3], _interval)
+    man = opt.manifest()
     dom = classify(unit_box(d), 1.0 / N)
     prec = assemble_precision(dom)
     fit = moment_exponent(prec, d, N, n_pairs=pairs, seed=seed)
@@ -276,14 +316,13 @@ def run_moment_check(args, cfg) -> RunManifest:
     return man
 
 
-def run_spectrum(args, cfg) -> RunManifest:
+def run_spectrum(opt) -> RunManifest:
     from .spectral import eigendecompose, weyl_counting_fit
 
-    _no_seed(args, cfg, "spectrum")
-    spec, h = _grid(args, cfg, 1 / 16)
-    k = _option(args, cfg, "k", 60, _int)
-    man = RunManifest(args.out, {"recipe": "spectrum", "domain": spec, "h": h, "k": k})
-    dom = classify(shape_from_config(spec), h)
+    shape, h = opt.domain(1 / 16)
+    k = opt.read("k", 60, _int)
+    man = opt.manifest()
+    dom = classify(shape, h)
     prec = assemble_precision(dom)
     basis = eigendecompose(prec, k)
     man.stage("eigensolve", route=basis.route, route_reason=basis.route_reason)
@@ -297,13 +336,14 @@ def run_spectrum(args, cfg) -> RunManifest:
     return man
 
 
-def run_pair(args, cfg) -> RunManifest:
+def run_pair(opt) -> RunManifest:
     from .spectral import bump_test_function, pairing_variance_study
 
-    _no_seed(args, cfg, "pair")
-    d = _option(args, cfg, "d", 4, positive)
-    hs = _option(args, cfg, "h_list", ["1/16", "1/32", "1/64"], _h_list)
-    man = RunManifest(args.out, {"recipe": "pair", "d": d, "h_list": hs, "f": "bump"})
+    d = opt.read("d", 4, positive)
+    hs = opt.read("h_list", ["1/16", "1/32", "1/64"], _h_list)
+    man = opt.manifest(f="bump")  # refuses a seed before the spacings are checked
+    if len(set(hs)) < 3:  # the Cauchy ratio compares two successive differences
+        raise ValueError(f"pair needs three distinct spacings, got {hs}")
     study = pairing_variance_study(d, hs, bump_test_function())
     man.stage("study", wedge_iterations=study.iterations)
     man.csv("pairing_variance", ["h", "variance"], [[float(h), float(v)] for h, v in zip(study.hs, study.variances)])
@@ -313,13 +353,12 @@ def run_pair(args, cfg) -> RunManifest:
     return man
 
 
-def run_thomee(args, cfg) -> RunManifest:
+def run_thomee(opt) -> RunManifest:
     from .thomee import convergence_study, manufactured_disk
 
-    _no_seed(args, cfg, "thomee")
-    d = _option(args, cfg, "d", 2, positive)
-    hs = _option(args, cfg, "h_list", ["1/8", "1/16", "1/32", "1/64"], _h_list)
-    man = RunManifest(args.out, {"recipe": "thomee", "d": d, "h_list": hs})
+    d = opt.read("d", 2, positive)
+    hs = opt.read("h_list", ["1/8", "1/16", "1/32", "1/64"], _h_list)
+    man = opt.manifest()
     study = convergence_study(manufactured_disk(d), hs)
     man.stage("study")
     rows = [[r.h, r.n_rh, r.error, r.bound] for r in study.rows]
@@ -335,24 +374,20 @@ def run_thomee(args, cfg) -> RunManifest:
     return man
 
 
-def run_infvol_green(args, cfg) -> RunManifest:
+def run_infvol_green(opt) -> RunManifest:
     from .infvol import FourierCovariance, WalkOracle, green_infinite_fourier_many, walk_estimate
 
-    d = _option(args, cfg, "d", 5, positive)
-    targets = _option(args, cfg, "targets", [[1] + [0] * (d - 1)], _targets)
-    config = {"recipe": "infvol-green", "d": d, "targets": targets, "method": args.method}
-    if args.method == "fourier":
-        _no_seed(args, cfg, "infvol green --method fourier")
-    else:  # the walk plan, echoed in full
-        config["walks"] = _option(args, cfg, "walks", 200_000, positive)
-        config["max_steps"] = _int(cfg.get("max_steps", 200))
-        config["seed"] = _option(args, cfg, "seed", 2024, _int)
-    man = RunManifest(args.out, config)
+    d = opt.read("d", 5, positive)
+    targets = opt.read("targets", [[1] + [0] * (d - 1)], _targets)
+    method = opt.flag("method")
+    if method != "fourier":  # the walk plan
+        walks, max_steps = opt.read("walks", 200_000, positive), opt.read("max_steps", 200, _int)
+        oracle = WalkOracle(d=d, n_walks=walks, max_steps=max_steps, seed=opt.read("seed", 2024, _int))
+    man = opt.manifest()
     four = walk = None
-    if args.method != "fourier":  # walks first: a plan they refuse stops before any quadrature
-        oracle = WalkOracle(d=d, n_walks=config["walks"], max_steps=config["max_steps"], seed=config["seed"])
+    if method != "fourier":  # walks first: a plan they refuse stops before any quadrature
         walk = walk_estimate(oracle, targets)
-    if args.method != "walk":
+    if method != "walk":
         four = green_infinite_fourier_many(targets, plan=FourierCovariance(d=d))
     man.stage("estimate")
     rows = []
@@ -369,13 +404,12 @@ def run_infvol_green(args, cfg) -> RunManifest:
     return man
 
 
-def run_infvol_eta2(args, cfg) -> RunManifest:
+def run_infvol_eta2(opt) -> RunManifest:
     from .infvol import eta2_trend
 
-    _no_seed(args, cfg, "infvol eta2")
-    d = _option(args, cfg, "d", 5, positive)
-    radii = _option(args, cfg, "radii", "5..15", _ints)
-    man = RunManifest(args.out, {"recipe": "infvol-eta2", "d": d, "radii": radii})
+    d = opt.read("d", 5, positive)
+    radii = opt.read("radii", "5..15", _ints)
+    man = opt.manifest()
     trend = eta2_trend(radii, d=d)
     man.stage("trend")
     rows = [
@@ -388,13 +422,12 @@ def run_infvol_eta2(args, cfg) -> RunManifest:
     return man
 
 
-def run_infvol_variance(args, cfg) -> RunManifest:
+def run_infvol_variance(opt) -> RunManifest:
     from .infvol import gaussian_test, inv_laplacian_norm, scaling_variance
 
-    _no_seed(args, cfg, "infvol variance")
-    d = _option(args, cfg, "d", 5, positive)
-    Ns = _option(args, cfg, "N", [4, 8, 16], _ints)
-    man = RunManifest(args.out, {"recipe": "infvol-variance", "d": d, "N": Ns, "f": "gaussian"})
+    d = opt.read("d", 5, positive)
+    Ns = opt.read("N", [4, 8, 16], _ints)
+    man = opt.manifest(f="gaussian")
     test = gaussian_test(d=d)
     limit = inv_laplacian_norm(test)
     vals = [scaling_variance(test, N) for N in Ns]
@@ -407,7 +440,7 @@ def run_infvol_variance(args, cfg) -> RunManifest:
     return man
 
 
-def run_list_recipes(args, cfg) -> None:
+def run_list_recipes(opt) -> None:
     for name in sorted(RECIPE_CLAIMS):
         print(f"{name} -> {RECIPE_CLAIMS[name]}")
 
@@ -426,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=Path(os.environ.get("MEMBRANE_OUT", "membrane-out")),
         help="output directory (default $MEMBRANE_OUT or ./membrane-out)",
     )
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def recipe(parent, name, func, domain=False):
@@ -440,13 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = recipe(sub, "b2star", run_b2star, domain=True)
-    sp.add_argument("--K", type=int)
+    sp.add_argument("--K", type=_int)
 
     sp = recipe(sub, "green", run_green, domain=True)
     sp.add_argument("--columns", default="all", help='"all" or "x1,y1;x2,y2;..." integer points')
 
     sp = recipe(sub, "sample", run_sample, domain=True)
-    sp.add_argument("--count", type=int)
+    sp.add_argument("--count", type=_count)
 
     sp = recipe(sub, "interpolate", run_interpolate)
     sp.add_argument("--N", type=positive)
@@ -460,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=positive)
 
     sp = recipe(sub, "spectrum", run_spectrum, domain=True)
-    sp.add_argument("--k", type=int)
+    sp.add_argument("--k", type=_int)
 
     sp = recipe(sub, "pair", run_pair)
     sp.add_argument("--h-list", dest="h_list", type=_h_list, help="comma list like 1/16,1/32,1/64")
@@ -488,7 +521,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        man = args.func(args, _load_config(args.config))
+        man = args.func(Options(args, _load_config(args.config), args.func.__name__[4:].replace("_", "-")))
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

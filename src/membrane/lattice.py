@@ -181,19 +181,23 @@ def unit_box(d: int) -> Box:
 
 
 def shape_from_config(cfg: dict) -> ShapePredicate:
-    """Build a shape from a config dict with keys kind, dimension, bounds/center/radius."""
+    """Build a shape from a config dict with keys kind, dimension, bounds/center/radius.
+
+    A `dimension` given beside `bounds` or `center` must match their length."""
     kind = cfg.get("kind")
     if kind == "box":
         if "bounds" in cfg:
-            return Box([tuple(b) for b in cfg["bounds"]])
-        d = int(cfg["dimension"])
-        half = float(cfg.get("half_width", 1.0))
-        return Box([(-half, half)] * d)
-    if kind == "ball":
-        d = int(cfg["dimension"])
-        center = cfg.get("center", [0.0] * d)
-        return Ball(center, float(cfg.get("radius", 1.0)))
-    raise ValueError(f"unknown shape kind: {kind!r}")
+            shape = Box([tuple(b) for b in cfg["bounds"]])
+        else:
+            half = float(cfg.get("half_width", 1.0))
+            shape = Box([(-half, half)] * int(cfg["dimension"]))
+    elif kind == "ball":
+        shape = Ball(cfg.get("center", [0.0] * int(cfg["dimension"])), float(cfg.get("radius", 1.0)))
+    else:
+        raise ValueError(f"unknown shape kind: {kind!r}")
+    if "dimension" in cfg and shape.dimension != int(cfg["dimension"]):
+        raise ValueError(f"a {kind} of dimension {cfg['dimension']} has {shape.dimension} axes")
+    return shape
 
 
 # ---------------------------------------------------------------------------

@@ -646,3 +646,91 @@ def test_manifest_records_the_peak_rss_after_each_stage(tmp_path, args, stages):
     peaks = [man["peak_rss_mb"][s] for s in stages]
     assert all(p > 0 for p in peaks)
     assert peaks == sorted(peaks)
+
+
+@pytest.mark.parametrize(
+    "args, config, key",
+    [
+        (["b2star", "--shape", "box", "--d", "2"], {"h": [1]}, "h"),
+        (["b2star", "--shape", "box", "--d", "2", "--h", "1/8"], {"K": [4]}, "K"),
+        (["max-scaling", "--N", "8,12", "--count", "5"], {"ks_tolerance": [1]}, "ks_tolerance"),
+        (["b2star", "--shape", "box", "--d", "2", "--h", "1/8"], {"domain": 5}, "domain"),
+        (["b2star", "--shape", "box", "--d", "2", "--h", "1/8"], [1], "--config"),
+    ],
+    ids=["h", "K", "ks_tolerance", "domain", "config-not-an-object"],
+)
+def test_wrong_typed_config_values_are_usage_errors(tmp_path, capsys, args, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run_cli(["--config", str(cfg)] + args, tmp_path, "t")
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    assert f"error: {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, config, key",
+    [
+        (["moment-check", "--d", "2", "--N", "16"], {"exponent_range": ["a", "b"]}, "exponent_range"),
+        (["moment-check", "--d", "2", "--N", "16"], {"exponent_range": [2.1, 1.5]}, "exponent_range"),
+        (["moment-check", "--d", "2", "--N", "16"], {"exponent_range": [1.5]}, "exponent_range"),
+        (["sample", "--shape", "box", "--d", "2", "--h", "1/8", "--count", "-1"], None, "--count"),
+        (["sample", "--shape", "box", "--d", "2", "--h", "1/8"], {"count": -1}, "count"),
+    ],
+    ids=["exponent-range-words", "exponent-range-reversed", "exponent-range-one", "count-flag", "count-key"],
+)
+def test_a_value_a_recipe_cannot_use_is_refused_before_any_work(tmp_path, monkeypatch, capsys, args, config, key):
+    from membrane import cli, sampler
+
+    def no_work(*a, **k):
+        raise AssertionError("work started on a value the recipe refuses")
+
+    monkeypatch.setattr(cli, "classify", no_work)
+    monkeypatch.setattr(sampler, "moment_exponent", no_work)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = ["--config", str(cfg)] + args
+    code, out = run_cli(args, tmp_path, "w")
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h_list", ["1/8,1/12", "1/8,1/12,1/8"])
+def test_pair_needs_three_distinct_spacings(tmp_path, monkeypatch, capsys, h_list):
+    from membrane import spectral
+
+    def no_work(*a, **k):
+        raise AssertionError("a pairing study started with fewer than three spacings")
+
+    monkeypatch.setattr(spectral, "pairing_variance_study", no_work)
+    code, out = run_cli(["pair", "--d", "4", "--h-list", h_list], tmp_path, "p2")
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    assert "three distinct spacings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, config, flags, code",
+    [
+        ({"kind": "ball", "center": [0.3, -0.2]}, {}, ["--d", "3"], EXIT_USAGE),
+        ({"kind": "box", "bounds": [[-1, 1]] * 3}, {"d": 2}, [], EXIT_USAGE),
+        ({"kind": "ball", "center": [0.3, -0.2]}, {}, ["--d", "2"], 0),
+        ({"kind": "box", "bounds": [[-1, 1]] * 3}, {"d": 3}, [], 0),
+        ({"kind": "box", "bounds": [[-1, 1]] * 2}, {}, [], 0),
+    ],
+    ids=["ball-2-axes-d3", "box-3-axes-key-d2", "ball-2-axes-d2", "box-3-axes-key-d3", "box-2-axes-no-d"],
+)
+def test_a_domain_spec_must_match_its_dimension(tmp_path, capsys, spec, config, flags, code):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    args = ["--config", str(tmp_path / "cfg.json"), "b2star", "--domain", str(tmp_path / "spec.json"), "--h", "1/4"]
+    got, out = run_cli(args + flags, tmp_path, "dom")
+    assert got == code
+    if code == EXIT_USAGE:
+        assert not out.exists()
+        assert "axes" in capsys.readouterr().err
+    else:  # x_1..x_d and the class
+        header = (out / "domain.csv").read_text().splitlines()[0].split(",")
+        assert len(header) - 1 == len(spec.get("center") or spec["bounds"])

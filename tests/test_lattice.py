@@ -494,6 +494,17 @@ def test_shape_from_config_roundtrip():
         shape_from_config({"kind": "pentagon"})
 
 
+def test_shape_from_config_refuses_a_dimension_its_geometry_disagrees_with():
+    for spec in (
+        {"kind": "ball", "dimension": 3, "center": [0.3, -0.2]},
+        {"kind": "box", "dimension": 2, "bounds": [[-1, 1]] * 3},
+    ):
+        with pytest.raises(ValueError, match="axes"):
+            shape_from_config(spec)
+    assert shape_from_config({"kind": "ball", "dimension": 2, "center": [0.3, -0.2]}).dimension == 2
+    assert shape_from_config({"kind": "box", "dimension": 3, "bounds": [[-1, 1]] * 3}).dimension == 3
+
+
 def test_export_csv(tmp_path):
     dom = classify(unit_box(2), 0.5)
     out = tmp_path / "dom.csv"
